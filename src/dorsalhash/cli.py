@@ -9,6 +9,8 @@ reproduces its outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import json
 import sys
 from pathlib import Path
@@ -163,6 +165,17 @@ def _vault(settings: _Settings, store_dir: str) -> TemplateVault:
     return TemplateVault(d / "keys.jsonl", d / "templates.jsonl", master_seed=settings.seed)
 
 
+@contextlib.contextmanager
+def _store_lock(store_dir: str):
+    """Exclusive lock on ``<store>/.lock`` for one whole write command, so
+    concurrent enroll/revoke calls replay and append one after another."""
+    d = Path(store_dir)
+    d.mkdir(parents=True, exist_ok=True)
+    with open(d / ".lock", "a") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        yield
+
+
 def _write_protocol_outputs(run: pipeline.ProtocolRun, out_dir: Path, tag: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"metrics_{tag}.json").write_text(
@@ -283,14 +296,10 @@ def _load_images(settings: _Settings, paths) -> list[np.ndarray]:
 
 def _cmd_enroll(settings: _Settings, args) -> int:
     model = FixedFilterNet.load(args.model)
-    vault = _vault(settings, args.store)
-    template = vault.enroll(
-        args.user,
-        _load_images(settings, args.images),
-        model,
-        modality=args.modality,
-        bit_length=settings.bits,
-    )
+    images = _load_images(settings, args.images)
+    with _store_lock(args.store):
+        vault = _vault(settings, args.store)
+        template = vault.enroll(args.user, images, model, modality=args.modality, bit_length=settings.bits)
     print(
         f"enrolled {args.user}/{args.modality} v{template.key_version} "
         f"({template.bit_length} bits: {template.to_hex()})"
@@ -319,10 +328,10 @@ def _cmd_verify(settings: _Settings, args) -> int:
 
 def _cmd_revoke(settings: _Settings, args) -> int:
     model = FixedFilterNet.load(args.model)
-    vault = _vault(settings, args.store)
-    template = vault.revoke_and_reissue(
-        args.user, _load_images(settings, args.images), model, modality=args.modality
-    )
+    images = _load_images(settings, args.images)
+    with _store_lock(args.store):
+        vault = _vault(settings, args.store)
+        template = vault.revoke_and_reissue(args.user, images, model, modality=args.modality)
     print(f"reissued {args.user}/{args.modality} as v{template.key_version} ({template.bit_length} bits)")
     return EXIT_OK
 

@@ -5,8 +5,22 @@ Both stores are append-only JSON-lines files with a versioned per-record
 schema.  Template records hold only the protected bits and key lineage --
 never feature vectors or image data -- so leaking the store does not leak
 the biometric.  Superseded enrollments are marked revoked by follow-up
-records; nothing is ever rewritten or deleted, which keeps the history
-auditable.
+records; no complete record is ever rewritten or deleted, which keeps the
+history auditable.
+
+Store format.  Every record carries a ``schema`` number.  New records are
+schema 2.  A schema-2 key record holds the key's seed and dimensions plus
+``basis_blake2b``, the BLAKE2b digest of its realized basis, and never the
+basis itself: the basis is a pure function of (seed, feature_dim,
+bit_length), so ``load_basis`` rebuilds it and raises ``DataError`` if the
+rebuilt basis does not match the digest.  Regeneration drift therefore
+fails closed.  Schema-1 key records, which inline the basis as
+``basis_b64``, still load as written, so old and mixed stores verify.
+
+The vault assumes a single writer.  The CLI holds an exclusive lock on
+``<store>/.lock`` across each ``enroll`` and ``revoke``; ``verify`` only
+reads.  A crash mid-append leaves an unterminated last line, which replay
+ignores and the next append cuts off.
 
 Timestamps come from an injectable clock.  The default is a logical
 monotone clock (epoch seconds equal to the store's record count) so that
@@ -17,7 +31,9 @@ repeated runs from one seed produce byte-identical files; pass
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
+import os
 import secrets
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -44,7 +60,8 @@ from .hashing import (
 )
 
 MODALITIES = ("major", "minor", "nail", "fused")
-STORE_SCHEMA = 1
+STORE_SCHEMA = 2
+READABLE_SCHEMAS = (1, 2)
 
 
 def wall_clock() -> str:
@@ -78,26 +95,41 @@ class VerificationDecision:
 
 
 class _JsonlStore:
-    """Append-only JSON-lines file; records are replayed at open."""
+    """Append-only JSON-lines file; records are replayed at open.
+
+    A final segment without a trailing newline is a torn append: replay
+    drops it and the next append truncates it away.  A corrupt line that is
+    terminated raises, wherever it sits.
+    """
 
     def __init__(self, path):
         self.path = Path(path)
         self.records: list[dict] = []
-        if self.path.exists():
-            for line_no, line in enumerate(self.path.read_text(encoding="utf-8").splitlines(), start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{self.path}:{line_no}: corrupt store line ({exc})") from exc
-                if rec.get("schema") != STORE_SCHEMA:
-                    raise DataError(f"{self.path}:{line_no}: unsupported store schema {rec.get('schema')!r}")
-                self.records.append(rec)
+        self._end = None  # byte length of the terminated lines, if a torn tail follows
+        if not self.path.exists():
+            return
+        data = self.path.read_bytes()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            self._end = end
+        for line_no, line in enumerate(data[:end].split(b"\n")[:-1], start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:
+                raise DataError(f"{self.path}:{line_no}: corrupt store line ({exc})") from exc
+            schema = rec.get("schema") if isinstance(rec, dict) else None
+            if schema not in READABLE_SCHEMAS:
+                raise DataError(f"{self.path}:{line_no}: unsupported store schema {schema!r}")
+            self.records.append(rec)
 
     def append(self, record: dict) -> None:
         rec = dict(record, schema=STORE_SCHEMA)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        if self._end is not None:
+            os.truncate(self.path, self._end)
+            self._end = None
         with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
         self.records.append(rec)
@@ -106,11 +138,14 @@ class _JsonlStore:
         return len(self.records)
 
 
-def _encode_basis(matrix: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(matrix, dtype="<f8").tobytes()).decode("ascii")
+def _basis_digest(matrix: np.ndarray) -> str:
+    """BLAKE2b of the basis as little-endian float64 bytes, row-major."""
+    raw = np.ascontiguousarray(matrix, dtype="<f8").tobytes()
+    return hashlib.blake2b(raw, digest_size=32).hexdigest()
 
 
 def _decode_basis(text: str, feature_dim: int, bit_length: int) -> np.ndarray:
+    """Basis inlined by a schema-1 key record."""
     raw = base64.b64decode(text.encode("ascii"))
     if len(raw) != 8 * feature_dim * bit_length:
         raise DataError("stored basis has the wrong size")
@@ -125,6 +160,10 @@ class TemplateVault:
     ``master_seed`` is set, key seeds are derived deterministically from
     (master_seed, user, modality, version); otherwise they are drawn from
     the OS entropy pool.
+
+    A vault assumes a single writer: two vaults appending to one store can
+    each see no active enrollment and both add one.  Callers that may run
+    concurrently serialize writes themselves (the CLI locks the store).
     """
 
     def __init__(self, key_path, template_path, master_seed: int | None = None, clock=None):
@@ -150,7 +189,7 @@ class TemplateVault:
         seed: int | None = None,
     ) -> tuple[UserKey, ProjectionBasis]:
         """Mint the next key version for (user, modality) and persist its
-        realized basis so verification never depends on regeneration."""
+        seed, dimensions and the digest of its realized basis."""
         _check_modality(modality)
         prior = self._key_records(user_id, modality)
         version = 1 + max((r["key_version"] for r in prior), default=0)
@@ -169,19 +208,28 @@ class TemplateVault:
             "seed": key.seed,
             "bit_length": bit_length,
             "feature_dim": feature_dim,
-            "basis_b64": _encode_basis(basis.matrix),
+            "basis_blake2b": _basis_digest(basis.matrix),
             "created_at": self.clock(),
         })
         return key, basis
 
     def load_basis(self, user_id: str, modality: str, key_version: int) -> tuple[UserKey, ProjectionBasis]:
+        """The key and basis of one key record.  Schema 1 reads the inlined
+        basis; schema 2 rebuilds it from the seed and checks its digest."""
         recs = [r for r in self._key_records(user_id, modality) if r["key_version"] == key_version]
         if not recs:
             raise UnknownIdentityError(f"no key v{key_version} for {user_id!r}/{modality}")
         r = recs[-1]
         key = UserKey(user_id=user_id, seed=r["seed"], bit_length=r["bit_length"], key_version=key_version)
-        matrix = _decode_basis(r["basis_b64"], r["feature_dim"], r["bit_length"])
-        return key, ProjectionBasis(matrix=matrix, origin_key=key)
+        if r["schema"] == 1:
+            matrix = _decode_basis(r["basis_b64"], r["feature_dim"], r["bit_length"])
+            return key, ProjectionBasis(matrix=matrix, origin_key=key)
+        basis = basis_for_key(key, r["feature_dim"])
+        if _basis_digest(basis.matrix) != r.get("basis_blake2b"):
+            raise DataError(
+                f"key v{key_version} for {user_id!r}/{modality}: rebuilt basis does not match its stored digest"
+            )
+        return key, basis
 
     # -- template store ----------------------------------------------------
 

@@ -1,9 +1,12 @@
 import json
+import multiprocessing
+import sys
 
 import numpy as np
 import pytest
 
 from dorsalhash.cli import main
+from dorsalhash.enrollment import TemplateVault
 from dorsalhash.corpus import write_pgm
 from dorsalhash.network import FixedFilterNet, NetworkConfig
 
@@ -140,6 +143,45 @@ def test_verify_unenrolled_user_fails(cli_env, tmp_path):
     rc = main(["verify", "--model", str(cli_env["model"]), "--store", str(store),
                "--user", "ghost", "--image", probe, "--threshold", "0.5", *common(cli_env)])
     assert rc == 1
+
+
+def test_verify_with_tampered_key_record_fails(cli_env, tmp_path):
+    store = tmp_path / "store"
+    imgs = [str(cli_env["data"] / "s00" / f"img{i:02d}.pgm") for i in range(2)]
+    rc = main(["enroll", "--model", str(cli_env["model"]), "--store", str(store),
+               "--user", "s00", "--images", *imgs, *common(cli_env)])
+    assert rc == 0
+    keys = store / "keys.jsonl"
+    record = json.loads(keys.read_text(encoding="utf-8"))
+    record["seed"] += 1
+    keys.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    rc = main(["verify", "--model", str(cli_env["model"]), "--store", str(store),
+               "--user", "s00", "--image", imgs[0], "--threshold", "1.0", *common(cli_env)])
+    assert rc == 1
+
+
+def _cli_exit(argv):
+    sys.exit(main(argv))
+
+
+def test_concurrent_enrolls_keep_one_active_record(cli_env, tmp_path):
+    store = tmp_path / "store"
+    imgs = [str(cli_env["data"] / "s00" / f"img{i:02d}.pgm") for i in range(2)]
+    argv = ["enroll", "--model", str(cli_env["model"]), "--store", str(store),
+            "--user", "s00", "--images", *imgs, *common(cli_env)]
+    ctx = multiprocessing.get_context("spawn")
+    procs = [ctx.Process(target=_cli_exit, args=(argv,)) for _ in range(2)]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=120)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    assert [proc.exitcode for proc in procs] == [0, 0]
+    vault = TemplateVault(store / "keys.jsonl", store / "templates.jsonl")
+    assert vault.active_record("s00")["key_version"] == 2
+    assert sorted(r["key_version"] for r in vault.keys.records) == [1, 2]
 
 
 def test_verify_without_threshold_fails(cli_env, tmp_path):

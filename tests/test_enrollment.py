@@ -1,5 +1,6 @@
 """Enrollment lifecycle: stores, verification, revocation, fusion."""
 
+import base64
 import json
 
 import numpy as np
@@ -18,7 +19,20 @@ from dorsalhash.errors import (
     RevokedCredentialError,
     UnknownIdentityError,
 )
-from dorsalhash.hashing import UserKey, basis_for_key, binarize, project
+from dorsalhash.hashing import ProjectionBasis, UserKey, basis_for_key, binarize, project
+
+# BLAKE2b of basis_for_key(UserKey("u", 1, 128), 256); also pinned in test_hashing.
+PINNED_BASIS_BLAKE2B = "33cbcfabdd8696b14c27ee5187146cd481ac16a27ddb822ab770bd8148c62b82"
+
+
+def _dump(records) -> str:
+    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+
+
+def _edit_key_record(path, **fields):
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[-1].update(fields)
+    path.write_text(_dump(records))
 
 
 @pytest.fixture
@@ -155,7 +169,8 @@ class TestStore:
     def test_reopen_uses_stored_basis(self, vault, tiny_net, image, tmp_path):
         vault.enroll("alice", [image], tiny_net, bit_length=32)
         # Different master seed on reopen: verification must still match,
-        # because the realized basis is read back, never regenerated.
+        # because the basis is rebuilt from the seed in the key record, not
+        # derived again from the master seed.
         reopened = TemplateVault(
             vault.keys.path, vault.templates.path, master_seed=999,
         )
@@ -183,6 +198,100 @@ class TestStore:
         p.write_text('{"schema":99,"kind":"key"}\n')
         with pytest.raises(DataError):
             TemplateVault(p, tmp_path / "t.jsonl")
+
+    def test_torn_last_line_is_dropped_then_cut_off(self, vault, tiny_net, image):
+        vault.enroll("alice", [image], tiny_net, bit_length=32)
+        before = {s.path: s.path.read_bytes() for s in (vault.keys, vault.templates)}
+        for path in before:
+            with open(path, "ab") as fh:
+                fh.write(b'{"kind":"enroll","user_id":"bo')
+        reopened = TemplateVault(vault.keys.path, vault.templates.path, master_seed=42)
+        assert (len(reopened.keys), len(reopened.templates)) == (1, 1)
+        assert reopened.verify(image, "alice", tiny_net, threshold=0.2).score == 0.0
+        reopened.enroll("bob", [image], tiny_net, bit_length=32)
+        for path, prefix in before.items():
+            data = path.read_bytes()
+            assert data.startswith(prefix)
+            assert [json.loads(line)["user_id"] for line in data.splitlines()] == ["alice", "bob"]
+        again = TemplateVault(vault.keys.path, vault.templates.path)
+        assert again.verify(image, "bob", tiny_net, threshold=0.2).score == 0.0
+
+    def test_torn_only_line_leaves_an_empty_store(self, tmp_path, tiny_net, image):
+        keys, templates = tmp_path / "k.jsonl", tmp_path / "t.jsonl"
+        keys.write_bytes(b'{"schema":2,"ki')
+        v = TemplateVault(keys, templates, master_seed=1)
+        assert len(v.keys) == 0
+        v.enroll("alice", [image], tiny_net, bit_length=32)
+        assert [json.loads(line)["user_id"] for line in keys.read_bytes().splitlines()] == ["alice"]
+
+    def test_corrupt_line_before_torn_tail_still_rejected(self, tmp_path):
+        p = tmp_path / "k.jsonl"
+        p.write_text('not json\n{"schema":2,"ki')
+        with pytest.raises(DataError):
+            TemplateVault(p, tmp_path / "t.jsonl")
+
+
+class TestDerivedBasis:
+    def test_key_record_digest_is_pinned(self, vault):
+        key, basis = vault.issue_key("u", bit_length=128, feature_dim=256, seed=1)
+        record = vault.keys.records[-1]
+        assert record["schema"] == 2
+        assert record["basis_blake2b"] == PINNED_BASIS_BLAKE2B
+        loaded_key, loaded = vault.load_basis("u", "major", key.key_version)
+        assert loaded_key == key
+        assert np.array_equal(loaded.matrix, basis.matrix)
+
+    def test_key_store_holds_no_basis_or_features(self, vault, tiny_net, image):
+        vault.enroll("alice", [image], tiny_net, bit_length=32)
+        vault.revoke_and_reissue("alice", [image], tiny_net)
+        allowed = {
+            "kind", "user_id", "modality", "key_version", "seed", "bit_length",
+            "feature_dim", "basis_blake2b", "created_at", "schema",
+        }
+        for line in vault.keys.path.read_text().splitlines():
+            rec = json.loads(line)
+            assert set(rec) <= allowed
+            assert len(rec["basis_blake2b"]) == 64
+
+    @pytest.mark.parametrize("field, value", [("seed", 12345), ("basis_blake2b", "00" * 32)])
+    def test_edited_key_record_fails_closed(self, vault, tiny_net, image, field, value):
+        vault.enroll("alice", [image], tiny_net, bit_length=32)
+        _edit_key_record(vault.keys.path, **{field: value})
+        reopened = TemplateVault(vault.keys.path, vault.templates.path)
+        with pytest.raises(DataError):
+            reopened.load_basis("alice", "major", 1)
+        with pytest.raises(DataError):
+            reopened.verify(image, "alice", tiny_net, threshold=0.2)
+
+    def test_schema1_store_still_verifies(self, tmp_path, tiny_net, image):
+        # A schema-1 key record inlines its basis.  This one is an arbitrary
+        # orthonormal basis, not the one its seed regenerates, so a score of
+        # 0 shows the inlined basis is what verification reads.
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((tiny_net.feature_dim, 32)))
+        features = tiny_net.extract_features([image])[0]
+        bits = binarize(project(features, ProjectionBasis(q)))
+        keys, templates = tmp_path / "keys.jsonl", tmp_path / "templates.jsonl"
+        keys.write_text(_dump([{
+            "kind": "key", "user_id": "alice", "modality": "major", "key_version": 1,
+            "seed": 77, "bit_length": 32, "feature_dim": tiny_net.feature_dim,
+            "basis_b64": base64.b64encode(q.astype("<f8").tobytes()).decode("ascii"),
+            "created_at": "1970-01-01T00:00:00+00:00", "schema": 1,
+        }]))
+        templates.write_text(_dump([{
+            "kind": "enroll", "user_id": "alice", "modality": "major", "key_version": 1,
+            "bit_length": 32, "bits_hex": np.packbits(bits).tobytes().hex(),
+            "basis_ref": "keys:alice:major:v1", "created_at": "1970-01-01T00:00:01+00:00",
+            "schema": 1,
+        }]))
+        vault = TemplateVault(keys, templates, master_seed=3)
+        assert vault.verify(image, "alice", tiny_net, threshold=0.2).score == 0.0
+
+        other = np.random.default_rng(12).uniform(0.1, 0.9, image.shape)
+        vault.enroll("bob", [other], tiny_net, bit_length=32)
+        mixed = TemplateVault(keys, templates)
+        assert [r["schema"] for r in mixed.keys.records] == [1, 2]
+        assert mixed.verify(image, "alice", tiny_net, threshold=0.2).score == 0.0
+        assert mixed.verify(other, "bob", tiny_net, threshold=0.2).score == 0.0
 
 
 class TestFusion:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +91,18 @@ def test_basis_for_key_deterministic_and_validated():
     assert b1.orthonormality_error() < 1e-9
     assert b1.feature_dim == 256
     assert b1.bit_length == 128
+
+
+# Vault key records store only the seed and this digest, and verification
+# rebuilds the basis; any drift in the pinned stream or in Gram-Schmidt
+# must fail here rather than at a user's verify.
+PINNED_BASIS_BLAKE2B = "33cbcfabdd8696b14c27ee5187146cd481ac16a27ddb822ab770bd8148c62b82"
+
+
+def test_basis_for_key_digest_is_pinned():
+    basis = basis_for_key(UserKey(user_id="u", seed=1, bit_length=128), 256)
+    raw = np.ascontiguousarray(basis.matrix, dtype="<f8").tobytes()
+    assert hashlib.blake2b(raw, digest_size=32).hexdigest() == PINNED_BASIS_BLAKE2B
 
 
 # -- hashing ------------------------------------------------------------------
