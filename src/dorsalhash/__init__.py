@@ -40,7 +40,6 @@ from .filters import (
     make_gap_filters,
     make_layer_bank,
     make_lbc_filters,
-    make_star_filters,
 )
 from .hashing import (
     BIT_LENGTHS,
@@ -98,7 +97,6 @@ __all__ = [
     "make_gap_filters",
     "make_layer_bank",
     "make_lbc_filters",
-    "make_star_filters",
     "orthonormalize",
     "project",
     "run_protocol",

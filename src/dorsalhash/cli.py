@@ -262,7 +262,8 @@ def _cmd_train(settings: _Settings, args) -> int:
         last = history[-1]
         print(
             f"trained {len(history)} epochs on {len(images)} images; "
-            f"final loss {last.loss:.4f}, accuracy {last.accuracy * 100:.1f}%"
+            f"final loss {last.loss:.4f}, accuracy {last.accuracy * 100:.1f}%, "
+            f"grad norm {last.grad_norm:.4g}, clipped {last.clipped_frac * 100:.1f}% of steps"
         )
     else:
         print(f"saved untrained model for {len(images)} images")

@@ -63,6 +63,18 @@ MODALITIES = ("major", "minor", "nail", "fused")
 STORE_SCHEMA = 2
 READABLE_SCHEMAS = (1, 2)
 
+# Fields the vault reads from each record, by (kind, schema).  Replay checks
+# them, so a damaged record fails as DataError at open rather than as a
+# KeyError wherever the field is first read.
+_LINEAGE_FIELDS = ("kind", "user_id", "modality", "key_version")
+_KEY_FIELDS = _LINEAGE_FIELDS + ("seed", "bit_length", "feature_dim")
+RECORD_FIELDS = {
+    ("key", 1): _KEY_FIELDS + ("basis_b64",),
+    ("key", 2): _KEY_FIELDS + ("basis_blake2b",),
+    **{("enroll", s): _LINEAGE_FIELDS + ("bit_length", "bits_hex") for s in READABLE_SCHEMAS},
+    **{("revoke", s): _LINEAGE_FIELDS for s in READABLE_SCHEMAS},
+}
+
 
 def wall_clock() -> str:
     return datetime.now(timezone.utc).isoformat()
@@ -99,7 +111,8 @@ class _JsonlStore:
 
     A final segment without a trailing newline is a torn append: replay
     drops it and the next append truncates it away.  A corrupt line that is
-    terminated raises, wherever it sits.
+    terminated raises, wherever it sits, and so does a record of unknown
+    kind or one that lacks a field listed in RECORD_FIELDS.
     """
 
     def __init__(self, path):
@@ -122,6 +135,12 @@ class _JsonlStore:
             schema = rec.get("schema") if isinstance(rec, dict) else None
             if schema not in READABLE_SCHEMAS:
                 raise DataError(f"{self.path}:{line_no}: unsupported store schema {schema!r}")
+            fields = RECORD_FIELDS.get((rec.get("kind"), schema))
+            if fields is None:
+                raise DataError(f"{self.path}:{line_no}: unknown record kind {rec.get('kind')!r}")
+            missing = [f for f in fields if f not in rec]
+            if missing:
+                raise DataError(f"{self.path}:{line_no}: {rec['kind']} record lacks {', '.join(missing)}")
             self.records.append(rec)
 
     def append(self, record: dict) -> None:
@@ -225,7 +244,7 @@ class TemplateVault:
             matrix = _decode_basis(r["basis_b64"], r["feature_dim"], r["bit_length"])
             return key, ProjectionBasis(matrix=matrix, origin_key=key)
         basis = basis_for_key(key, r["feature_dim"])
-        if _basis_digest(basis.matrix) != r.get("basis_blake2b"):
+        if _basis_digest(basis.matrix) != r["basis_blake2b"]:
             raise DataError(
                 f"key v{key_version} for {user_id!r}/{modality}: rebuilt basis does not match its stored digest"
             )

@@ -1,5 +1,5 @@
-"""Fixed convolution banks: boundary-ring difference filters, sparse random
-ternary filters, and an optional center-versus-boundary variant.
+"""Fixed convolution banks: boundary-ring difference filters and sparse
+random ternary filters.
 
 All kernels are 3 rows by 5 columns (short and wide, matching inputs whose
 height is half their width).  The 12 cells on the kernel's outer ring are
@@ -42,7 +42,6 @@ RING_POSITIONS = (
     (1, 0),
 )
 RING_SIZE = len(RING_POSITIONS)  # 12
-CENTER = (1, 2)
 
 # Gap assignment per difference stage: stage index -> gaps used.
 LAYER_GAPS = {1: (1,), 2: (2, 3), 3: (4, 5, 6)}
@@ -124,14 +123,3 @@ def make_lbc_filters(spec: LbcFilterSpec) -> np.ndarray:
     )
     return bank.reshape(spec.count, KERNEL_HEIGHT, KERNEL_WIDTH)
 
-
-def make_star_filters() -> np.ndarray:
-    """Center-versus-boundary bank: kernel p has +1 at the center cell and
-    -1 at ring position p.  Optional alternative to the gap banks; not part
-    of the default pipeline.
-    """
-    bank = np.zeros((RING_SIZE, KERNEL_HEIGHT, KERNEL_WIDTH), dtype=np.float64)
-    for p in range(RING_SIZE):
-        bank[p][CENTER] = 1.0
-        bank[p][RING_POSITIONS[p]] = -1.0
-    return bank

@@ -29,12 +29,17 @@ from .errors import (
     ModelFormatError,
     TrainingError,
 )
-from .filters import LbcFilterSpec, make_layer_bank, make_lbc_filters, make_star_filters
+from .filters import LbcFilterSpec, make_layer_bank, make_lbc_filters
 
 MODEL_MAGIC = b"DHFN"
 MODEL_VERSION = 1
 
 LBC_COUNTS = (64, 128)  # stages 4 and 5
+
+# Config keys of options that no longer exist.  Model files written before
+# their removal carry them set to false, and still load; a file with either
+# set to true was built by code this package no longer has.
+RETIRED_CONFIG_KEYS = ("use_star_bank", "hard_binarize")
 
 
 @dataclass(frozen=True)
@@ -52,8 +57,6 @@ class NetworkConfig:
     fc1_dim: int = 512
     fc2_dim: int = 256
     lbc_seed: int = 0
-    use_star_bank: bool = False
-    hard_binarize: bool = False
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -96,9 +99,15 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One epoch of training.  grad_norm is the mean global gradient norm
+    of the epoch's steps, taken before clipping; clipped_frac is the
+    fraction of those steps that clipping shrank (0 without clip_norm)."""
+
     epoch: int
     loss: float
     accuracy: float
+    grad_norm: float
+    clipped_frac: float
 
 
 def _init_dense(out_dim: int, in_dim: int, seed: int, gain: float = 4.0) -> ops.DenseLayer:
@@ -134,9 +143,8 @@ class FixedFilterNet:
 
     @classmethod
     def build(cls, config: NetworkConfig) -> "FixedFilterNet":
-        stage1 = make_star_filters() if config.use_star_bank else make_layer_bank(1)
         banks = [
-            stage1,
+            make_layer_bank(1),
             make_layer_bank(2),
             make_layer_bank(3),
             make_lbc_filters(LbcFilterSpec(count=LBC_COUNTS[0], seed=rand.derive_seed(config.lbc_seed, "lbc", 4))),
@@ -193,20 +201,27 @@ class FixedFilterNet:
             raise DataError("input stage: image contains non-finite values")
         return img
 
-    def _activate(self, pre: np.ndarray) -> np.ndarray:
-        if self.config.hard_binarize:
-            return (pre > 0.0).astype(np.float64)
-        return ops.relu(pre)
-
     def _trace(self, image: np.ndarray) -> dict:
-        """Forward pass keeping every intermediate needed for backprop."""
+        """Forward pass keeping every intermediate needed for backprop.
+
+        Each stage keeps its rectified bank response but not the response
+        itself: the ReLU runs in place, and its output is positive exactly
+        where its input was, which is all the backward pass needs.  The five
+        responses share one block, so an image costs one large allocation
+        rather than five.  glibc's malloc returns five separately freed
+        multi-MB maps to the OS after each image, and the next image faults
+        them back in: about 1.5k page faults, a third of a 64x128 forward.
+        """
         x = self._check_input(image)
-        t: dict = {"x": [x], "d": [], "b": [], "c": []}
+        t: dict = {"x": [x], "b": [], "c": []}
+        h, w = x.shape
+        dims = [(h, w)] * 4 + [(h // 2, w // 2)]  # stage 5 runs after one pooling
+        sizes = [bank.shape[0] * hh * ww for bank, (hh, ww) in zip(self.banks, dims)]
+        chunks = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
         for s in range(5):
-            d = ops.conv2d(t["x"][-1], self.banks[s])
-            b = self._activate(d)
+            b = ops.conv2d(t["x"][-1], self.banks[s], out=chunks[s].reshape(-1, *dims[s]))
+            np.maximum(b, 0.0, out=b)
             c = ops.combine1x1(b, self.combine[s])
-            t["d"].append(d)
             t["b"].append(b)
             t["c"].append(c)
             t["x"].append(ops.maxpool2(c) if s >= 3 else c)
@@ -296,7 +311,14 @@ class FixedFilterNet:
         if header_len > len(body):
             raise ModelFormatError(f"{path}: truncated header")
         header = json.loads(body[:header_len].decode("utf-8"))
-        config = NetworkConfig(**header["config"])
+        settings = dict(header["config"])
+        for key in RETIRED_CONFIG_KEYS:
+            if settings.pop(key, False) is not False:
+                raise ModelFormatError(f"{path}: model sets the removed option {key!r}")
+        try:
+            config = NetworkConfig(**settings)
+        except TypeError as exc:
+            raise ModelFormatError(f"{path}: unknown model config ({exc})") from exc
         offset = header_len
         loaded: dict[str, np.ndarray] = {}
         for name, shape in header["arrays"]:
@@ -350,17 +372,11 @@ def _loss_and_grads(model: FixedFilterNet, image: np.ndarray, label: int):
     dx = dv.reshape(h4, w4)
     for s in (4, 3, 2, 1, 0):
         dc = ops.maxpool2_grad(t["c"][s], dx) if s >= 3 else dx
-        d_w, d_b = ops.combine1x1_grads(t["b"][s], model.combine[s], dc)
+        d_w, dd = ops.combine1x1_grads(t["b"][s], model.combine[s], dc, rectified=True)
         grads[f"combine{s + 1}"] = d_w
         if s == 0:
             break
-        if model.config.hard_binarize:
-            # The 0/1 step has zero derivative almost everywhere, so no
-            # gradient reaches stages below a binarized activation.
-            dx = np.zeros_like(t["x"][s])
-        else:
-            dd = ops.relu_grad(t["d"][s], d_b)
-            dx = ops.conv2d_input_grad(dd, model.banks[s], t["x"][s].shape)
+        dx = ops.conv2d_input_grad(dd, model.banks[s], t["x"][s].shape)
     return loss, correct, grads
 
 
@@ -402,6 +418,8 @@ def train(
         )
         total_loss = 0.0
         total_correct = 0
+        norms: list[float] = []
+        clipped = 0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
             acc_grads: dict[str, np.ndarray] | None = None
@@ -420,12 +438,19 @@ def train(
             scale = 1.0 / len(batch)
             for k in acc_grads:
                 acc_grads[k] *= scale
-            if config.clip_norm is not None:
-                norm = np.sqrt(sum(float((g ** 2).sum()) for g in acc_grads.values()))
-                if norm > config.clip_norm:
-                    shrink = config.clip_norm / norm
-                    for k in acc_grads:
-                        acc_grads[k] *= shrink
+            norm = np.sqrt(sum(float((g ** 2).sum()) for g in acc_grads.values()))
+            norms.append(float(norm))
+            if config.clip_norm is not None and norm > config.clip_norm:
+                clipped += 1
+                shrink = config.clip_norm / norm
+                for k in acc_grads:
+                    acc_grads[k] *= shrink
             model.set_params(opt.step(model.params(), acc_grads))
-        history.append(EpochStats(epoch=epoch, loss=total_loss / n, accuracy=total_correct / n))
+        history.append(EpochStats(
+            epoch=epoch,
+            loss=total_loss / n,
+            accuracy=total_correct / n,
+            grad_norm=float(np.mean(norms)),
+            clipped_frac=clipped / len(norms),
+        ))
     return history

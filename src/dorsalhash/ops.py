@@ -5,6 +5,17 @@ op has a matching analytic-gradient helper used by the trainer.  Convolution
 means correlation (kernels are not flipped) with replicate-edge padding, so
 output size equals input size and zero-sum kernels null constant inputs even
 at the borders.
+
+Convolution is one matrix product over shifted views.  The forward pass
+stacks the kh*kw shifted views of the padded map into a (kh*kw, H*W) array
+and multiplies it by the (K, kh*kw) kernel matrix; the backward pass
+multiplies the transposed kernel matrix by the (K, H*W) gradient and adds
+each of the kh*kw rows back into the padded grid at its shift.  The forward
+sums the taps of each output cell in row-major kernel order, as a sliding-
+window contraction does, so with the package's ternary banks (every product
+exact) it matches one bit for bit.  The backward sums over kernels before
+shifts, so its results differ from a per-shift correlation by rounding
+only (a few ulps).
 """
 
 from __future__ import annotations
@@ -12,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, TrainingError
 
@@ -44,7 +54,7 @@ def _as_kernel_stack(kernels) -> np.ndarray:
     return stack
 
 
-def conv2d(image: np.ndarray, kernels, padding: str = "replicate") -> np.ndarray:
+def conv2d(image: np.ndarray, kernels, padding: str = "replicate", out: np.ndarray | None = None) -> np.ndarray:
     """Correlate one 2-D map with a stack of kernels, same-size output.
 
     Args:
@@ -52,9 +62,11 @@ def conv2d(image: np.ndarray, kernels, padding: str = "replicate") -> np.ndarray
         kernels: (K, kh, kw) stack (or a single 2-D kernel); odd dims only.
         padding: only "replicate" is supported; the argument exists so call
             sites state the edge rule explicitly.
+        out: optional C-contiguous float64 (K, H, W) array to write into.
 
     Returns:
-        (K, H, W) array; channel k is the correlation of image with kernel k.
+        (K, H, W) array (``out`` when given); channel k is the correlation
+        of image with kernel k.
     """
     if padding != "replicate":
         raise DimensionError(f"unsupported padding mode: {padding!r}")
@@ -62,16 +74,24 @@ def conv2d(image: np.ndarray, kernels, padding: str = "replicate") -> np.ndarray
     if img.ndim != 2:
         raise DimensionError(f"conv2d expects a 2-D map, got shape {img.shape}")
     stack = _as_kernel_stack(kernels)
-    kh, kw = stack.shape[1:]
+    k, kh, kw = stack.shape
+    h, w = img.shape
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     padded = np.pad(img, ((ph, ph), (pw, pw)), mode="edge")
     if padded.shape[0] < kh or padded.shape[1] < kw:
         raise DimensionError(
             f"kernel {kh}x{kw} larger than padded input {padded.shape[0]}x{padded.shape[1]}"
         )
-    windows = sliding_window_view(padded, (kh, kw))
-    out = np.tensordot(windows, stack, axes=([2, 3], [1, 2]))
-    return np.ascontiguousarray(out.transpose(2, 0, 1))
+    if out is None:
+        out = np.empty((k, h, w))
+    elif out.shape != (k, h, w) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise DimensionError(f"conv2d out must be C-contiguous float64 {(k, h, w)}, got {out.dtype} {out.shape}")
+    shifted = np.empty((kh, kw, h, w))
+    for i in range(kh):
+        for j in range(kw):
+            shifted[i, j] = padded[i:i + h, j:j + w]
+    np.matmul(stack.reshape(k, kh * kw), shifted.reshape(kh * kw, h * w), out=out.reshape(k, h * w))
+    return out
 
 
 def _replicate_pad_adjoint(grad_padded: np.ndarray, ph: int, pw: int) -> np.ndarray:
@@ -102,11 +122,13 @@ def conv2d_input_grad(grad_out: np.ndarray, kernels, input_shape: tuple[int, int
     if g.shape != (k, h, w):
         raise DimensionError(f"grad shape {g.shape} does not match (K={k}, {h}, {w})")
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    # Full correlation with the flipped kernel gives d/d(padded input).
-    gp = np.pad(g, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-    flipped = stack[:, ::-1, ::-1]
-    win = sliding_window_view(gp, (kh, kw), axis=(1, 2))
-    acc = np.einsum("kabuv,kuv->ab", win, flipped, optimize=True)
+    # Row (i, j) of taps is the gradient reaching the input view shifted by
+    # (i, j); adding each view back at its shift gives d/d(padded input).
+    taps = (stack.reshape(k, kh * kw).T @ g.reshape(k, h * w)).reshape(kh, kw, h, w)
+    acc = np.zeros((h + 2 * ph, w + 2 * pw))
+    for i in range(kh):
+        for j in range(kw):
+            acc[i:i + h, j:j + w] += taps[i, j]
     return _replicate_pad_adjoint(acc, ph, pw)
 
 
@@ -125,17 +147,28 @@ def combine1x1(maps: np.ndarray, weights: np.ndarray) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if m.ndim != 3 or w.ndim != 1 or m.shape[0] != w.shape[0]:
         raise DimensionError(f"combine1x1 got maps {m.shape} and weights {w.shape}")
-    return np.tensordot(w, m, axes=1)
+    return (w @ m.reshape(m.shape[0], -1)).reshape(m.shape[1:])
 
 
-def combine1x1_grads(maps: np.ndarray, weights: np.ndarray, grad_out: np.ndarray):
-    """Returns (d_weights, d_maps) for combine1x1."""
+def combine1x1_grads(maps: np.ndarray, weights: np.ndarray, grad_out: np.ndarray, rectified: bool = False):
+    """Returns (d_weights, d_maps) for combine1x1.
+
+    With ``rectified`` the maps are ReLU outputs and the second result is
+    the gradient with respect to the ReLU input instead: d_maps masked to
+    the cells where maps > 0 (subgradient 0 at the kink), formed in one
+    product without a separate relu_grad pass.
+    """
     m = np.asarray(maps, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    g = np.asarray(grad_out, dtype=np.float64)
-    d_w = np.tensordot(m, g, axes=([1, 2], [0, 1]))
-    d_m = w[:, None, None] * g[None, :, :]
-    return d_w, d_m
+    g = np.asarray(grad_out, dtype=np.float64).ravel()
+    flat = m.reshape(m.shape[0], -1)
+    d_w = flat @ g
+    if rectified:
+        d_m = np.multiply(flat > 0.0, w[:, None])
+        d_m *= g
+    else:
+        d_m = np.outer(w, g)
+    return d_w, d_m.reshape(m.shape)
 
 
 def maxpool2(x: np.ndarray) -> np.ndarray:

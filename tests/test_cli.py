@@ -160,6 +160,25 @@ def test_verify_with_tampered_key_record_fails(cli_env, tmp_path):
     assert rc == 1
 
 
+def test_verify_with_key_record_missing_a_field_fails(cli_env, tmp_path, capsys):
+    store = tmp_path / "store"
+    imgs = [str(cli_env["data"] / "s00" / f"img{i:02d}.pgm") for i in range(2)]
+    rc = main(["enroll", "--model", str(cli_env["model"]), "--store", str(store),
+               "--user", "s00", "--images", *imgs, *common(cli_env)])
+    assert rc == 0
+    capsys.readouterr()
+    keys = store / "keys.jsonl"
+    record = json.loads(keys.read_text(encoding="utf-8"))
+    del record["seed"]
+    keys.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    rc = main(["verify", "--model", str(cli_env["model"]), "--store", str(store),
+               "--user", "s00", "--image", imgs[0], "--threshold", "1.0", *common(cli_env)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "keys.jsonl:1" in err and "seed" in err
+
+
 def _cli_exit(argv):
     sys.exit(main(argv))
 

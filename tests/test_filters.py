@@ -103,11 +103,3 @@ def test_lbc_spec_validation():
     with pytest.raises(FilterSpecError):
         filters.LbcFilterSpec(count=8, seed=1, bernoulli_p=-0.1)
 
-
-def test_star_filters_center_difference():
-    bank = filters.make_star_filters()
-    assert bank.shape == (12, 3, 5)
-    for p, k in enumerate(bank):
-        assert k[1, 2] == 1.0
-        assert k[filters.RING_POSITIONS[p]] == -1.0
-        assert np.count_nonzero(k) == 2

@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -235,6 +239,24 @@ def test_huge_clip_threshold_changes_nothing(tiny_config):
         assert np.array_equal(runs[0][k], runs[1][k])
 
 
+def test_epoch_stats_report_grad_norm_and_clipped_fraction(tiny_config):
+    rng = np.random.default_rng(9)
+    images = [rng.uniform(0, 1, (16, 32)) for _ in range(6)]
+    labels = [0, 1, 2, 0, 1, 2]
+    logs = {}
+    for clip in (None, 1e9, 1e-9):
+        net = FixedFilterNet.build(tiny_config)
+        logs[clip] = train(net, images, labels, epochs=2,
+                           config=TrainConfig(batch_size=2, clip_norm=clip))
+    for stats in logs[None] + logs[1e9]:
+        assert stats.clipped_frac == 0.0
+    for stats in logs[1e-9]:
+        assert stats.clipped_frac == 1.0
+    # A threshold that never binds leaves the whole log unchanged.
+    assert logs[None] == logs[1e9]
+    assert all(np.isfinite(s.grad_norm) and s.grad_norm > 0.0 for log in logs.values() for s in log)
+
+
 def test_tight_clip_still_learns(tiny_config):
     net = FixedFilterNet.build(tiny_config)
     rng = np.random.default_rng(10)
@@ -306,21 +328,6 @@ def test_calibration_then_training_learns_toy(tiny_config):
     assert history[-1].accuracy >= 0.9
 
 
-# -- hard binarization --------------------------------------------------------
-
-def test_hard_binarize_maps_are_binary():
-    cfg = NetworkConfig(num_classes=3, input_height=16, input_width=32,
-                        fc1_dim=96, fc2_dim=128, lbc_seed=7, hard_binarize=True)
-    net = FixedFilterNet.build(cfg)
-    img = np.random.default_rng(6).uniform(0, 1, (16, 32))
-    t = net._trace(img)
-    for b in t["b"]:
-        assert set(np.unique(b)) <= {0.0, 1.0}
-    feats, probs = net.forward(img)
-    assert np.all(np.isfinite(feats))
-    assert np.isclose(probs.sum(), 1.0)
-
-
 # -- persistence --------------------------------------------------------------
 
 def test_save_load_round_trip(tmp_path, tiny_config):
@@ -362,6 +369,40 @@ def test_load_rejects_truncation(tmp_path, tiny_config):
     path = tmp_path / "model.dfn"
     net.save(path)
     path.write_bytes(path.read_bytes()[:100])
+    with pytest.raises(ModelFormatError):
+        FixedFilterNet.load(path)
+
+
+def _with_config_keys(path, **extra):
+    """Rewrite a saved model's JSON header with extra config keys, keeping
+    the container valid (header length and CRC32 recomputed)."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + header_len])
+    header["config"].update(extra)
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = head + blob[16 + header_len:-4]
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + body + struct.pack("<I", zlib.crc32(body)))
+
+
+def test_load_accepts_parent_format_header(tmp_path, tiny_config):
+    # Model files written before the star bank and hard binarization were
+    # removed carry both options, set to false.
+    net = FixedFilterNet.build(tiny_config)
+    path = tmp_path / "model.dfn"
+    net.save(path)
+    _with_config_keys(path, use_star_bank=False, hard_binarize=False)
+    loaded = FixedFilterNet.load(path)
+    assert loaded.config == tiny_config
+    img = np.random.default_rng(8).uniform(0, 1, (16, 32))
+    assert np.array_equal(net.forward(img)[0], loaded.forward(img)[0])
+
+
+@pytest.mark.parametrize("extra", [{"use_star_bank": True}, {"hard_binarize": True}, {"dropout": 0.5}])
+def test_load_rejects_removed_or_unknown_options(tmp_path, tiny_config, extra):
+    path = tmp_path / "model.dfn"
+    FixedFilterNet.build(tiny_config).save(path)
+    _with_config_keys(path, **extra)
     with pytest.raises(ModelFormatError):
         FixedFilterNet.load(path)
 

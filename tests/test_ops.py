@@ -1,9 +1,39 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from dorsalhash import ops
 from dorsalhash.errors import DimensionError, TrainingError
+from dorsalhash.network import FixedFilterNet, NetworkConfig
+
+
+# Sliding-window references for the convolution kernels: a tensordot over
+# the window view for the forward, and a full correlation with the flipped
+# kernels for the input gradient.
+
+def reference_conv2d(image, kernels):
+    k, kh, kw = kernels.shape
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    padded = np.pad(image, ((ph, ph), (pw, pw)), mode="edge")
+    windows = sliding_window_view(padded, (kh, kw))
+    out = np.tensordot(windows, kernels, axes=([2, 3], [1, 2]))
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
+
+
+def reference_conv2d_input_grad(grad_out, kernels):
+    k, kh, kw = kernels.shape
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    gp = np.pad(grad_out, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    win = sliding_window_view(gp, (kh, kw), axis=(1, 2))
+    acc = np.einsum("kabuv,kuv->ab", win, kernels[:, ::-1, ::-1], optimize=True)
+    return ops._replicate_pad_adjoint(acc, ph, pw)
+
+
+def package_banks(lbc_seed):
+    cfg = NetworkConfig(num_classes=2, input_height=16, input_width=32,
+                        fc1_dim=8, fc2_dim=128, lbc_seed=lbc_seed)
+    return FixedFilterNet.build(cfg).banks
 
 
 # -- convolution --------------------------------------------------------------
@@ -68,6 +98,53 @@ def test_conv_accepts_single_2d_kernel():
     assert out.shape == (1, 4, 6)
 
 
+@pytest.mark.parametrize("lbc_seed", [0, 7, 123456789])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 255.0])
+def test_conv_matches_reference_bit_for_bit_on_package_banks(lbc_seed, scale):
+    # Ternary taps make every product exact and both sum the taps in the
+    # same order, so the package's banks give identical bits.
+    rng = np.random.default_rng(lbc_seed)
+    for bank in package_banks(lbc_seed):
+        for shape in ((16, 32), (5, 7)):
+            img = scale * rng.uniform(0, 1, shape)
+            assert np.array_equal(ops.conv2d(img, bank), reference_conv2d(img, bank))
+
+
+def test_conv_matches_reference_with_real_kernels():
+    rng = np.random.default_rng(30)
+    for k_count, shape in ((1, (4, 6)), (5, (9, 13)), (64, (16, 32))):
+        img = rng.standard_normal(shape)
+        kern = rng.standard_normal((k_count, 3, 5))
+        np.testing.assert_allclose(ops.conv2d(img, kern), reference_conv2d(img, kern),
+                                   rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("lbc_seed", [0, 7])
+def test_conv_input_grad_matches_reference(lbc_seed):
+    rng = np.random.default_rng(31 + lbc_seed)
+    kernels = list(package_banks(lbc_seed)) + [rng.standard_normal((6, 3, 5))]
+    for kern in kernels:
+        g = rng.standard_normal((kern.shape[0], 16, 32))
+        np.testing.assert_allclose(ops.conv2d_input_grad(g, kern, (16, 32)),
+                                   reference_conv2d_input_grad(g, kern),
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_conv_writes_into_out():
+    rng = np.random.default_rng(32)
+    img = rng.uniform(0, 1, (6, 10))
+    kern = package_banks(0)[3]
+    block = np.full(2 * kern.shape[0] * img.size, np.nan)
+    out = block[:kern.shape[0] * img.size].reshape(-1, *img.shape)
+    assert ops.conv2d(img, kern, out=out) is out
+    assert np.array_equal(out, ops.conv2d(img, kern))
+    assert np.isnan(block[out.size:]).all()
+    for bad in (np.empty((kern.shape[0], 6, 9)), np.empty((kern.shape[0], 6, 10), dtype=np.float32),
+                np.empty((kern.shape[0], 6, 20))[:, :, ::2]):
+        with pytest.raises(DimensionError):
+            ops.conv2d(img, kern, out=bad)
+
+
 def test_conv_input_grad_is_adjoint():
     rng = np.random.default_rng(7)
     for k_count in (1, 4):
@@ -103,6 +180,20 @@ def test_combine1x1_grads():
     expect_w = np.array([np.sum(g * maps[i]) for i in range(3)])
     assert np.allclose(d_w, expect_w, rtol=1e-12)
     assert np.allclose(d_maps, w[:, None, None] * g, rtol=1e-12)
+
+
+def test_combine1x1_grads_rectified_is_relu_pullback():
+    rng = np.random.default_rng(12)
+    pre = rng.standard_normal((5, 4, 6))
+    pre[0, 0, 0] = 0.0  # the kink passes no gradient
+    w = rng.standard_normal(5)
+    g = rng.standard_normal((4, 6))
+    maps = ops.relu(pre)
+    d_w, d_maps = ops.combine1x1_grads(maps, w, g)
+    d_w_fused, d_pre = ops.combine1x1_grads(maps, w, g, rectified=True)
+    assert np.array_equal(d_w_fused, d_w)
+    assert np.array_equal(d_pre, ops.relu_grad(pre, d_maps))
+    assert d_pre[0, 0, 0] == 0.0
 
 
 def test_maxpool2_block_maxima():
