@@ -25,6 +25,7 @@ from .enrollment import (
     wall_clock,
 )
 from .evaluation import (
+    MatchMatrix,
     MetricsReport,
     ScoreSet,
     crr_rank1,
@@ -32,7 +33,6 @@ from .evaluation import (
     eer,
     export_roc,
     far_frr,
-    run_protocol,
 )
 from .filters import (
     GapFilterSpec,
@@ -69,6 +69,7 @@ __all__ = [
     "LbcFilterSpec",
     "LogicalClock",
     "MODALITIES",
+    "MatchMatrix",
     "MetricsReport",
     "NetworkConfig",
     "ProjectionBasis",
@@ -99,7 +100,6 @@ __all__ = [
     "make_lbc_filters",
     "orthonormalize",
     "project",
-    "run_protocol",
     "split_gallery_probe",
     "template_distance",
     "train",

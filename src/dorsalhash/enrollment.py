@@ -63,9 +63,10 @@ MODALITIES = ("major", "minor", "nail", "fused")
 STORE_SCHEMA = 2
 READABLE_SCHEMAS = (1, 2)
 
-# Fields the vault reads from each record, by (kind, schema).  Replay checks
-# them, so a damaged record fails as DataError at open rather than as a
-# KeyError wherever the field is first read.
+# Fields the vault reads from each record, by (kind, schema), and the type
+# each must have.  Replay checks both, so a damaged record fails as DataError
+# at open rather than as a KeyError or ValueError wherever the field is
+# first read.
 _LINEAGE_FIELDS = ("kind", "user_id", "modality", "key_version")
 _KEY_FIELDS = _LINEAGE_FIELDS + ("seed", "bit_length", "feature_dim")
 RECORD_FIELDS = {
@@ -73,6 +74,10 @@ RECORD_FIELDS = {
     ("key", 2): _KEY_FIELDS + ("basis_blake2b",),
     **{("enroll", s): _LINEAGE_FIELDS + ("bit_length", "bits_hex") for s in READABLE_SCHEMAS},
     **{("revoke", s): _LINEAGE_FIELDS for s in READABLE_SCHEMAS},
+}
+FIELD_TYPES = {
+    **{f: int for f in ("key_version", "seed", "bit_length", "feature_dim")},
+    **{f: str for f in ("kind", "user_id", "modality", "basis_b64", "basis_blake2b", "bits_hex")},
 }
 
 
@@ -112,7 +117,9 @@ class _JsonlStore:
     A final segment without a trailing newline is a torn append: replay
     drops it and the next append truncates it away.  A corrupt line that is
     terminated raises, wherever it sits, and so does a record of unknown
-    kind or one that lacks a field listed in RECORD_FIELDS.
+    kind, one that lacks a field listed in RECORD_FIELDS, or one whose
+    field has another type than FIELD_TYPES gives (a JSON boolean is not
+    an int).
     """
 
     def __init__(self, path):
@@ -141,6 +148,13 @@ class _JsonlStore:
             missing = [f for f in fields if f not in rec]
             if missing:
                 raise DataError(f"{self.path}:{line_no}: {rec['kind']} record lacks {', '.join(missing)}")
+            for f in fields:
+                want = FIELD_TYPES[f]
+                if not isinstance(rec[f], want) or isinstance(rec[f], bool):
+                    raise DataError(
+                        f"{self.path}:{line_no}: {rec['kind']} record field {f} must be "
+                        f"{want.__name__}, got {rec[f]!r}"
+                    )
             self.records.append(rec)
 
     def append(self, record: dict) -> None:

@@ -1,16 +1,26 @@
-"""Verification-protocol harness and error metrics.
+"""Verification-protocol metrics over a probes x gallery distance matrix.
 
 Scores are distances: a probe is accepted when score <= threshold, so FAR
 (fraction of impostor attempts accepted) grows with the threshold while FRR
-(fraction of genuine attempts rejected) shrinks.  The equal-error rate is
-read off the lower convex hull of the empirical (FAR, FRR) operating points
-with linear interpolation between the two points bracketing FAR = FRR; the
-hull keeps the estimator inside [0, 0.5] and handles stepwise score ties.
+(fraction of genuine attempts rejected) shrinks.  A protocol run yields a
+:class:`MatchMatrix`, one row per probe and one column per enrolled
+template; the cell of a probe's own identity is its genuine score and every
+other cell an impostor score.
+
+Every operating point is counted from sorted scores: each side is sorted
+once and ``searchsorted`` gives the number of scores at or below any set of
+thresholds, so a sweep over U thresholds and N scores costs
+O((N + U) log N) rather than O(U * N).  ``count / n`` equals the mean of the
+per-threshold comparison mask bit for bit, so ``far_frr`` stays the
+reference.  The equal-error rate is read off the lower convex hull of the
+empirical (FAR, FRR) operating points with linear interpolation between the
+two points bracketing FAR = FRR; the hull keeps the estimator inside
+[0, 0.5] and handles stepwise score ties.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +78,47 @@ class MetricsReport:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class MatchMatrix:
+    """Distances of every probe (rows) to every enrolled template (columns).
+
+    ``probe_ids[i]`` is the true identity of row i and ``gallery_ids[j]`` the
+    identity enrolled in column j.  Gallery identities are unique and every
+    probe identity is enrolled, so each row holds exactly one genuine score,
+    in column ``own_column[i]``.
+    """
+
+    distances: np.ndarray  # (probes, templates)
+    probe_ids: tuple
+    gallery_ids: tuple
+    own_column: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        d = np.asarray(self.distances, dtype=np.float64)
+        probe_ids, gallery_ids = tuple(self.probe_ids), tuple(self.gallery_ids)
+        if d.shape != (len(probe_ids), len(gallery_ids)):
+            raise DataError(
+                f"distance matrix shape {d.shape} does not match "
+                f"{len(probe_ids)} probes x {len(gallery_ids)} templates"
+            )
+        if not np.isfinite(d).all():
+            raise DataError("distance matrix contains non-finite values")
+        column = {sid: j for j, sid in enumerate(gallery_ids)}
+        if len(column) != len(gallery_ids):
+            raise ProtocolError("gallery identities must be unique")
+        missing = sorted(set(probe_ids) - set(column))
+        if missing:
+            raise ProtocolError(f"probe subjects missing from gallery: {missing}")
+        object.__setattr__(self, "distances", d)
+        object.__setattr__(self, "probe_ids", probe_ids)
+        object.__setattr__(self, "gallery_ids", gallery_ids)
+        object.__setattr__(self, "own_column", np.array([column[p] for p in probe_ids], dtype=np.intp))
+
+    def own_scores(self) -> np.ndarray:
+        """Each probe's distance to its own identity's template."""
+        return self.distances[np.arange(len(self.probe_ids)), self.own_column]
+
+
 def far_frr(scores: ScoreSet, threshold: float) -> tuple[float, float]:
     """Operating point at one threshold (accept when score <= threshold)."""
     if scores.genuine.size == 0 or scores.impostor.size == 0:
@@ -77,16 +128,26 @@ def far_frr(scores: ScoreSet, threshold: float) -> tuple[float, float]:
     return far, frr
 
 
+def _rates(scores: ScoreSet, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """FAR and FRR at every threshold, as ``far_frr`` gives them one at a time.
+
+    Both sides are sorted once and the count of scores at or below each
+    threshold is a binary search; ``count / n`` is the mean of the
+    comparison mask, exactly.
+    """
+    impostor, genuine = np.sort(scores.impostor), np.sort(scores.genuine)
+    far = np.searchsorted(impostor, thresholds, side="right") / impostor.size
+    frr = (genuine.size - np.searchsorted(genuine, thresholds, side="right")) / genuine.size
+    return far, frr
+
+
 def _operating_points(scores: ScoreSet) -> list[tuple[float, float, float]]:
     """(threshold, far, frr) swept over the sorted union of scores, plus a
     virtual below-minimum threshold contributing the (0, 1) corner."""
     union = np.unique(scores.all_scores())
     lo = float(union[0]) - max(1e-9, (float(union[-1]) - float(union[0])) * 1e-3)
-    pts = [(lo, 0.0, 1.0)]
-    for t in union:
-        far, frr = far_frr(scores, float(t))
-        pts.append((float(t), far, frr))
-    return pts
+    far, frr = _rates(scores, union)
+    return [(lo, 0.0, 1.0), *zip(union.tolist(), far.tolist(), frr.tolist())]
 
 
 def _lower_hull(points: list[tuple[float, float, float]]) -> list[tuple[float, float, float]]:
@@ -129,27 +190,19 @@ def eer(scores: ScoreSet) -> tuple[float, float]:
     raise MetricUndefinedError("no FAR = FRR crossing found")  # unreachable for non-empty sets
 
 
-def crr_rank1(probe_scores: list[tuple[str, list[tuple[str, float]]]]) -> float:
+def crr_rank1(matches: MatchMatrix) -> float:
     """Rank-1 correct recognition rate, in percent.
 
-    Each entry is (true identity, [(candidate identity, score), ...]); a
-    probe counts as recognized only when the minimum score is achieved
-    uniquely by the true identity (ties break toward failure).
+    A probe counts as recognized only when its own identity's score is
+    strictly below every other score in its row (ties break toward
+    failure): the own cell is the only one at or below it.
     """
-    if not probe_scores:
+    if not matches.probe_ids:
         raise DataError("crr_rank1 needs at least one probe")
-    correct = 0
-    for true_id, scored in probe_scores:
-        if not scored:
-            raise DataError(f"probe for {true_id!r} has no candidate scores")
-        ids = [sid for sid, _ in scored]
-        if true_id not in ids:
-            raise ProtocolError(f"probe subject {true_id!r} missing from candidates")
-        own = min(s for sid, s in scored if sid == true_id)
-        others = [s for sid, s in scored if sid != true_id]
-        if not others or own < min(others):
-            correct += 1
-    return 100.0 * correct / len(probe_scores)
+    d = matches.distances
+    at_or_below_own = np.count_nonzero(d <= matches.own_scores()[:, None], axis=1)
+    correct = int(np.count_nonzero(at_or_below_own == 1))
+    return 100.0 * correct / d.shape[0]
 
 
 def decidability_index(scores: ScoreSet) -> float:
@@ -174,11 +227,9 @@ def roc_grid(scores: ScoreSet, points: int = DEFAULT_ROC_POINTS) -> list[tuple[f
     lo, hi = float(all_scores.min()), float(all_scores.max())
     if hi <= lo:
         raise DataError("degenerate score range; roc grid undefined")
-    rows = []
-    for t in np.linspace(lo, hi, points):
-        far, frr = far_frr(scores, float(t))
-        rows.append((float(t), far, frr))
-    return rows
+    thresholds = np.linspace(lo, hi, points)
+    far, frr = _rates(scores, thresholds)
+    return list(zip(thresholds.tolist(), far.tolist(), frr.tolist()))
 
 
 def export_roc(scores: ScoreSet, path, points: int = DEFAULT_ROC_POINTS) -> None:
@@ -194,51 +245,9 @@ def export_roc(scores: ScoreSet, path, points: int = DEFAULT_ROC_POINTS) -> None
             fh.write(f"{t!r},{far!r},{frr!r},{1.0 - frr!r}\n")
 
 
-def match_probes(
-    handles: dict[str, object],
-    probes: dict[str, list],
-    score_fn,
-) -> list[tuple[str, list[tuple[str, float]]]]:
-    """Score every probe image against every enrolled handle.
-
-    Returns one (true identity, [(identity, score), ...]) entry per probe
-    image, candidates in sorted identity order.
-    """
-    gallery_ids = sorted(handles)
-    out = []
-    for pid in sorted(probes):
-        if pid not in handles:
-            raise ProtocolError(f"probe subject {pid!r} has no gallery enrollment")
-        for img in probes[pid]:
-            out.append((pid, [(sid, float(score_fn(handles[sid], img))) for sid in gallery_ids]))
-    return out
-
-
-def scores_from_matches(matches: list[tuple[str, list[tuple[str, float]]]]) -> ScoreSet:
-    genuine = [s for pid, scored in matches for sid, s in scored if sid == pid]
-    impostor = [s for pid, scored in matches for sid, s in scored if sid != pid]
-    return ScoreSet(genuine=np.array(genuine), impostor=np.array(impostor))
-
-
-def run_protocol(
-    gallery: dict[str, list],
-    probes: dict[str, list],
-    enroll_fn,
-    score_fn,
-) -> ScoreSet:
-    """Enroll every gallery subject, score every probe against every
-    enrollment, and split the scores into genuine and impostor sets.
-
-    With S subjects and P probe images each this yields S*P genuine and
-    S*(S-1)*P impostor scores.
-    """
-    if len(gallery) < 2:
-        raise ProtocolError(f"protocol needs >= 2 gallery subjects, got {len(gallery)}")
-    for sid, imgs in gallery.items():
-        if not list(imgs):
-            raise DataError(f"gallery subject {sid!r} has no images")
-    unknown = set(probes) - set(gallery)
-    if unknown:
-        raise ProtocolError(f"probe subjects missing from gallery: {sorted(unknown)}")
-    handles = {sid: enroll_fn(sid, list(imgs)) for sid, imgs in sorted(gallery.items())}
-    return scores_from_matches(match_probes(handles, probes, score_fn))
+def scores_from_matches(matches: MatchMatrix) -> ScoreSet:
+    """Split the matrix into genuine (own-identity) and impostor cells, each
+    in row-major order."""
+    genuine = np.zeros(matches.distances.shape, dtype=bool)
+    genuine[np.arange(len(matches.probe_ids)), matches.own_column] = True
+    return ScoreSet(genuine=matches.distances[genuine], impostor=matches.distances[~genuine])

@@ -15,9 +15,10 @@ import numpy as np
 
 from . import rand
 from .enrollment import fuse_features
-from .errors import DataError, ProtocolError
+from .errors import DataError, DimensionError, ProtocolError, UndefinedScoreError
 from .evaluation import (
     DEFAULT_ROC_POINTS,
+    MatchMatrix,
     MetricsReport,
     ScoreSet,
     crr_rank1,
@@ -26,7 +27,7 @@ from .evaluation import (
     roc_grid,
     scores_from_matches,
 )
-from .hashing import UserKey, basis_for_key, binarize, project, template_distance
+from .hashing import UserKey, basis_for_key, binarize, project
 
 
 def split_gallery_probe(
@@ -52,7 +53,7 @@ class ProtocolRun:
 
     report: MetricsReport
     scores: ScoreSet
-    matches: list
+    matches: MatchMatrix
 
 
 def protocol_from_features(
@@ -63,35 +64,47 @@ def protocol_from_features(
     roc_points: int = DEFAULT_ROC_POINTS,
 ) -> ProtocolRun:
     """Hash per-subject gallery features, score every probe feature against
-    every template under that template's key, and compute metrics."""
+    every template under that template's key, and compute metrics.
+
+    This is the stolen-token setting: an impostor probe is projected with
+    the claimed identity's own basis.  Per gallery subject, one product
+    projects every probe at once; the distance to the template bits t of a
+    probe's bits q is ``sqrt(h) / (sqrt(|q|) + sqrt(|t|))`` with h their
+    Hamming count, which equals ``template_distance`` on 0/1 vectors bit
+    for bit.
+    """
     if len(gallery_features) < 2:
         raise ProtocolError(f"protocol needs >= 2 subjects, got {len(gallery_features)}")
     unknown = set(probe_features) - set(gallery_features)
     if unknown:
         raise ProtocolError(f"probe subjects missing from gallery: {sorted(unknown)}")
     subjects = sorted(gallery_features)
-    enrolled = {}
-    for sid in subjects:
-        f = np.asarray(gallery_features[sid], dtype=np.float64)
+    gallery = [np.asarray(gallery_features[sid], dtype=np.float64) for sid in subjects]
+    probe_ids = [pid for pid in sorted(probe_features) for _ in probe_features[pid]]
+    probes = [np.asarray(f, dtype=np.float64) for pid in sorted(probe_features) for f in probe_features[pid]]
+    shape = gallery[0].shape
+    if any(v.ndim != 1 or v.shape != shape for v in gallery + probes):
+        raise DimensionError("gallery and probe features must be 1-D vectors of one length")
+    probe_matrix = np.array(probes).reshape(len(probes), shape[0])
+
+    distances = np.empty((len(probes), len(subjects)))
+    for j, (sid, f) in enumerate(zip(subjects, gallery)):
         key = UserKey(
             user_id=sid,
             seed=rand.derive_seed(master_seed, sid, "protocol", 1),
             bit_length=bit_length,
         )
         basis = basis_for_key(key, f.shape[0])
-        enrolled[sid] = (basis, binarize(project(f, basis)))
+        bits = binarize(project(f, basis)).astype(bool)
+        q = probe_matrix @ basis.matrix > 0.0
+        q_ones = np.count_nonzero(q, axis=1)
+        t_ones = np.count_nonzero(bits)
+        if t_ones == 0 and (q_ones == 0).any():
+            raise UndefinedScoreError("both templates are all-zero; distance undefined")
+        hamming = np.count_nonzero(q != bits, axis=1)
+        distances[:, j] = np.sqrt(hamming) / (np.sqrt(q_ones) + np.sqrt(t_ones))
 
-    matches = []
-    for pid in sorted(probe_features):
-        for f in probe_features[pid]:
-            fv = np.asarray(f, dtype=np.float64)
-            scored = []
-            for sid in subjects:
-                basis, bits = enrolled[sid]
-                q = binarize(project(fv, basis))
-                scored.append((sid, template_distance(q, bits)))
-            matches.append((pid, scored))
-
+    matches = MatchMatrix(distances=distances, probe_ids=probe_ids, gallery_ids=subjects)
     scores = scores_from_matches(matches)
     eer_value, eer_thr = eer(scores)
     report = MetricsReport(

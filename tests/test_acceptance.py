@@ -17,7 +17,7 @@ from dorsalhash import rand
 from dorsalhash.cli import main as cli_main
 from dorsalhash.corpus import SyntheticSpec, synthesize_sample
 from dorsalhash.enrollment import TemplateVault
-from dorsalhash.evaluation import run_protocol, scores_from_matches
+from dorsalhash.evaluation import MatchMatrix, scores_from_matches
 from dorsalhash.hashing import (
     UserKey,
     basis_for_key,
@@ -233,12 +233,12 @@ def test_gate_fusion_improves_decidability(desk):
 
 def test_gate_protocol_count_identities():
     # Large-scale count identities, exercised through the real partitioning
-    # code on synthetic match lists (one shared scored list per subject).
+    # code on synthetic match matrices (probes x enrolled subjects).
     def counted(num_subjects, probes_per_subject):
         sids = [f"p{i}" for i in range(num_subjects)]
-        scored = {pid: [(sid, 0.25 if sid == pid else 0.75) for sid in sids] for pid in sids}
-        matches = [(pid, scored[pid]) for pid in sids for _ in range(probes_per_subject)]
-        s = scores_from_matches(matches)
+        probe_ids = [pid for pid in sids for _ in range(probes_per_subject)]
+        own = np.repeat(np.arange(num_subjects), probes_per_subject)[:, None] == np.arange(num_subjects)
+        s = scores_from_matches(MatchMatrix(np.where(own, 0.25, 0.75), probe_ids, sids))
         return s.genuine.size, s.impostor.size
 
     genuine_660, impostor_660 = counted(660, 6)
@@ -247,19 +247,28 @@ def test_gate_protocol_count_identities():
     _, impostor_503 = counted(503, 3)
     assert impostor_503 == 757_518
 
-    # Brute-force enumeration against run_protocol on a toy instance.
+    # Brute-force enumeration against the protocol on a toy instance: every
+    # (template, probe) pair scored on its own under the template's key.
     rng = np.random.default_rng(rand.derive_seed(SEED, "gate-count"))
-    gallery = {f"g{i}": [float(rng.uniform(0, 1))] for i in range(4)}
-    probes = {sid: [float(rng.uniform(0, 1)), float(rng.uniform(0, 1))] for sid in gallery}
-    enroll_fn = lambda sid, vals: vals[0]
-    score_fn = lambda enrolled, probe: abs(enrolled - probe) / 2.0
-    scores = run_protocol(gallery, probes, enroll_fn, score_fn)
+    gallery = {f"g{i}": rng.standard_normal(64) for i in range(4)}
+    probes = {sid: [rng.standard_normal(64), rng.standard_normal(64)] for sid in gallery}
+    master = rand.derive_seed(SEED, "gate-count-keys")
+    scores = protocol_from_features(gallery, probes, 32, master).scores
+
+    def enrolled(sid):
+        key = UserKey(user_id=sid, seed=rand.derive_seed(master, sid, "protocol", 1), bit_length=32)
+        basis = basis_for_key(key, 64)
+        return basis, binarize(project(gallery[sid], basis))
+
+    def score_fn(sid, probe):
+        basis, bits = enrolled(sid)
+        return template_distance(binarize(project(probe, basis)), bits)
 
     hand_genuine = sorted(
-        score_fn(gallery[sid][0], p) for sid in gallery for p in probes[sid]
+        score_fn(sid, p) for sid in gallery for p in probes[sid]
     )
     hand_impostor = sorted(
-        score_fn(gallery[sid][0], p)
+        score_fn(sid, p)
         for sid in gallery for pid in probes if pid != sid for p in probes[pid]
     )
     assert sorted(scores.genuine.tolist()) == hand_genuine

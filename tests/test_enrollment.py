@@ -199,6 +199,24 @@ class TestStore:
         with pytest.raises(DataError):
             TemplateVault(p, tmp_path / "t.jsonl")
 
+    @pytest.mark.parametrize("store, field, value", [
+        ("keys", "seed", "abc"),
+        ("keys", "bit_length", 32.0),
+        ("keys", "feature_dim", True),
+        ("keys", "key_version", "1"),
+        ("keys", "basis_blake2b", 0),
+        ("keys", "user_id", None),
+        ("templates", "bits_hex", 7),
+        ("templates", "modality", ["major"]),
+    ])
+    def test_field_of_wrong_type_rejected(self, vault, tiny_net, image, store, field, value):
+        vault.enroll("alice", [image], tiny_net, bit_length=32)
+        path = getattr(vault, store).path
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(record, **{field: value})) + "\n")
+        with pytest.raises(DataError, match=f"{path.name}:1: .*{field}"):
+            TemplateVault(vault.keys.path, vault.templates.path)
+
     def test_torn_last_line_is_dropped_then_cut_off(self, vault, tiny_net, image):
         vault.enroll("alice", [image], tiny_net, bit_length=32)
         before = {s.path: s.path.read_bytes() for s in (vault.keys, vault.templates)}

@@ -2,16 +2,22 @@
 
 EER cases are worked by hand from the operating-point geometry: with scores
 on [0, 1] and accept-if-below semantics, every case below has a frontier
-small enough to enumerate by hand.
+small enough to enumerate by hand.  The sorted sweep and the matrix
+protocol are also checked against per-threshold and per-pair references
+kept in this file.
 """
+
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dorsalhash.errors import DataError, MetricUndefinedError, ProtocolError
+from dorsalhash import evaluation, rand
+from dorsalhash.errors import DataError, DimensionError, MetricUndefinedError, ProtocolError, UndefinedScoreError
 from dorsalhash.evaluation import (
+    MatchMatrix,
     MetricsReport,
     ScoreSet,
     crr_rank1,
@@ -20,9 +26,10 @@ from dorsalhash.evaluation import (
     export_roc,
     far_frr,
     roc_grid,
-    run_protocol,
     scores_from_matches,
 )
+from dorsalhash.hashing import UserKey, basis_for_key, binarize, project, template_distance
+from dorsalhash.pipeline import evaluate_split, protocol_from_features
 
 
 def _scores(genuine, impostor):
@@ -114,34 +121,70 @@ class TestEer:
         assert value == pytest.approx(0.5)
 
 
+def _matrix(rows, probe_ids, gallery_ids=("a", "b")):
+    return MatchMatrix(distances=np.array(rows, dtype=float), probe_ids=probe_ids, gallery_ids=gallery_ids)
+
+
+def _crr_reference(matches):
+    """Per-probe rule: recognized when the own score is strictly below the
+    minimum of every other score in the row."""
+    correct = 0
+    for row, pid in zip(matches.distances.tolist(), matches.probe_ids):
+        own = [s for sid, s in zip(matches.gallery_ids, row) if sid == pid]
+        others = [s for sid, s in zip(matches.gallery_ids, row) if sid != pid]
+        if not others or own[0] < min(others):
+            correct += 1
+    return 100.0 * correct / len(matches.probe_ids)
+
+
 class TestCrr:
     def test_all_correct(self):
-        matches = [
-            ("a", [("a", 0.1), ("b", 0.5)]),
-            ("b", [("a", 0.6), ("b", 0.2)]),
-        ]
-        assert crr_rank1(matches) == 100.0
+        assert crr_rank1(_matrix([[0.1, 0.5], [0.6, 0.2]], ("a", "b"))) == 100.0
 
     def test_tie_counts_as_failure(self):
-        matches = [("a", [("a", 0.3), ("b", 0.3)])]
-        assert crr_rank1(matches) == 0.0
+        assert crr_rank1(_matrix([[0.3, 0.3]], ("a",))) == 0.0
 
     def test_mixed(self):
-        matches = [
-            ("a", [("a", 0.1), ("b", 0.2)]),
-            ("b", [("a", 0.1), ("b", 0.2)]),
-        ]
-        assert crr_rank1(matches) == 50.0
+        assert crr_rank1(_matrix([[0.1, 0.2], [0.1, 0.2]], ("a", "b"))) == 50.0
 
     def test_missing_true_identity_rejected(self):
         with pytest.raises(ProtocolError):
-            crr_rank1([("a", [("b", 0.1)])])
+            crr_rank1(_matrix([[0.1]], ("a",), gallery_ids=("b",)))
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            crr_rank1([])
+            crr_rank1(_matrix(np.empty((0, 2)), ()))
         with pytest.raises(DataError):
-            crr_rank1([("a", [])])
+            crr_rank1(_matrix(np.empty((1, 0)), ("a",), gallery_ids=()))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ties_on_matrix_count_as_failures(self, seed):
+        # Four score levels over twelve templates: most rows hold a tie at
+        # their minimum, some with the own cell in it.
+        rng = np.random.default_rng(seed)
+        gallery_ids = tuple(f"g{j}" for j in range(12))
+        probe_ids = tuple(gallery_ids[j] for j in rng.integers(0, 12, 200))
+        matches = MatchMatrix(rng.integers(0, 4, (200, 12)) / 4.0, probe_ids, gallery_ids)
+        own = matches.own_scores()
+        tied = [np.count_nonzero(row == o) > 1 and o == row.min() for row, o in zip(matches.distances, own)]
+        assert any(tied)
+        value = crr_rank1(matches)
+        assert value == _crr_reference(matches)
+        assert value < 100.0 * np.mean(own == matches.distances.min(axis=1))
+
+
+class TestMatchMatrix:
+    def test_shape_must_match_ids(self):
+        with pytest.raises(DataError):
+            _matrix([[0.1, 0.2]], ("a", "b"))
+
+    def test_gallery_ids_unique(self):
+        with pytest.raises(ProtocolError):
+            _matrix([[0.1, 0.2]], ("a",), gallery_ids=("a", "a"))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(DataError):
+            _matrix([[0.1, np.nan]], ("a",))
 
 
 class TestDecidability:
@@ -206,81 +249,198 @@ class TestRoc:
             assert gar == pytest.approx(1.0 - frr)
 
 
-def _vector_corpus(num_subjects, per_subject, seed=0):
+def _graded_scores(seed, levels, n_genuine, n_impostor):
+    """Overlapping genuine (low) and impostor (high) scores, rounded to
+    ``levels`` steps when given, so that few distinct values carry many ties."""
     rng = np.random.default_rng(seed)
-    data = {}
-    for s in range(num_subjects):
-        center = rng.uniform(0.2, 0.8)
-        data[f"s{s}"] = [
-            np.clip(center + rng.normal(0.0, 0.01), 0.0, 1.0) for _ in range(per_subject)
-        ]
-    return data
+    genuine, impostor = rng.beta(2, 5, n_genuine), rng.beta(5, 2, n_impostor)
+    if levels is not None:
+        genuine, impostor = np.round(genuine * levels) / levels, np.round(impostor * levels) / levels
+    return ScoreSet(genuine=genuine, impostor=impostor)
+
+
+def _sweep_points(scores):
+    """Reference operating points: one far_frr call per distinct score,
+    after the below-minimum (0, 1) corner."""
+    union = np.unique(scores.all_scores())
+    lo = float(union[0]) - max(1e-9, (float(union[-1]) - float(union[0])) * 1e-3)
+    return [(lo, 0.0, 1.0)] + [(float(t), *far_frr(scores, float(t))) for t in union]
+
+
+def _roc_reference(scores, points):
+    all_scores = scores.all_scores()
+    return [(float(t), *far_frr(scores, float(t)))
+            for t in np.linspace(float(all_scores.min()), float(all_scores.max()), points)]
+
+
+def _protocol_like_scores(rng, n, flip_rate):
+    """Distances sqrt(h) / (sqrt(|q|) + sqrt(|t|)) of 128-bit templates with
+    Hamming counts h drawn at ``flip_rate``: the value set the protocol
+    produces, tens of thousands of distinct scores at 10^6 pairs."""
+    q, t = rng.binomial(128, 0.5, n), rng.binomial(128, 0.5, n)
+    h = np.minimum(rng.binomial(128, flip_rate, n), q + t)
+    return np.sqrt(h) / (np.sqrt(q) + np.sqrt(t))
+
+
+class TestSortedSweep:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("levels", [2, 5, 40, None])
+    def test_operating_points_and_eer_equal_far_frr_sweep(self, seed, levels, monkeypatch):
+        scores = _graded_scores(seed, levels, 300, 2_000)
+        reference = _sweep_points(scores)
+        assert evaluation._operating_points(scores) == reference
+        value = eer(scores)
+        monkeypatch.setattr(evaluation, "_operating_points", _sweep_points)
+        assert value == eer(scores)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("levels", [2, 5, 40, None])
+    def test_roc_grid_equals_far_frr_sweep(self, seed, levels):
+        scores = _graded_scores(seed, levels, 300, 2_000)
+        assert roc_grid(scores, 257) == _roc_reference(scores, 257)
+
+    def test_single_value_sides(self):
+        scores = _scores([0.5, 0.5, 0.5], [0.5, 0.5])
+        assert evaluation._operating_points(scores) == _sweep_points(scores)
+
+
+# A per-threshold sweep scans all N scores once per distinct score: at the
+# 24,745 distinct values of the scale test's 1.206 M scores that is about
+# 37 s at 1.5 ms per far_frr call on a 2-vCPU VM, against under 0.1 s for
+# eer plus roc_grid through the sorted sweep.  The bound sits well clear of both.
+SCALE_BOUND_S = 5.0
+
+
+def test_metrics_exact_below_quadratic_cost_at_a_million_scores():
+    rng = np.random.default_rng(rand.derive_seed(0, "metrics-scale"))
+    scores = ScoreSet(genuine=_protocol_like_scores(rng, 6_000, 0.3),
+                      impostor=_protocol_like_scores(rng, 1_200_000, 0.5))
+    assert scores.impostor.size >= 10**6
+    start = time.perf_counter()
+    value, threshold = eer(scores)
+    rows = roc_grid(scores)
+    elapsed = time.perf_counter() - start
+
+    points = evaluation._operating_points(scores)
+    assert len(points) > 20_000
+    sampled = [points[i] for i in np.linspace(1, len(points) - 1, 200).astype(int)]
+    sampled += [rows[i] for i in np.linspace(0, len(rows) - 1, 200).astype(int)]
+    for t, far, frr in sampled:
+        assert (far, frr) == far_frr(scores, t)
+    assert 0.0 < value <= min(max(far, frr) for _, far, frr in sampled)
+    assert points[1][0] <= threshold <= points[-1][0]
+    assert elapsed < SCALE_BOUND_S, f"eer + roc_grid took {elapsed:.2f} s"
+
+
+def _feature_corpus(num_subjects, probe_counts, seed, dim=64, noise=0.6):
+    """Gallery vector and probe vectors around one centroid per subject;
+    ``probe_counts`` is one count for all subjects or a list of counts."""
+    rng = np.random.default_rng(seed)
+    counts = probe_counts if isinstance(probe_counts, list) else [probe_counts] * num_subjects
+    centers = rng.standard_normal((num_subjects, dim))
+    gallery = {f"s{s}": centers[s] + noise * rng.standard_normal(dim) for s in range(num_subjects)}
+    probes = {f"s{s}": [centers[s] + noise * rng.standard_normal(dim) for _ in range(counts[s])]
+              for s in range(num_subjects)}
+    return gallery, probes
+
+
+def _per_pair_distances(gallery, probes, bit_length, master_seed):
+    """Reference protocol: every (probe, template) pair scored on its own
+    with binarize(project(...)) and template_distance, rows in probe order
+    and columns in subject order, each template under its subject's key."""
+    subjects = sorted(gallery)
+    enrolled = {}
+    for sid in subjects:
+        key = UserKey(user_id=sid, seed=rand.derive_seed(master_seed, sid, "protocol", 1), bit_length=bit_length)
+        basis = basis_for_key(key, gallery[sid].shape[0])
+        enrolled[sid] = (basis, binarize(project(gallery[sid], basis)))
+    return np.array([
+        [template_distance(binarize(project(f, enrolled[sid][0])), enrolled[sid][1]) for sid in subjects]
+        for pid in sorted(probes) for f in probes[pid]
+    ])
 
 
 class TestProtocol:
-    @staticmethod
-    def _enroll(_sid, imgs):
-        return float(np.mean(imgs))
-
-    @staticmethod
-    def _score(handle, img):
-        return float(min(1.0, abs(handle - float(img))))
-
     def test_score_counts(self):
-        gallery = _vector_corpus(4, 3, seed=1)
-        probes = _vector_corpus(4, 2, seed=2)
-        result = run_protocol(gallery, probes, self._enroll, self._score)
+        gallery, probes = _feature_corpus(4, 2, seed=1)
+        result = protocol_from_features(gallery, probes, 32, master_seed=11).scores
         assert result.genuine.size == 4 * 2
         assert result.impostor.size == 4 * 3 * 2
 
     def test_scores_match_hand_loop(self):
-        gallery = _vector_corpus(3, 2, seed=3)
-        probes = _vector_corpus(3, 2, seed=4)
-        result = run_protocol(gallery, probes, self._enroll, self._score)
-        handles = {sid: self._enroll(sid, imgs) for sid, imgs in gallery.items()}
+        gallery, probes = _feature_corpus(3, 2, seed=3)
+        result = protocol_from_features(gallery, probes, 32, master_seed=12).scores
+        reference = _per_pair_distances(gallery, probes, 32, 12)
+        probe_ids = [pid for pid in sorted(probes) for _ in probes[pid]]
         genuine, impostor = [], []
-        for pid in sorted(probes):
-            for img in probes[pid]:
-                for sid in sorted(handles):
-                    score = self._score(handles[sid], img)
-                    (genuine if sid == pid else impostor).append(score)
-        assert np.allclose(np.sort(result.genuine), np.sort(genuine))
-        assert np.allclose(np.sort(result.impostor), np.sort(impostor))
+        for pid, row in zip(probe_ids, reference.tolist()):
+            for sid, score in zip(sorted(gallery), row):
+                (genuine if sid == pid else impostor).append(score)
+        assert result.genuine.tolist() == genuine
+        assert result.impostor.tolist() == impostor
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("bit_length", [32, 64, 128])
+    def test_matrix_equals_per_pair_reference(self, seed, bit_length):
+        gallery, probes = _feature_corpus(7, [1, 3, 0, 2, 5, 1, 4], seed=seed, dim=128)
+        # An all-zero gallery vector gives an all-zero template: each of its
+        # distances is 1 while the probe bits are not all zero too.
+        gallery["s3"] = np.zeros(128)
+        run = protocol_from_features(gallery, probes, bit_length, master_seed=seed + 100)
+        reference = _per_pair_distances(gallery, probes, bit_length, seed + 100)
+        assert np.array_equal(run.matches.distances, reference)
+        assert run.matches.gallery_ids == tuple(sorted(gallery))
+        assert run.matches.probe_ids == tuple(pid for pid in sorted(probes) for _ in probes[pid])
+        assert run.report.crr == _crr_reference(run.matches)
+
+    def test_both_templates_all_zero_is_undefined(self):
+        gallery, probes = _feature_corpus(3, 1, seed=4)
+        gallery["s0"] = np.zeros(64)
+        probes["s1"] = [np.zeros(64)]
+        with pytest.raises(UndefinedScoreError):
+            protocol_from_features(gallery, probes, 32, master_seed=13)
+
+    def test_feature_shapes_must_agree(self):
+        gallery, probes = _feature_corpus(3, 1, seed=4)
+        probes["s1"] = [np.zeros(65)]
+        with pytest.raises(DimensionError):
+            protocol_from_features(gallery, probes, 32, master_seed=13)
 
     def test_uneven_probe_counts(self):
-        gallery = _vector_corpus(3, 2, seed=5)
-        probes = _vector_corpus(3, 1, seed=6)
-        probes["s0"] = probes["s0"] + [np.array(0.4)]
-        result = run_protocol(gallery, probes, self._enroll, self._score)
+        gallery, probes = _feature_corpus(3, [2, 1, 1], seed=5)
+        result = protocol_from_features(gallery, probes, 32, master_seed=14).scores
         total_probes = sum(len(v) for v in probes.values())
         assert result.genuine.size == total_probes
         assert result.impostor.size == total_probes * 2
 
     def test_needs_two_subjects(self):
-        gallery = _vector_corpus(1, 2)
+        gallery, probes = _feature_corpus(1, 2, seed=6)
         with pytest.raises(ProtocolError):
-            run_protocol(gallery, gallery, self._enroll, self._score)
+            protocol_from_features(gallery, probes, 32, master_seed=15)
 
     def test_probe_without_gallery_rejected(self):
-        gallery = _vector_corpus(2, 2, seed=7)
-        probes = _vector_corpus(3, 1, seed=8)
+        gallery, _ = _feature_corpus(2, 1, seed=7)
+        _, probes = _feature_corpus(3, 1, seed=8)
         with pytest.raises(ProtocolError):
-            run_protocol(gallery, probes, self._enroll, self._score)
+            protocol_from_features(gallery, probes, 32, master_seed=16)
 
-    def test_empty_gallery_subject_rejected(self):
-        gallery = _vector_corpus(2, 2, seed=9)
-        gallery["s0"] = []
+    def test_empty_gallery_subject_rejected(self, tiny_net):
+        rng = np.random.default_rng(9)
+        images = {sid: [rng.uniform(0, 1, (16, 32)) for _ in range(2)] for sid in ("s0", "s1")}
+        gallery = {"s0": [], "s1": images["s1"]}
         with pytest.raises(DataError):
-            run_protocol(gallery, gallery, self._enroll, self._score)
+            evaluate_split(tiny_net, gallery, images, 32, master_seed=17)
 
     def test_scores_from_matches_partition(self):
-        matches = [
-            ("a", [("a", 0.1), ("b", 0.6)]),
-            ("b", [("a", 0.7), ("b", 0.2)]),
-        ]
-        s = scores_from_matches(matches)
+        s = scores_from_matches(_matrix([[0.1, 0.6], [0.7, 0.2]], ("a", "b")))
         assert sorted(s.genuine.tolist()) == [0.1, 0.2]
         assert sorted(s.impostor.tolist()) == [0.6, 0.7]
+
+    def test_scores_from_matches_row_major_order(self):
+        s = scores_from_matches(_matrix([[0.1, 0.6, 0.3], [0.7, 0.2, 0.4], [0.5, 0.8, 0.9]],
+                                        ("a", "b", "a"), gallery_ids=("a", "b", "c")))
+        assert s.genuine.tolist() == [0.1, 0.2, 0.5]
+        assert s.impostor.tolist() == [0.6, 0.3, 0.7, 0.4, 0.8, 0.9]
 
 
 class TestMetricsReport:
