@@ -34,6 +34,7 @@ import base64
 import hashlib
 import json
 import os
+import re
 import secrets
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -79,6 +80,7 @@ FIELD_TYPES = {
     **{f: int for f in ("key_version", "seed", "bit_length", "feature_dim")},
     **{f: str for f in ("kind", "user_id", "modality", "basis_b64", "basis_blake2b", "bits_hex")},
 }
+_HEX = re.compile(r"[0-9a-fA-F]*")
 
 
 def wall_clock() -> str:
@@ -119,12 +121,15 @@ class _JsonlStore:
     terminated raises, wherever it sits, and so does a record of unknown
     kind, one that lacks a field listed in RECORD_FIELDS, or one whose
     field has another type than FIELD_TYPES gives (a JSON boolean is not
-    an int).
+    an int), or an enroll record whose bits_hex is not the hex of
+    bit_length bits.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self.records: list[dict] = []
+        self._line_nos: list[int] = []  # file line of each record
+        self._lines = 0  # terminated lines in the file
         self._end = None  # byte length of the terminated lines, if a torn tail follows
         if not self.path.exists():
             return
@@ -132,7 +137,9 @@ class _JsonlStore:
         end = data.rfind(b"\n") + 1
         if end < len(data):
             self._end = end
-        for line_no, line in enumerate(data[:end].split(b"\n")[:-1], start=1):
+        lines = data[:end].split(b"\n")[:-1]
+        self._lines = len(lines)
+        for line_no, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
@@ -155,7 +162,15 @@ class _JsonlStore:
                         f"{self.path}:{line_no}: {rec['kind']} record field {f} must be "
                         f"{want.__name__}, got {rec[f]!r}"
                     )
+            if rec["kind"] == "enroll":
+                digits = 2 * -(-rec["bit_length"] // 8)
+                if len(rec["bits_hex"]) != digits or not _HEX.fullmatch(rec["bits_hex"]):
+                    raise DataError(
+                        f"{self.path}:{line_no}: enroll record field bits_hex must be "
+                        f"{digits} hex digits, got {rec['bits_hex']!r}"
+                    )
             self.records.append(rec)
+            self._line_nos.append(line_no)
 
     def append(self, record: dict) -> None:
         rec = dict(record, schema=STORE_SCHEMA)
@@ -166,6 +181,13 @@ class _JsonlStore:
         with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
         self.records.append(rec)
+        self._lines += 1
+        self._line_nos.append(self._lines)
+
+    def where(self, record: dict) -> str:
+        """``file:line`` of one of this store's records."""
+        i = next(i for i, r in enumerate(self.records) if r is record)
+        return f"{self.path}:{self._line_nos[i]}"
 
     def __len__(self) -> int:
         return len(self.records)
@@ -179,9 +201,12 @@ def _basis_digest(matrix: np.ndarray) -> str:
 
 def _decode_basis(text: str, feature_dim: int, bit_length: int) -> np.ndarray:
     """Basis inlined by a schema-1 key record."""
-    raw = base64.b64decode(text.encode("ascii"))
+    try:
+        raw = base64.b64decode(text.encode("ascii"))
+    except ValueError as exc:  # binascii.Error and UnicodeEncodeError
+        raise DataError(f"basis_b64 is not base64 ({exc})") from exc
     if len(raw) != 8 * feature_dim * bit_length:
-        raise DataError("stored basis has the wrong size")
+        raise DataError("basis_b64 holds a basis of the wrong size")
     return np.frombuffer(raw, dtype="<f8").reshape(feature_dim, bit_length).copy()
 
 
@@ -255,7 +280,10 @@ class TemplateVault:
         r = recs[-1]
         key = UserKey(user_id=user_id, seed=r["seed"], bit_length=r["bit_length"], key_version=key_version)
         if r["schema"] == 1:
-            matrix = _decode_basis(r["basis_b64"], r["feature_dim"], r["bit_length"])
+            try:
+                matrix = _decode_basis(r["basis_b64"], r["feature_dim"], r["bit_length"])
+            except DataError as exc:
+                raise DataError(f"{self.keys.where(r)}: key record field {exc}") from exc
             return key, ProjectionBasis(matrix=matrix, origin_key=key)
         basis = basis_for_key(key, r["feature_dim"])
         if _basis_digest(basis.matrix) != r["basis_blake2b"]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, asdict
@@ -29,7 +30,15 @@ from .errors import (
     ModelFormatError,
     TrainingError,
 )
-from .filters import LbcFilterSpec, make_layer_bank, make_lbc_filters
+from .filters import (
+    KERNEL_HEIGHT,
+    KERNEL_WIDTH,
+    LAYER_GAPS,
+    RING_SIZE,
+    LbcFilterSpec,
+    make_layer_bank,
+    make_lbc_filters,
+)
 
 MODEL_MAGIC = b"DHFN"
 MODEL_VERSION = 1
@@ -297,49 +306,115 @@ class FixedFilterNet:
 
     @classmethod
     def load(cls, path) -> "FixedFilterNet":
+        """Read a container written by save().
+
+        The payload is read once, straight into one 8-byte-aligned float64
+        buffer that the CRC32 then covers together with the header.  The
+        buffer is marked read-only and every bank, combination vector and
+        dense layer is a view into it.  Training never writes into its
+        parameters (the optimizer returns new arrays), so loaded models
+        train as built ones do.  Any malformed file raises ModelFormatError
+        naming the path.
+        """
         with open(path, "rb") as fh:
-            blob = fh.read()
-        if len(blob) < len(MODEL_MAGIC) + 12 + 4 or blob[:4] != MODEL_MAGIC:
-            raise ModelFormatError(f"{path}: not a model container")
-        version, header_len = struct.unpack("<IQ", blob[4:16])
-        if version != MODEL_VERSION:
-            raise ModelFormatError(f"{path}: unsupported container version {version}")
-        body = blob[16:-4]
-        (crc,) = struct.unpack("<I", blob[-4:])
-        if zlib.crc32(body) != crc:
+            size = os.fstat(fh.fileno()).st_size
+            prefix = fh.read(16)  # magic, u32 version, u64 header length
+            if size < 16 + 4 or prefix[:4] != MODEL_MAGIC:
+                raise ModelFormatError(f"{path}: not a model container")
+            version, header_len = struct.unpack("<IQ", prefix[4:])
+            if version != MODEL_VERSION:
+                raise ModelFormatError(f"{path}: unsupported container version {version}")
+            payload_len = size - 16 - header_len - 4
+            if payload_len < 0:
+                raise ModelFormatError(f"{path}: truncated header")
+            if payload_len % 8:
+                raise ModelFormatError(f"{path}: payload of {payload_len} bytes is not whole float64 values")
+            header_bytes = fh.read(header_len)
+            payload = np.empty(payload_len // 8, dtype="<f8")
+            got = fh.readinto(payload.view(np.uint8))
+            trailer = fh.read(4)
+        if len(header_bytes) != header_len or got != payload_len or len(trailer) != 4:
+            raise ModelFormatError(f"{path}: file changed size while it was read")
+        if zlib.crc32(payload, zlib.crc32(header_bytes)) != struct.unpack("<I", trailer)[0]:
             raise ModelFormatError(f"{path}: checksum mismatch, file is corrupt")
-        if header_len > len(body):
-            raise ModelFormatError(f"{path}: truncated header")
-        header = json.loads(body[:header_len].decode("utf-8"))
-        settings = dict(header["config"])
-        for key in RETIRED_CONFIG_KEYS:
-            if settings.pop(key, False) is not False:
-                raise ModelFormatError(f"{path}: model sets the removed option {key!r}")
-        try:
-            config = NetworkConfig(**settings)
-        except TypeError as exc:
-            raise ModelFormatError(f"{path}: unknown model config ({exc})") from exc
-        offset = header_len
+        payload.flags.writeable = False
+        config, layout = _parse_header(path, header_bytes)
+        declared = sum(int(np.prod(shape)) for shape in layout.values())
+        if declared != payload.size:
+            raise ModelFormatError(
+                f"{path}: header declares {8 * declared} payload bytes, file holds {payload_len}"
+            )
         loaded: dict[str, np.ndarray] = {}
-        for name, shape in header["arrays"]:
-            n = int(np.prod(shape)) if shape else 1
-            raw = body[offset:offset + 8 * n]
-            if len(raw) != 8 * n:
-                raise ModelFormatError(f"{path}: truncated payload at {name}")
-            loaded[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            offset += 8 * n
-        if offset != len(body):
-            raise ModelFormatError(f"{path}: trailing bytes in payload")
-        banks = [loaded[f"bank{i}"] for i in range(1, 6)]
-        combine = [loaded[f"combine{i}"] for i in range(1, 6)]
+        offset = 0
+        for name, shape in layout.items():
+            n = int(np.prod(shape))
+            loaded[name] = payload[offset:offset + n].reshape(shape)
+            offset += n
         return cls(
             config,
-            banks,
-            combine,
+            [loaded[f"bank{i}"] for i in range(1, 6)],
+            [loaded[f"combine{i}"] for i in range(1, 6)],
             ops.DenseLayer(loaded["fc1.w"], loaded["fc1.b"]),
             ops.DenseLayer(loaded["fc2.w"], loaded["fc2.b"]),
             ops.DenseLayer(loaded["fc3.w"], loaded["fc3.b"]),
         )
+
+
+def _array_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every array a model of this config saves, in save order."""
+    counts = [RING_SIZE * len(LAYER_GAPS[i]) for i in (1, 2, 3)] + list(LBC_COUNTS)
+    shapes = {f"bank{i}": (k, KERNEL_HEIGHT, KERNEL_WIDTH) for i, k in enumerate(counts, start=1)}
+    shapes.update({f"combine{i}": (k,) for i, k in enumerate(counts, start=1)})
+    for name, out_dim, in_dim in (
+        ("fc1", config.fc1_dim, config.flat_dim),
+        ("fc2", config.fc2_dim, config.fc1_dim),
+        ("fc3", config.num_classes, config.fc2_dim),
+    ):
+        shapes[f"{name}.w"] = (out_dim, in_dim)
+        shapes[f"{name}.b"] = (out_dim,)
+    return shapes
+
+
+def _parse_header(path, header_bytes: bytes) -> tuple[NetworkConfig, dict[str, tuple[int, ...]]]:
+    """The config and the {name: shape} layout of a model header, checked
+    against each other: exactly the arrays save() writes, each of the shape
+    the config implies."""
+    try:
+        header = json.loads(header_bytes.decode("utf-8"))
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: header is not UTF-8 JSON ({exc})") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("config"), dict) \
+            or not isinstance(header.get("arrays"), list):
+        raise ModelFormatError(f"{path}: header needs a config object and an arrays list")
+    settings = dict(header["config"])
+    for key in RETIRED_CONFIG_KEYS:
+        if settings.pop(key, False) is not False:
+            raise ModelFormatError(f"{path}: model sets the removed option {key!r}")
+    bad = sorted(k for k, v in settings.items() if type(v) is not int)
+    if bad:
+        raise ModelFormatError(f"{path}: model config values must be integers: {', '.join(bad)}")
+    try:
+        config = NetworkConfig(**settings)
+    except (TypeError, ConfigError) as exc:
+        raise ModelFormatError(f"{path}: invalid model config ({exc})") from exc
+    want = _array_shapes(config)
+    layout: dict[str, tuple[int, ...]] = {}
+    for entry in header["arrays"]:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and isinstance(entry[1], list)):
+            raise ModelFormatError(f"{path}: malformed array entry {entry!r}")
+        name, shape = entry[0], tuple(entry[1])
+        if name not in want or name in layout:
+            raise ModelFormatError(f"{path}: unexpected or repeated array {name!r}")
+        if shape != want[name]:
+            raise ModelFormatError(
+                f"{path}: array {name!r} has shape {list(shape)}, its config implies {list(want[name])}"
+            )
+        layout[name] = want[name]
+    missing = [name for name in want if name not in layout]
+    if missing:
+        raise ModelFormatError(f"{path}: header lacks arrays {', '.join(missing)}")
+    return config, layout
 
 
 # -- training ---------------------------------------------------------------

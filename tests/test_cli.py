@@ -1,6 +1,8 @@
 import json
 import multiprocessing
+import struct
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -196,6 +198,48 @@ def test_verify_with_key_record_of_wrong_type_fails(cli_env, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "keys.jsonl:1" in err and "seed" in err
+
+
+def test_verify_with_template_bits_that_are_not_hex_fails(cli_env, tmp_path, capsys):
+    store = tmp_path / "store"
+    imgs = [str(cli_env["data"] / "s00" / f"img{i:02d}.pgm") for i in range(2)]
+    rc = main(["enroll", "--model", str(cli_env["model"]), "--store", str(store),
+               "--user", "s00", "--images", *imgs, *common(cli_env)])
+    assert rc == 0
+    capsys.readouterr()
+    templates = store / "templates.jsonl"
+    record = json.loads(templates.read_text(encoding="utf-8"))
+    record["bits_hex"] = "zz" * (len(record["bits_hex"]) // 2)
+    templates.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    rc = main(["verify", "--model", str(cli_env["model"]), "--store", str(store),
+               "--user", "s00", "--image", imgs[0], "--threshold", "1.0", *common(cli_env)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "templates.jsonl:1" in err and "bits_hex" in err
+
+
+def test_verify_with_a_model_header_that_lacks_an_array_fails(cli_env, tmp_path, capsys):
+    store = tmp_path / "store"
+    imgs = [str(cli_env["data"] / "s00" / f"img{i:02d}.pgm") for i in range(2)]
+    rc = main(["enroll", "--model", str(cli_env["model"]), "--store", str(store),
+               "--user", "s00", "--images", *imgs, *common(cli_env)])
+    assert rc == 0
+    capsys.readouterr()
+    blob = cli_env["model"].read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + header_len])
+    header["arrays"] = [e for e in header["arrays"] if e[0] != "bank3"]
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = head + blob[16 + header_len:-4]
+    model = tmp_path / "model.dfn"
+    model.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + body + struct.pack("<I", zlib.crc32(body)))
+    rc = main(["verify", "--model", str(model), "--store", str(store),
+               "--user", "s00", "--image", imgs[0], "--threshold", "1.0", *common(cli_env)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(model) in err and "bank3" in err
 
 
 def _cli_exit(argv):

@@ -217,6 +217,23 @@ class TestStore:
         with pytest.raises(DataError, match=f"{path.name}:1: .*{field}"):
             TemplateVault(vault.keys.path, vault.templates.path)
 
+    @pytest.mark.parametrize("bits_hex", ["zz" * 4, "ab cd ef", "0x000000", "0" * 7, "0" * 10, ""])
+    def test_bits_hex_that_does_not_spell_its_bits_rejected(self, vault, tiny_net, image, bits_hex):
+        vault.enroll("alice", [image], tiny_net, bit_length=32)
+        path = vault.templates.path
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(record, bits_hex=bits_hex)) + "\n")
+        with pytest.raises(DataError, match=f"{path.name}:1: .*bits_hex"):
+            TemplateVault(vault.keys.path, vault.templates.path)
+
+    def test_upper_case_bits_hex_still_verifies(self, vault, tiny_net, image):
+        vault.enroll("alice", [image], tiny_net, bit_length=32)
+        path = vault.templates.path
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(record, bits_hex=record["bits_hex"].upper())) + "\n")
+        reopened = TemplateVault(vault.keys.path, vault.templates.path)
+        assert reopened.verify(image, "alice", tiny_net, threshold=0.2).score == 0.0
+
     def test_torn_last_line_is_dropped_then_cut_off(self, vault, tiny_net, image):
         vault.enroll("alice", [image], tiny_net, bit_length=32)
         before = {s.path: s.path.read_bytes() for s in (vault.keys, vault.templates)}
@@ -280,6 +297,26 @@ class TestDerivedBasis:
             reopened.load_basis("alice", "major", 1)
         with pytest.raises(DataError):
             reopened.verify(image, "alice", tiny_net, threshold=0.2)
+
+    @pytest.mark.parametrize("basis_b64, why", [
+        ("QUJDA", "not base64"),
+        ("QUJD\u00e9", "not base64"),
+        (base64.b64encode(b"\x00" * 8).decode("ascii"), "wrong size"),
+    ])
+    def test_schema1_basis_that_does_not_decode_rejected(self, tmp_path, basis_b64, why):
+        records = [{
+            "kind": "key", "user_id": user, "modality": "major", "key_version": 1,
+            "seed": 77, "bit_length": 32, "feature_dim": 32,
+            "basis_b64": base64.b64encode(np.eye(32).astype("<f8").tobytes()).decode("ascii"),
+            "created_at": "1970-01-01T00:00:00+00:00", "schema": 1,
+        } for user in ("bob", "alice")]
+        records[1]["basis_b64"] = basis_b64
+        keys = tmp_path / "keys.jsonl"
+        keys.write_text(_dump(records))
+        vault = TemplateVault(keys, tmp_path / "templates.jsonl")
+        assert np.array_equal(vault.load_basis("bob", "major", 1)[1].matrix, np.eye(32))
+        with pytest.raises(DataError, match=f"keys.jsonl:2: key record field basis_b64 .*{why}"):
+            vault.load_basis("alice", "major", 1)
 
     def test_schema1_store_still_verifies(self, tmp_path, tiny_net, image):
         # A schema-1 key record inlines its basis.  This one is an arbitrary

@@ -1,6 +1,9 @@
+import dataclasses
 import json
+import re
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,16 +376,31 @@ def test_load_rejects_truncation(tmp_path, tiny_config):
         FixedFilterNet.load(path)
 
 
+def _split(path):
+    """(header bytes, payload bytes) of a saved model."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    return blob[16:16 + header_len], blob[16 + header_len:-4]
+
+
+def _reseal(path, head, payload):
+    """Write a container around the given header and payload bytes with a
+    valid prefix and CRC32, so only what they hold can make load fail."""
+    body = head + payload
+    path.write_bytes(b"DHFN" + struct.pack("<IQ", 1, len(head)) + body + struct.pack("<I", zlib.crc32(body)))
+
+
+def _edit_header(path, edit):
+    head, payload = _split(path)
+    header = json.loads(head)
+    edit(header)
+    _reseal(path, json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"), payload)
+
+
 def _with_config_keys(path, **extra):
     """Rewrite a saved model's JSON header with extra config keys, keeping
     the container valid (header length and CRC32 recomputed)."""
-    blob = path.read_bytes()
-    (header_len,) = struct.unpack("<Q", blob[8:16])
-    header = json.loads(blob[16:16 + header_len])
-    header["config"].update(extra)
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = head + blob[16 + header_len:-4]
-    path.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + body + struct.pack("<I", zlib.crc32(body)))
+    _edit_header(path, lambda header: header["config"].update(extra))
 
 
 def test_load_accepts_parent_format_header(tmp_path, tiny_config):
@@ -411,4 +429,182 @@ def test_load_rejects_wrong_magic(tmp_path):
     path = tmp_path / "model.dfn"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ModelFormatError):
+        FixedFilterNet.load(path)
+
+
+# -- single-read loader -------------------------------------------------------
+
+def _loaded_arrays(net):
+    return [*net.banks, *net.params().values()]
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 7, 8, 20, 101])
+def test_loaded_arrays_are_aligned_read_only_views_of_one_buffer(tmp_path, tiny_config, num_classes):
+    # The class count changes the header length and so where the payload
+    # starts in the file; the views must be aligned whatever it is.
+    config = dataclasses.replace(tiny_config, num_classes=num_classes)
+    net = FixedFilterNet.build(config)
+    path = tmp_path / "model.dfn"
+    net.save(path)
+    loaded = FixedFilterNet.load(path)
+    arrays = _loaded_arrays(loaded)
+    assert len(arrays) == 16
+    for a in arrays:
+        assert a.dtype == np.float64
+        assert a.flags.c_contiguous and a.flags.aligned
+        assert a.ctypes.data % 8 == 0
+        assert not a.flags.writeable
+    base = arrays[0].base
+    assert base is not None and all(a.base is base for a in arrays)
+    assert base.nbytes == sum(a.nbytes for a in arrays)
+    with pytest.raises(ValueError):
+        loaded.fc1.weights[0, 0] = 1.0
+    rng = np.random.default_rng(num_classes)
+    for _ in range(3):
+        img = rng.uniform(0, 1, (16, 32))
+        f_saved, p_saved = net.forward(img)
+        f_loaded, p_loaded = loaded.forward(img)
+        assert np.array_equal(f_saved, f_loaded)
+        assert np.array_equal(p_saved, p_loaded)
+
+
+def test_loaded_model_calibrates_and_trains_without_touching_its_views(tmp_path, tiny_config):
+    path = tmp_path / "model.dfn"
+    FixedFilterNet.build(tiny_config).save(path)
+    net = FixedFilterNet.load(path)
+    views = net.params()
+    before = {k: v.copy() for k, v in views.items()}
+    rng = np.random.default_rng(4)
+    images = [rng.uniform(0, 1, (16, 32)) for _ in range(6)]
+    net.calibrate_dense(images)
+    history = train(net, images, [0, 1, 2, 0, 1, 2], epochs=1, config=TrainConfig(batch_size=2))
+    assert len(history) == 1 and np.isfinite(history[0].loss)
+    for k, v in views.items():
+        assert np.array_equal(v, before[k])
+        assert not np.array_equal(net.params()[k], before[k])
+    twin = FixedFilterNet.build(tiny_config)
+    twin.calibrate_dense(images)
+    train(twin, images, [0, 1, 2, 0, 1, 2], epochs=1, config=TrainConfig(batch_size=2))
+    for k, v in twin.params().items():
+        assert np.array_equal(net.params()[k], v)
+
+
+def test_load_rejects_a_cut_at_every_array_boundary(tmp_path, tiny_config):
+    net = FixedFilterNet.build(tiny_config)
+    path = tmp_path / "model.dfn"
+    net.save(path)
+    blob = path.read_bytes()
+    head, payload = _split(path)
+    cut = tmp_path / "cut.dfn"
+    offset = 0
+    for a in _loaded_arrays(net):
+        offset += a.nbytes
+        # Cut as a torn write leaves it, and cut then sealed with a valid
+        # CRC so that only the size check can catch it.
+        cut.write_bytes(blob[:16 + len(head) + offset])
+        with pytest.raises(ModelFormatError):
+            FixedFilterNet.load(cut)
+        if offset < len(payload):
+            _reseal(cut, head, payload[:offset])
+            with pytest.raises(ModelFormatError, match="payload bytes"):
+                FixedFilterNet.load(cut)
+    assert offset == len(payload)
+
+
+@pytest.mark.parametrize("extra", [1, 4, 7, 12])
+def test_load_rejects_payload_of_partial_values(tmp_path, tiny_config, extra):
+    path = tmp_path / "model.dfn"
+    FixedFilterNet.build(tiny_config).save(path)
+    head, payload = _split(path)
+    _reseal(path, head, payload + b"\x00" * extra)
+    with pytest.raises(ModelFormatError, match="float64" if extra % 8 else "payload bytes"):
+        FixedFilterNet.load(path)
+
+
+@pytest.mark.parametrize("part", ["header", "payload"])
+def test_one_flipped_byte_fails_the_checksum(tmp_path, tiny_config, part):
+    path = tmp_path / "model.dfn"
+    FixedFilterNet.build(tiny_config).save(path)
+    head, payload = _split(path)
+    blob = bytearray(path.read_bytes())
+    at = 16 + (len(head) // 2 if part == "header" else len(head) + len(payload) // 2)
+    blob[at] ^= 0x01
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ModelFormatError, match="checksum"):
+        FixedFilterNet.load(path)
+
+
+def test_file_from_the_copying_loader_loads_and_resaves_identically(tmp_path):
+    # tests/data/model_v1.dfn was calibrated, trained for one epoch and
+    # saved by the release whose loader copied every array out of the file.
+    # The container format did not change, so it loads here and saves back
+    # to the same bytes.
+    source = Path(__file__).parent / "data" / "model_v1.dfn"
+    net = FixedFilterNet.load(source)
+    assert net.config == NetworkConfig(num_classes=2, input_height=16, input_width=32,
+                                       fc1_dim=8, fc2_dim=128, lbc_seed=3)
+    for a, b in zip(net.banks, FixedFilterNet.build(net.config).banks):
+        assert np.array_equal(a, b)
+    out = tmp_path / "resaved.dfn"
+    net.save(out)
+    assert out.read_bytes() == source.read_bytes()
+
+
+def _drop_array(name):
+    def edit(header):
+        header["arrays"] = [e for e in header["arrays"] if e[0] != name]
+    return edit
+
+
+def _set_shape(name, shape):
+    def edit(header):
+        for entry in header["arrays"]:
+            if entry[0] == name:
+                entry[1] = shape
+    return edit
+
+
+@pytest.mark.parametrize("edit, names", [
+    pytest.param(lambda h: h.pop("config"), "config", id="no-config"),
+    pytest.param(lambda h: h.pop("arrays"), "arrays", id="no-arrays"),
+    pytest.param(lambda h: h.update(config=[1, 2]), "config", id="config-not-object"),
+    pytest.param(lambda h: h["config"].update(num_classes="3"), "num_classes", id="config-string"),
+    pytest.param(lambda h: h["config"].update(input_height=15), "invalid model config", id="config-invalid"),
+    pytest.param(_drop_array("bank3"), "bank3", id="no-bank3"),
+    pytest.param(_drop_array("fc3.b"), "fc3.b", id="no-fc3.b"),
+    pytest.param(lambda h: h["arrays"].append(["fc4.w", [1]]), "fc4.w", id="extra-array"),
+    pytest.param(lambda h: h["arrays"].append(h["arrays"][0]), "bank1", id="repeated-array"),
+    pytest.param(lambda h: h["arrays"].__setitem__(0, "bank1"), "bank1", id="entry-not-pair"),
+    pytest.param(_set_shape("bank1", [12, 5, 3]), "bank1", id="bank-shape"),
+    pytest.param(_set_shape("combine4", [32]), "combine4", id="combine-shape"),
+    pytest.param(_set_shape("fc1.b", [95]), "fc1.b", id="bias-shape"),
+    # A config rewritten to 32x64 input while fc1.w stays (96, 32): the
+    # copying loader accepted it and the first forward died in a matmul.
+    pytest.param(lambda h: h["config"].update(input_height=32, input_width=64), "fc1.w", id="input-size"),
+    pytest.param(lambda h: h["config"].update(fc2_dim=256), "fc2.w", id="fc2-dim"),
+    pytest.param(lambda h: h["config"].update(num_classes=4), "fc3.w", id="num-classes"),
+])
+def test_load_rejects_a_header_that_does_not_match_its_arrays(tmp_path, tiny_config, edit, names):
+    path = tmp_path / "model.dfn"
+    FixedFilterNet.build(tiny_config).save(path)
+    _edit_header(path, edit)
+    with pytest.raises(ModelFormatError, match=re.escape(str(path)) + ".*" + re.escape(names)):
+        FixedFilterNet.load(path)
+
+
+@pytest.mark.parametrize("head", [b"\xff\xfe{}", b"{not json", b"[1, 2]", b"null"])
+def test_load_rejects_a_header_that_is_not_a_json_object(tmp_path, tiny_config, head):
+    path = tmp_path / "model.dfn"
+    FixedFilterNet.build(tiny_config).save(path)
+    _reseal(path, head, _split(path)[1])
+    with pytest.raises(ModelFormatError, match=re.escape(str(path))):
+        FixedFilterNet.load(path)
+
+
+def test_load_rejects_a_header_longer_than_the_file(tmp_path, tiny_config):
+    path = tmp_path / "model.dfn"
+    FixedFilterNet.build(tiny_config).save(path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(blob)) + blob[16:])
+    with pytest.raises(ModelFormatError, match="truncated header"):
         FixedFilterNet.load(path)
