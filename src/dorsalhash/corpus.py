@@ -51,6 +51,8 @@ def read_pgm(path) -> np.ndarray:
         raise IngestionError(f"{path}: malformed PGM header ({exc})") from exc
     if mv != 255:
         raise IngestionError(f"{path}: only maxval 255 is supported, got {mv}")
+    if width < 1 or height < 1:
+        raise IngestionError(f"{path}: image is {width}x{height}, width and height must be positive")
     data = blob[pos + 1:pos + 1 + width * height]
     if len(data) != width * height:
         raise IngestionError(f"{path}: pixel payload truncated")
@@ -117,6 +119,8 @@ def bilinear_resize(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     g = np.asarray(grid, dtype=np.float64)
     if g.ndim != 2:
         raise DimensionError(f"resize expects a 2-D grid, got shape {g.shape}")
+    if g.size == 0:
+        raise DimensionError(f"resize needs a non-empty grid, got shape {g.shape}")
     if out_h < 1 or out_w < 1:
         raise DimensionError(f"target dims must be positive, got {out_h}x{out_w}")
     h, w = g.shape

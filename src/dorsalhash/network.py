@@ -13,7 +13,6 @@ hashing side of the package.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import struct
@@ -210,28 +209,39 @@ class FixedFilterNet:
             raise DataError("input stage: image contains non-finite values")
         return img
 
-    def _trace(self, image: np.ndarray) -> dict:
-        """Forward pass keeping every intermediate needed for backprop.
+    def _response_buffer(self) -> list[np.ndarray]:
+        """Room for the rectified bank responses of all five stages of one
+        image, as (K, H, W) views of one block, for _trace(image, maps)."""
+        h, w = self.config.input_height, self.config.input_width
+        dims = [(h, w)] * 4 + [(h // 2, w // 2)]  # stage 5 runs after one pooling
+        shapes = [(bank.shape[0], hh, ww) for bank, (hh, ww) in zip(self.banks, dims)]
+        sizes = [k * hh * ww for k, hh, ww in shapes]
+        chunks = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+        return [chunk.reshape(shape) for chunk, shape in zip(chunks, shapes)]
 
-        Each stage keeps its rectified bank response but not the response
-        itself: the ReLU runs in place, and its output is positive exactly
-        where its input was, which is all the backward pass needs.  The five
-        responses share one block, so an image costs one large allocation
-        rather than five.  glibc's malloc returns five separately freed
-        multi-MB maps to the OS after each image, and the next image faults
-        them back in: about 1.5k page faults, a third of a 64x128 forward.
+    def _trace(self, image: np.ndarray, maps: list[np.ndarray] | None = None) -> dict:
+        """Forward pass keeping the intermediates that backprop needs.
+
+        Each stage runs as one ops.conv_stage: bank, ReLU and 1x1 combine
+        per cache-sized row band, so without ``maps`` no stage's K-channel
+        response is ever held in full and the trace keeps only the small
+        per-stage maps ("x", "c") and the dense activations.  With ``maps``
+        (from _response_buffer) each stage also writes its rectified
+        response into its entry, exposed as "b" for the backward pass; the
+        ReLU output is positive exactly where its input was, which is all
+        the backward needs of the pre-activation.  The block is the
+        caller's, so a training call that reuses one block for every sample
+        faults no fresh multi-MB memory per sample.
         """
         x = self._check_input(image)
-        t: dict = {"x": [x], "b": [], "c": []}
-        h, w = x.shape
-        dims = [(h, w)] * 4 + [(h // 2, w // 2)]  # stage 5 runs after one pooling
-        sizes = [bank.shape[0] * hh * ww for bank, (hh, ww) in zip(self.banks, dims)]
-        chunks = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+        t: dict = {"x": [x], "c": []}
+        keep = [None] * 5
+        if maps is not None:
+            if len(maps) != 5:
+                raise DimensionError(f"need 5 stage response arrays, got {len(maps)}")
+            keep = t["b"] = maps
         for s in range(5):
-            b = ops.conv2d(t["x"][-1], self.banks[s], out=chunks[s].reshape(-1, *dims[s]))
-            np.maximum(b, 0.0, out=b)
-            c = ops.combine1x1(b, self.combine[s])
-            t["b"].append(b)
+            c = ops.conv_stage(t["x"][-1], self.banks[s], self.combine[s], keep=keep[s])
             t["c"].append(c)
             t["x"].append(ops.maxpool2(c) if s >= 3 else c)
         v = t["x"][-1].ravel()
@@ -294,15 +304,18 @@ class FixedFilterNet:
             "arrays": [[name, list(a.shape)] for name, a in arrays],
         }
         header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        payload = io.BytesIO()
-        for _, a in arrays:
-            payload.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-        body = header_bytes + payload.getvalue()
+        crc = zlib.crc32(header_bytes)
         with open(path, "wb") as fh:
             fh.write(MODEL_MAGIC)
             fh.write(struct.pack("<IQ", MODEL_VERSION, len(header_bytes)))
-            fh.write(body)
-            fh.write(struct.pack("<I", zlib.crc32(body)))
+            fh.write(header_bytes)
+            # Each array's little-endian buffer goes to the file as it is
+            # (a copy only where an array is not already contiguous <f8).
+            for _, a in arrays:
+                buf = np.ascontiguousarray(a, dtype="<f8")
+                fh.write(buf)
+                crc = zlib.crc32(buf, crc)
+            fh.write(struct.pack("<I", crc))
 
     @classmethod
     def load(cls, path) -> "FixedFilterNet":
@@ -420,9 +433,13 @@ def _parse_header(path, header_bytes: bytes) -> tuple[NetworkConfig, dict[str, t
 # -- training ---------------------------------------------------------------
 
 
-def _loss_and_grads(model: FixedFilterNet, image: np.ndarray, label: int):
-    """Cross-entropy loss, correctness flag and gradients for one sample."""
-    t = model._trace(image)
+def _loss_and_grads(model: FixedFilterNet, image: np.ndarray, label: int, maps: list[np.ndarray] | None = None):
+    """Cross-entropy loss, correctness flag and gradients for one sample.
+
+    ``maps`` is a model._response_buffer() to trace into; the gradients do
+    not refer to it, so one buffer serves every sample.
+    """
+    t = model._trace(image, model._response_buffer() if maps is None else maps)
     z3 = t["z3"]
     logz = z3 - (np.max(z3) + np.log(np.exp(z3 - np.max(z3)).sum()))
     loss = -logz[label]
@@ -485,6 +502,7 @@ def train(
         raise DataError("training needs at least 2 distinct classes")
 
     opt = ops.SgdMomentum(lr=config.lr, momentum=config.momentum)
+    maps = model._response_buffer()
     history: list[EpochStats] = []
     n = len(imgs)
     for epoch in range(epochs):
@@ -499,7 +517,7 @@ def train(
             batch = order[start:start + config.batch_size]
             acc_grads: dict[str, np.ndarray] | None = None
             for idx in batch:
-                loss, correct, grads = _loss_and_grads(model, imgs[idx], labs[idx])
+                loss, correct, grads = _loss_and_grads(model, imgs[idx], labs[idx], maps)
                 if not np.isfinite(loss):
                     raise TrainingError(f"non-finite loss at epoch {epoch}, sample {int(idx)}")
                 total_loss += float(loss)

@@ -242,6 +242,28 @@ def test_verify_with_a_model_header_that_lacks_an_array_fails(cli_env, tmp_path,
     assert str(model) in err and "bank3" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "enroll"])
+def test_zero_size_image_fails_cleanly(cli_env, tmp_path, capsys, command):
+    store = tmp_path / "store"
+    imgs = [str(cli_env["data"] / "s00" / f"img{i:02d}.pgm") for i in range(2)]
+    rc = main(["enroll", "--model", str(cli_env["model"]), "--store", str(store),
+               "--user", "s00", "--images", *imgs, *common(cli_env)])
+    assert rc == 0
+    capsys.readouterr()
+    empty = tmp_path / "empty.pgm"
+    empty.write_bytes(b"P5\n0 0\n255\n")
+    if command == "verify":
+        argv = ["verify", "--image", str(empty), "--threshold", "1.0"]
+    else:
+        argv = ["enroll", "--images", imgs[0], str(empty)]
+    rc = main([*argv, "--model", str(cli_env["model"]), "--store", str(store),
+               "--user", "s00", *common(cli_env)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(empty) in err
+
+
 def _cli_exit(argv):
     sys.exit(main(argv))
 

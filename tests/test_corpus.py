@@ -60,6 +60,13 @@ class TestPgm:
         with pytest.raises(IngestionError):
             read_pgm(p)
 
+    @pytest.mark.parametrize("dims", [b"0 0", b"0 4", b"4 0", b"-1 -1"])
+    def test_rejects_zero_or_negative_size(self, tmp_path, dims):
+        p = tmp_path / "z.pgm"
+        p.write_bytes(b"P5\n" + dims + b"\n255\n" + bytes(1))
+        with pytest.raises(IngestionError, match="must be positive"):
+            read_pgm(p)
+
     def test_write_rejects_non_2d(self, tmp_path):
         with pytest.raises(DimensionError):
             write_pgm(tmp_path / "g.pgm", np.zeros((2, 2, 2)))
@@ -81,6 +88,11 @@ class TestResize:
             bilinear_resize(np.zeros((4, 4)), 0, 5)
         with pytest.raises(DimensionError):
             bilinear_resize(np.zeros(4), 4, 4)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+    def test_empty_source_rejected(self, shape):
+        with pytest.raises(DimensionError, match="non-empty"):
+            bilinear_resize(np.zeros(shape), 4, 8)
 
 
 class TestIngest:

@@ -156,6 +156,84 @@ def test_gradients_match_finite_differences(tiny_net, img_seed):
         assert err < 1e-3, f"{name}: finite-difference mismatch {err:.2e}"
 
 
+def reference_loss_and_grads(net, image, label):
+    """Loss, correctness and gradients of one sample from the public ops
+    alone: every stage's whole (K, H, W) response through conv2d, relu and
+    combine1x1, then the same backward as the trainer."""
+    xs, rectified, combined = [image], [], []
+    for s in range(5):
+        b = ops.relu(ops.conv2d(xs[-1], net.banks[s]))
+        c = ops.combine1x1(b, net.combine[s])
+        rectified.append(b)
+        combined.append(c)
+        xs.append(ops.maxpool2(c) if s >= 3 else c)
+    v = xs[-1].ravel()
+    z1 = net.fc1.weights @ v + net.fc1.biases
+    h1 = ops.relu(z1)
+    f = net.fc2.weights @ h1 + net.fc2.biases
+    z3 = net.fc3.weights @ f + net.fc3.biases
+    logz = z3 - (np.max(z3) + np.log(np.exp(z3 - np.max(z3)).sum()))
+    dz3 = np.exp(logz)
+    dz3[label] -= 1.0
+    grads = {"fc3.w": np.outer(dz3, f), "fc3.b": dz3}
+    df = net.fc3.weights.T @ dz3
+    grads.update({"fc2.w": np.outer(df, h1), "fc2.b": df})
+    dz1 = ops.relu_grad(z1, net.fc2.weights.T @ df)
+    grads.update({"fc1.w": np.outer(dz1, v), "fc1.b": dz1})
+    dx = (net.fc1.weights.T @ dz1).reshape(xs[-1].shape)
+    for s in (4, 3, 2, 1, 0):
+        dc = ops.maxpool2_grad(combined[s], dx) if s >= 3 else dx
+        grads[f"combine{s + 1}"], dd = ops.combine1x1_grads(rectified[s], net.combine[s], dc, rectified=True)
+        if s:
+            dx = ops.conv2d_input_grad(dd, net.banks[s], xs[s].shape)
+    return -logz[label], int(np.argmax(z3) == label), grads
+
+
+def test_loss_and_grads_through_a_reused_buffer_match_the_public_ops(tiny_config):
+    net = FixedFilterNet.build(tiny_config)
+    rng = np.random.default_rng(12)
+    net.calibrate_dense([rng.uniform(0, 1, (16, 32)) for _ in range(4)])
+    maps = net._response_buffer()
+    for label in (0, 1, 2, 1):
+        img = rng.uniform(0, 1, (16, 32))
+        loss, correct, grads = _loss_and_grads(net, img, label, maps)
+        ref_loss, ref_correct, ref_grads = reference_loss_and_grads(net, img, label)
+        assert loss == ref_loss and correct == ref_correct
+        assert set(grads) == set(ref_grads) == set(net.params())
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+        fresh_loss, _, fresh = _loss_and_grads(net, img, label)
+        assert fresh_loss == loss
+        for name in grads:
+            assert np.array_equal(fresh[name], grads[name]), name
+
+
+def test_trace_without_a_buffer_keeps_no_bank_response(tiny_net):
+    img = np.random.default_rng(13).uniform(0, 1, (16, 32))
+    t = tiny_net._trace(img)
+    assert "b" not in t
+    arrays = [a for value in t.values() for a in (value if isinstance(value, list) else [value])]
+    # The largest thing a forward keeps is one map of the input's size.
+    assert max(a.size for a in arrays) == img.size
+    assert np.array_equal(t["f"], tiny_net._trace(img, tiny_net._response_buffer())["f"])
+
+
+def test_trace_writes_each_rectified_response_into_the_buffer(tiny_net):
+    img = np.random.default_rng(14).uniform(0, 1, (16, 32))
+    maps = tiny_net._response_buffer()
+    base = maps[0].base
+    assert all(m.base is base for m in maps) and base.size == sum(m.size for m in maps)
+    base.fill(np.nan)
+    t = tiny_net._trace(img, maps)
+    for s, b in enumerate(t["b"]):
+        assert b is maps[s]
+        assert np.array_equal(b, ops.relu(ops.conv2d(t["x"][s], tiny_net.banks[s])))
+    assert not np.isnan(base).any()
+    for bad in (maps[:-1], maps[:4] + [np.empty((128, 4, 8))]):
+        with pytest.raises(DimensionError):
+            tiny_net._trace(img, bad)
+
+
 def test_loss_decreases_on_separable_toy_problem(tiny_config):
     net = FixedFilterNet.build(tiny_config)
     rng = np.random.default_rng(2)
@@ -354,6 +432,37 @@ def test_save_is_byte_identical(tmp_path, tiny_config):
     net.save(p1)
     net.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def reference_save_bytes(net):
+    """A container assembled in memory, header and every array's bytes
+    joined before one CRC32, as save() once did."""
+    arrays = [(f"bank{i}", b) for i, b in enumerate(net.banks, start=1)]
+    arrays += [(f"combine{i}", w) for i, w in enumerate(net.combine, start=1)]
+    for name, layer in (("fc1", net.fc1), ("fc2", net.fc2), ("fc3", net.fc3)):
+        arrays += [(f"{name}.w", layer.weights), (f"{name}.b", layer.biases)]
+    header = {"config": dataclasses.asdict(net.config),
+              "arrays": [[name, list(a.shape)] for name, a in arrays]}
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = head + b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays)
+    return b"DHFN" + struct.pack("<IQ", 1, len(head)) + body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_save_writes_the_bytes_of_an_in_memory_container(tmp_path, tiny_config):
+    fixture = FixedFilterNet.load(Path(__file__).parent / "data" / "model_v1.dfn")
+    trained = FixedFilterNet.build(tiny_config)
+    rng = np.random.default_rng(15)
+    images = [rng.uniform(0, 1, (16, 32)) for _ in range(6)]
+    train(trained, images, [0, 1, 2, 0, 1, 2], epochs=1, config=TrainConfig(batch_size=2))
+    # A transposed parameter is not contiguous and must be written as the
+    # C-order copy the in-memory container takes.
+    transposed = FixedFilterNet.build(tiny_config)
+    transposed.fc2 = ops.DenseLayer(np.asfortranarray(transposed.fc2.weights), transposed.fc2.biases)
+    full = FixedFilterNet.build(NetworkConfig(num_classes=8))
+    for i, net in enumerate((fixture, trained, transposed, full)):
+        path = tmp_path / f"{i}.dfn"
+        net.save(path)
+        assert path.read_bytes() == reference_save_bytes(net)
 
 
 def test_load_rejects_corruption(tmp_path, tiny_config):

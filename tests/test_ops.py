@@ -156,6 +156,81 @@ def test_conv_input_grad_is_adjoint():
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
+def test_conv_rejects_an_empty_map():
+    for shape in ((0, 8), (8, 0), (0, 0)):
+        with pytest.raises(DimensionError, match="non-empty"):
+            ops.conv2d(np.zeros(shape), np.zeros((2, 3, 5)))
+
+
+# -- fused stage ----------------------------------------------------------------
+
+def reference_stage(image, kernels, weights):
+    return ops.combine1x1(ops.relu(reference_conv2d(image, kernels)), weights)
+
+
+# Small maps, the 64x128 stage-1 to stage-4 map and the 32x64 stage-5 map.
+# "rows" sets the band height: the default size (one band on the small maps,
+# several on the large ones, not always dividing the map), single rows and
+# three rows.  With ``keep`` the response is always one band.
+STAGE_SHAPES = ((8, 16), (6, 12), (64, 128), (32, 64))
+
+
+@pytest.mark.parametrize("lbc_seed", [0, 7, 123456789])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 255.0])
+def test_conv_stage_matches_composition_bit_for_bit(monkeypatch, lbc_seed, scale):
+    rng = np.random.default_rng(lbc_seed)
+    default = ops.BAND_BYTES
+    for bank in package_banks(lbc_seed):
+        k = bank.shape[0]
+        w = rng.standard_normal(k)
+        for shape in STAGE_SHAPES:
+            img = scale * rng.uniform(0, 1, shape)
+            rectified = ops.relu(ops.conv2d(img, bank))
+            assert np.array_equal(rectified, ops.relu(reference_conv2d(img, bank)))
+            expect = ops.combine1x1(rectified, w)
+            assert np.array_equal(expect, reference_stage(img, bank, w))
+            for rows in (None, 1, 3):
+                band_bytes = default if rows is None else rows * 8 * k * shape[1]
+                monkeypatch.setattr(ops, "BAND_BYTES", band_bytes)
+                assert np.array_equal(ops.conv_stage(img, bank, w), expect)
+                keep = np.full((k,) + shape, np.nan)
+                assert np.array_equal(ops.conv_stage(img, bank, w, keep=keep), expect)
+                assert np.array_equal(keep, rectified)
+
+
+def test_conv_stage_band_counts():
+    # The default band size splits the full-size maps into several bands,
+    # not all of them full, and keeps the small maps in one.
+    def rows(k, w):
+        return max(1, ops.BAND_BYTES // (8 * k * w))
+    assert rows(12, 16) >= 8 and rows(128, 12) >= 6
+    assert 64 % rows(12, 128) and 64 % rows(24, 128) and 64 % rows(36, 128)
+    assert 1 < 64 // rows(64, 128) and 1 < 32 // rows(128, 64)
+
+
+def test_conv_stage_accepts_single_2d_kernel():
+    img = np.random.default_rng(40).uniform(0, 1, (4, 6))
+    kern = np.ones((3, 5))
+    w = np.array([0.5])
+    assert np.array_equal(ops.conv_stage(img, kern, w), ops.combine1x1(ops.relu(ops.conv2d(img, kern)), w))
+
+
+def test_conv_stage_rejects_bad_inputs():
+    bank = package_banks(0)[0]
+    w = np.ones(bank.shape[0])
+    img = np.zeros((6, 10))
+    for bad_img in (np.zeros((0, 8)), np.zeros((8, 0)), np.zeros(8), np.zeros((2, 6, 10))):
+        with pytest.raises(DimensionError):
+            ops.conv_stage(bad_img, bank, w)
+    for bad_w in (np.ones(bank.shape[0] + 1), np.ones((bank.shape[0], 1))):
+        with pytest.raises(DimensionError):
+            ops.conv_stage(img, bank, bad_w)
+    for bad in (np.empty((bank.shape[0], 6, 9)), np.empty((bank.shape[0], 6, 10), dtype=np.float32),
+                np.empty((bank.shape[0], 6, 20))[:, :, ::2]):
+        with pytest.raises(DimensionError):
+            ops.conv_stage(img, bank, w, keep=bad)
+
+
 # -- relu / combine / pooling -------------------------------------------------
 
 def test_relu_and_subgradient():
@@ -207,10 +282,40 @@ def test_maxpool2_needs_even_dims():
         ops.maxpool2(np.zeros((3, 4)))
 
 
+def test_maxpool2_needs_two_dims():
+    for bad in (np.zeros(4), np.float64(1.0)):
+        with pytest.raises(DimensionError):
+            ops.maxpool2(bad)
+
+
+def reference_maxpool2(x):
+    h, w = x.shape[-2:]
+    return x.reshape(x.shape[:-2] + (h // 2, 2, w // 2, 2)).max(axis=(-3, -1))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 6), (64, 128), (3, 8, 4)])
+def test_maxpool2_matches_reshape_max(shape):
+    rng = np.random.default_rng(41)
+    ties = rng.integers(-2, 3, size=shape).astype(np.float64)  # many tied blocks
+    negative = -rng.uniform(1, 2, size=shape)
+    for x in (ties, negative, np.full(shape, -3.0)):
+        got = ops.maxpool2(x)
+        assert np.array_equal(got, reference_maxpool2(x))
+        assert got.shape == shape[:-2] + (shape[-2] // 2, shape[-1] // 2)
+
+
 def test_maxpool2_grad_routes_to_argmax():
     img = np.array([[1.0, 4.0], [2.0, 3.0]])
     g = ops.maxpool2_grad(img, np.array([[5.0]]))
     assert g.tolist() == [[0.0, 5.0], [0.0, 0.0]]
+
+
+def test_maxpool2_grad_needs_even_dims():
+    # (3, 4) halves to (1, 2), so only the parity check can catch it.
+    with pytest.raises(DimensionError, match="even"):
+        ops.maxpool2_grad(np.zeros((3, 4)), np.zeros((1, 2)))
+    with pytest.raises(DimensionError, match="even"):
+        ops.maxpool2_grad(np.zeros((4, 5)), np.zeros((2, 2)))
 
 
 def test_maxpool2_grad_tie_takes_first():
