@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from . import rand
 from .errors import DataError, DimensionError, IngestionError
@@ -261,6 +260,11 @@ def augment(image: np.ndarray, spec: AugmentationSpec) -> list[np.ndarray]:
         if spec.elastic_amplitude > 0.0:
             field = rand.uniforms(rand.derive_seed(spec.seed, "elastic", i), rand.PURPOSE_AUGMENT, 2 * h * w)
             field = (2.0 * field - 1.0).reshape(2, h, w)
+            # Imported here, its only use: scipy.ndimage alone roughly
+            # doubles the import time and resident memory of every other
+            # command.
+            from scipy.ndimage import gaussian_filter
+
             field = gaussian_filter(field, sigma=(0.0, spec.elastic_sigma, spec.elastic_sigma), mode="reflect")
             peak = np.abs(field).max()
             if peak > 0.0:

@@ -462,13 +462,15 @@ def _loss_and_grads(model: FixedFilterNet, image: np.ndarray, label: int, maps: 
     h4 = model.config.input_height // 4
     w4 = model.config.input_width // 4
     dx = dv.reshape(h4, w4)
-    for s in (4, 3, 2, 1, 0):
+    for s in (4, 3, 2, 1):
         dc = ops.maxpool2_grad(t["c"][s], dx) if s >= 3 else dx
         d_w, dd = ops.combine1x1_grads(t["b"][s], model.combine[s], dc, rectified=True)
         grads[f"combine{s + 1}"] = d_w
-        if s == 0:
-            break
         dx = ops.conv2d_input_grad(dd, model.banks[s], t["x"][s].shape)
+    # The image is not trained, so stage 1 needs only its weight gradient,
+    # the same product combine1x1_grads forms.
+    b1 = t["b"][0]
+    grads["combine1"] = b1.reshape(b1.shape[0], -1) @ dx.ravel()
     return loss, correct, grads
 
 

@@ -109,7 +109,7 @@ def _fill_shifted(padded: np.ndarray, r0: int, rows: int, kh: int, kw: int, out:
     return views.reshape(kh * kw, rows * w)
 
 
-def conv2d(image: np.ndarray, kernels, padding: str = "replicate", out: np.ndarray | None = None) -> np.ndarray:
+def conv2d(image: np.ndarray, kernels, padding: str = "replicate") -> np.ndarray:
     """Correlate one 2-D map with a stack of kernels, same-size output.
 
     Args:
@@ -117,11 +117,9 @@ def conv2d(image: np.ndarray, kernels, padding: str = "replicate", out: np.ndarr
         kernels: (K, kh, kw) stack (or a single 2-D kernel); odd dims only.
         padding: only "replicate" is supported; the argument exists so call
             sites state the edge rule explicitly.
-        out: optional C-contiguous float64 (K, H, W) array to write into.
 
     Returns:
-        (K, H, W) array (``out`` when given); channel k is the correlation
-        of image with kernel k.
+        (K, H, W) array; channel k is the correlation of image with kernel k.
     """
     if padding != "replicate":
         raise DimensionError(f"unsupported padding mode: {padding!r}")
@@ -129,10 +127,7 @@ def conv2d(image: np.ndarray, kernels, padding: str = "replicate", out: np.ndarr
     stack = _as_kernel_stack(kernels)
     k, kh, kw = stack.shape
     h, w = img.shape
-    if out is None:
-        out = np.empty((k, h, w))
-    else:
-        _check_out(out, (k, h, w), "conv2d out")
+    out = np.empty((k, h, w))
     padded = _edge_pad(img, kh // 2, kw // 2)
     taps = _fill_shifted(padded, 0, h, kh, kw, np.empty(kh * kw * h * w))
     np.matmul(stack.reshape(k, kh * kw), taps, out=out.reshape(k, h * w))

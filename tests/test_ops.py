@@ -130,21 +130,6 @@ def test_conv_input_grad_matches_reference(lbc_seed):
                                    rtol=1e-12, atol=1e-12)
 
 
-def test_conv_writes_into_out():
-    rng = np.random.default_rng(32)
-    img = rng.uniform(0, 1, (6, 10))
-    kern = package_banks(0)[3]
-    block = np.full(2 * kern.shape[0] * img.size, np.nan)
-    out = block[:kern.shape[0] * img.size].reshape(-1, *img.shape)
-    assert ops.conv2d(img, kern, out=out) is out
-    assert np.array_equal(out, ops.conv2d(img, kern))
-    assert np.isnan(block[out.size:]).all()
-    for bad in (np.empty((kern.shape[0], 6, 9)), np.empty((kern.shape[0], 6, 10), dtype=np.float32),
-                np.empty((kern.shape[0], 6, 20))[:, :, ::2]):
-        with pytest.raises(DimensionError):
-            ops.conv2d(img, kern, out=bad)
-
-
 def test_conv_input_grad_is_adjoint():
     rng = np.random.default_rng(7)
     for k_count in (1, 4):
@@ -225,10 +210,23 @@ def test_conv_stage_rejects_bad_inputs():
     for bad_w in (np.ones(bank.shape[0] + 1), np.ones((bank.shape[0], 1))):
         with pytest.raises(DimensionError):
             ops.conv_stage(img, bank, bad_w)
-    for bad in (np.empty((bank.shape[0], 6, 9)), np.empty((bank.shape[0], 6, 10), dtype=np.float32),
-                np.empty((bank.shape[0], 6, 20))[:, :, ::2]):
+
+
+def test_conv_stage_writes_into_keep():
+    rng = np.random.default_rng(32)
+    img = rng.uniform(0, 1, (6, 10))
+    kern = package_banks(0)[3]
+    w = rng.standard_normal(kern.shape[0])
+    block = np.full(2 * kern.shape[0] * img.size, np.nan)
+    keep = block[:kern.shape[0] * img.size].reshape(-1, *img.shape)
+    ops.conv_stage(img, kern, w, keep=keep)
+    assert np.array_equal(keep, ops.relu(ops.conv2d(img, kern)))
+    assert np.isnan(block[keep.size:]).all()
+    # Wrong shape, wrong dtype, not contiguous.
+    for bad in (np.empty((kern.shape[0], 6, 9)), np.empty((kern.shape[0], 6, 10), dtype=np.float32),
+                np.empty((kern.shape[0], 6, 20))[:, :, ::2]):
         with pytest.raises(DimensionError):
-            ops.conv_stage(img, bank, w, keep=bad)
+            ops.conv_stage(img, kern, w, keep=bad)
 
 
 # -- relu / combine / pooling -------------------------------------------------
