@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fcntl
+import functools
 import json
 import sys
 from pathlib import Path
@@ -31,6 +32,10 @@ EXIT_USAGE = 2
 EXIT_UNDEFINED_METRIC = 3
 
 
+# Built once per process: parse_args returns a fresh Namespace each call and
+# help reads the terminal width when it prints, so in-process callers of
+# main share one parser without sharing state.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS, help="flat key=value config file")
@@ -151,13 +156,8 @@ class _Settings:
         )
 
 
-def _load_corpus(settings: _Settings, root) -> dict[str, list[np.ndarray]]:
-    layout = corpus.ingest(root)
-    return corpus.load_samples(
-        layout,
-        settings.get_int("input_height", 64),
-        settings.get_int("input_width", 128),
-    )
+def _load_corpus(root, height: int, width: int) -> dict[str, list[np.ndarray]]:
+    return corpus.load_samples(corpus.ingest(root), height, width)
 
 
 def _vault(settings: _Settings, store_dir: str) -> TemplateVault:
@@ -241,7 +241,9 @@ def _training_arrays(samples: dict[str, list[np.ndarray]], gallery_count: int):
 
 
 def _cmd_train(settings: _Settings, args) -> int:
-    samples = _load_corpus(settings, args.data)
+    samples = _load_corpus(
+        args.data, settings.get_int("input_height", 64), settings.get_int("input_width", 128)
+    )
     gallery_count = settings.get_int("gallery_count", 6)
     images, labels = _training_arrays(samples, gallery_count)
     model = FixedFilterNet.build(settings.network_config(num_classes=len(samples)))
@@ -289,15 +291,15 @@ def _cmd_extract(settings: _Settings, args) -> int:
     return EXIT_OK
 
 
-def _load_images(settings: _Settings, paths) -> list[np.ndarray]:
-    h = settings.get_int("input_height", 64)
-    w = settings.get_int("input_width", 128)
+def _load_images(model: FixedFilterNet, paths) -> list[np.ndarray]:
+    """Images resized to the geometry the model was built for."""
+    h, w = model.config.input_height, model.config.input_width
     return [corpus.bilinear_resize(corpus.load_image(p), h, w) for p in paths]
 
 
 def _cmd_enroll(settings: _Settings, args) -> int:
     model = FixedFilterNet.load(args.model)
-    images = _load_images(settings, args.images)
+    images = _load_images(model, args.images)
     with _store_lock(args.store):
         vault = _vault(settings, args.store)
         template = vault.enroll(args.user, images, model, modality=args.modality, bit_length=settings.bits)
@@ -314,7 +316,7 @@ def _cmd_verify(settings: _Settings, args) -> int:
     threshold = args.threshold if args.threshold is not None else settings.get_float("threshold", None)
     if threshold is None:
         raise cfgmod.ConfigError("verify needs --threshold (or a threshold config key)")
-    image = _load_images(settings, [args.image])[0]
+    image = _load_images(model, [args.image])[0]
     decision = vault.verify(
         image, args.user, model, float(threshold),
         modality=args.modality, key_version=getattr(args, "key_version", None),
@@ -329,7 +331,7 @@ def _cmd_verify(settings: _Settings, args) -> int:
 
 def _cmd_revoke(settings: _Settings, args) -> int:
     model = FixedFilterNet.load(args.model)
-    images = _load_images(settings, args.images)
+    images = _load_images(model, args.images)
     with _store_lock(args.store):
         vault = _vault(settings, args.store)
         template = vault.revoke_and_reissue(args.user, images, model, modality=args.modality)
@@ -339,7 +341,7 @@ def _cmd_revoke(settings: _Settings, args) -> int:
 
 def _cmd_evaluate(settings: _Settings, args) -> int:
     model = FixedFilterNet.load(args.model)
-    samples = _load_corpus(settings, args.data)
+    samples = _load_corpus(args.data, model.config.input_height, model.config.input_width)
     gallery, probes = pipeline.split_gallery_probe(samples, settings.get_int("gallery_count", 6))
     run = pipeline.evaluate_split(model, gallery, probes, settings.bits, settings.seed)
     _write_protocol_outputs(run, Path(args.out), str(settings.bits))
@@ -355,7 +357,8 @@ def _cmd_fuse(settings: _Settings, args) -> int:
     galleries, probes = {}, {}
     for root in args.data:
         name = Path(root).name
-        g, p = pipeline.split_gallery_probe(_load_corpus(settings, root), gallery_count)
+        samples = _load_corpus(root, model.config.input_height, model.config.input_width)
+        g, p = pipeline.split_gallery_probe(samples, gallery_count)
         galleries[name], probes[name] = g, p
     for name in sorted(galleries):
         single = pipeline.evaluate_split(model, galleries[name], probes[name], settings.bits, settings.seed)

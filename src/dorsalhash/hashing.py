@@ -14,6 +14,7 @@ Templates are compared with a normalized Euclidean distance
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,6 +127,25 @@ def generate_random_vectors(key: UserKey, feature_dim: int) -> np.ndarray:
     return z.reshape(key.bit_length, feature_dim).T
 
 
+def _sweep(cols: np.ndarray) -> np.ndarray:
+    """One classical Gram-Schmidt pass: column j minus its projection onto
+    the j finished columns, then scaled to unit length."""
+    q = np.empty_like(cols)
+    for j in range(cols.shape[1]):
+        v = cols[:, j].copy()
+        if j:
+            done = q[:, :j]
+            v -= done @ (done.T @ v)
+        # The dot-then-sqrt that np.linalg.norm runs for 1-D real input.
+        norm = math.sqrt(v.dot(v))
+        if norm < DEGENERATE_NORM:
+            raise DegenerateKeyError(
+                f"key vectors are rank-deficient at column {j} (pivot {norm:.3e}); reissue the key"
+            )
+        np.divide(v, norm, out=q[:, j])
+    return q
+
+
 def orthonormalize(vectors: np.ndarray, origin_key: UserKey | None = None) -> ProjectionBasis:
     """Classical Gram-Schmidt over the columns, with one conditional
     re-orthogonalization pass if any off-diagonal inner product exceeds
@@ -134,25 +154,10 @@ def orthonormalize(vectors: np.ndarray, origin_key: UserKey | None = None) -> Pr
     a = np.asarray(vectors, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise DimensionError(f"need an (M, m) matrix with M >= m, got {a.shape}")
-
-    def sweep(cols: np.ndarray) -> np.ndarray:
-        q = np.empty_like(cols)
-        for j in range(cols.shape[1]):
-            v = cols[:, j].copy()
-            if j:
-                v -= q[:, :j] @ (q[:, :j].T @ v)
-            norm = np.linalg.norm(v)
-            if norm < DEGENERATE_NORM:
-                raise DegenerateKeyError(
-                    f"key vectors are rank-deficient at column {j} (pivot {norm:.3e}); reissue the key"
-                )
-            q[:, j] = v / norm
-        return q
-
-    q = sweep(a)
+    q = _sweep(a)
     gram = q.T @ q
     if np.abs(gram - np.eye(q.shape[1])).max() > REORTH_TRIGGER:
-        q = sweep(q)
+        q = _sweep(q)
     return ProjectionBasis(matrix=q, origin_key=origin_key)
 
 

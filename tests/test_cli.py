@@ -1,12 +1,17 @@
 import json
 import multiprocessing
+import os
 import struct
+import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dorsalhash
+from dorsalhash import cli
 from dorsalhash.cli import main
 from dorsalhash.enrollment import TemplateVault
 from dorsalhash.corpus import write_pgm
@@ -388,3 +393,77 @@ def test_roc_command_row_count_and_precedence(tmp_path):
     assert rc == 0
     # The explicit flag wins over the config file value.
     assert len(out2.read_text(encoding="utf-8").splitlines()) == 1 + 5
+
+
+# -- model geometry ---------------------------------------------------------------
+
+def test_model_commands_read_images_at_the_model_geometry(cli_env, tmp_path, capsys):
+    # The model was trained at 32x64 from the config file; without that file
+    # the defaults say 64x128, and the commands must follow the model.
+    model = str(cli_env["model"])
+    store = str(tmp_path / "store")
+    imgs = [str(cli_env["data"] / "s01" / f"img{i:02d}.pgm") for i in range(2)]
+    probe = str(cli_env["data"] / "s01" / "img02.pgm")
+    assert main(["enroll", "--model", model, "--store", store, "--user", "s01", "--images", *imgs]) == 0
+    assert main(["verify", "--model", model, "--store", store, "--user", "s01", "--image", probe,
+                 "--threshold", "1.0"]) == 0
+    assert "-> accept" in capsys.readouterr().out
+    assert main(["revoke", "--model", model, "--store", store, "--user", "s01", "--images", *imgs]) == 0
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--data", str(cli_env["data"]), "--model", model, "--out", str(out),
+                 "--gallery-count", "2"]) == 0
+    assert (out / "metrics_128.json").is_file()
+    assert "error:" not in capsys.readouterr().err
+
+
+# -- one parser per process ---------------------------------------------------------
+
+SRC = str(Path(dorsalhash.__file__).resolve().parents[1])
+
+
+def run_in_process(argv, capsys) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one main(argv) call in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_fresh_process(argv) -> tuple[int, str, str]:
+    """The same for ``python -m dorsalhash.cli`` in a new interpreter."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "dorsalhash.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cached_parser_keeps_no_state_between_calls(cli_env, tmp_path, capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    # Help wraps at the terminal width; pin it for both processes.
+    monkeypatch.setenv("COLUMNS", "100")
+    store = str(tmp_path / "store")
+    cfg = tmp_path / "threshold.cfg"
+    cfg.write_text("threshold=1.0\n", encoding="utf-8")
+    imgs = [str(cli_env["data"] / "s02" / f"img{i:02d}.pgm") for i in range(2)]
+    base = ["--model", str(cli_env["model"]), "--store", store, "--user", "s02"]
+    verify = ["verify", *base, "--image", str(cli_env["data"] / "s02" / "img03.pgm")]
+    assert main(["enroll", *base, "--images", *imgs, "--bits", "64"]) == 0
+    assert main(["revoke", *base, "--images", *imgs]) == 0
+    capsys.readouterr()
+    calls = [
+        (verify + ["--config", str(cfg), "--key-version", "1"], 1),  # v1 was revoked
+        (verify + ["--config", str(cfg)], 0),  # must not inherit --key-version
+        (verify, 1),  # must not inherit the config file's threshold
+        (["verify", *base], 2),  # no --image
+        (["verify", "--help"], 0),
+        (["--help"], 0),
+        (verify + ["--threshold", "1.0", "--key-version", "2"], 0),
+    ]
+    seen = [run_in_process(argv, capsys) for argv, _ in calls]
+    assert [code for code, _, _ in seen] == [code for _, code in calls]
+    assert " v2: " in seen[1][1] and seen[1] == seen[-1]
+    assert "needs --threshold" in seen[2][2]
+    for (argv, _), in_process in zip(calls, seen):
+        assert run_fresh_process(argv) == in_process, argv

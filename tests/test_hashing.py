@@ -105,6 +105,70 @@ def test_basis_for_key_digest_is_pinned():
     assert hashlib.blake2b(raw, digest_size=32).hexdigest() == PINNED_BASIS_BLAKE2B
 
 
+def basis_digest(matrix: np.ndarray) -> str:
+    raw = np.ascontiguousarray(matrix, dtype="<f8").tobytes()
+    return hashlib.blake2b(raw, digest_size=16).hexdigest()
+
+
+# (seed, bits, feature dim) -> digest of basis_for_key, recorded before the
+# Gram-Schmidt column loop was last reworked; every BLAS call must keep its
+# operands and layout for these to hold.
+PINNED_BASES = {
+    (1, 32, 128): "870e2cd96e8b90744d1ba959dd048934",
+    (1, 32, 256): "be36c4012e376f4c68f799176797ec25",
+    (1, 64, 128): "7b7828cd55f37dbb47bd95c898168296",
+    (1, 64, 256): "918c4aae5ec1afa776870a01f0b73cb1",
+    (1, 128, 128): "b64dd82483ddcfb617bbd8c5a585e463",
+    (1, 128, 256): "7cf33c57db435a497a75fbe0330d08d6",
+    (7, 32, 128): "a5b1f7f8b1ff14d0035cd43de263887a",
+    (7, 32, 256): "de047139716e5470b1652e42723e93b0",
+    (7, 64, 128): "d9e23c95d94da0808994836556bc4bd6",
+    (7, 64, 256): "1acfbb86d2c1e3b14bbaa5fe2bd0f71b",
+    (7, 128, 128): "a9fe0a1f693706e71e6f655abbe1aeac",
+    (7, 128, 256): "2c15eb5481124161602df71c770dfe5a",
+    (2024, 32, 128): "f321294b9561efc74747bd30f7ad1679",
+    (2024, 32, 256): "63e079f6a4329dacb9203dd0bb03df2a",
+    (2024, 64, 128): "18262af2f45ffa4d286eb4b3ceb176b8",
+    (2024, 64, 256): "8f2873f09116e0189747e426bceed955",
+    (2024, 128, 128): "a74623cff3ccfcee74fbee59764aaa42",
+    (2024, 128, 256): "09b7b03d70de0236c751711d3f4ead31",
+}
+
+
+@pytest.mark.parametrize("seed,bits,dim", sorted(PINNED_BASES))
+def test_basis_for_key_digests_across_seeds_bits_and_dims(seed, bits, dim):
+    basis = basis_for_key(UserKey(user_id="u", seed=seed, bit_length=bits), dim)
+    assert basis_digest(basis.matrix) == PINNED_BASES[seed, bits, dim]
+
+
+def nearly_dependent():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((16, 4))
+    a[:, 3] = a[:, 0] + 1e-7 * rng.standard_normal(16)
+    return a
+
+
+# (input, its (C, Fortran) contiguity, Gram-Schmidt passes, output digest)
+@pytest.mark.parametrize("make,contiguous,sweeps,pinned", [
+    (lambda: np.random.default_rng(5).standard_normal((64, 32)), (True, False), 1,
+     "0177ca5e8f9f69d6b14adb5161bf35ba"),
+    (lambda: np.eye(4)[:, :2], (False, False), 1, "4890d0cc0bd906d143487d96a5e43207"),
+    (nearly_dependent, (True, False), 2, "292f8e581ab56232205484ddc6c28168"),
+], ids=["c_ordered_64x32", "strided_eye_slice", "nearly_dependent"])
+def test_orthonormalize_digests_are_pinned(monkeypatch, make, contiguous, sweeps, pinned):
+    a = make()
+    assert (a.flags.c_contiguous, a.flags.f_contiguous) == contiguous
+    calls = []
+    sweep = hashing._sweep
+    monkeypatch.setattr(hashing, "_sweep", lambda cols: calls.append(cols) or sweep(cols))
+    q = orthonormalize(a).matrix
+    assert len(calls) == sweeps
+    if sweeps == 2:
+        first = sweep(a)
+        assert np.abs(first.T @ first - np.eye(a.shape[1])).max() > hashing.REORTH_TRIGGER
+    assert basis_digest(q) == pinned
+
+
 # -- hashing ------------------------------------------------------------------
 
 def test_projection_applies_transpose():
