@@ -53,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int)
     sp.add_argument("--out", required=True)
     sp.add_argument("--noise", type=float)
-    sp.add_argument("--modality", default="major")
 
     sp = sub.add_parser("augment", parents=[common], help="write augmented variants of one image")
     sp.add_argument("--image", required=True)
@@ -213,7 +212,7 @@ def _cmd_synth(settings: _Settings, args) -> int:
         noise_level=settings.get_float("noise", 0.05),
         seed=settings.seed,
     )
-    layout = corpus.generate_synthetic(spec, args.out, modality=args.modality)
+    layout = corpus.generate_synthetic(spec, args.out)
     total = sum(len(v) for v in layout.subjects.values())
     print(f"wrote {total} images for {len(layout.subjects)} subjects under {layout.root}")
     return EXIT_OK
@@ -311,11 +310,11 @@ def _cmd_enroll(settings: _Settings, args) -> int:
 
 
 def _cmd_verify(settings: _Settings, args) -> int:
-    model = FixedFilterNet.load(args.model)
-    vault = _vault(settings, args.store)
     threshold = args.threshold if args.threshold is not None else settings.get_float("threshold", None)
     if threshold is None:
         raise cfgmod.ConfigError("verify needs --threshold (or a threshold config key)")
+    model = FixedFilterNet.load(args.model)
+    vault = _vault(settings, args.store)
     image = _load_images(model, [args.image])[0]
     decision = vault.verify(
         image, args.user, model, float(threshold),

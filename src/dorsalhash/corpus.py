@@ -161,13 +161,12 @@ class DatasetLayout:
 
     root: Path
     subjects: dict[str, list[Path]]
-    modality: str = "major"
 
     def subject_ids(self) -> list[str]:
         return sorted(self.subjects)
 
 
-def ingest(root, modality: str = "major") -> DatasetLayout:
+def ingest(root) -> DatasetLayout:
     """Scan root/<subject>/<sample> and decode-check every sample.
 
     Subjects are the immediate subdirectories, samples their image files in
@@ -192,7 +191,7 @@ def ingest(root, modality: str = "major") -> DatasetLayout:
         if not paths:
             raise DataError(f"subject directory {sub} contains no images")
         subjects[sub.name] = paths
-    return DatasetLayout(root=rootp, subjects=subjects, modality=modality)
+    return DatasetLayout(root=rootp, subjects=subjects)
 
 
 def load_samples(layout: DatasetLayout, height: int, width: int) -> dict[str, list[np.ndarray]]:
@@ -373,7 +372,7 @@ def synthesize_sample(spec: SyntheticSpec, subject_index: int, sample_index: int
     return np.clip(shifted + spec.noise_level * noise, 0.0, 1.0)
 
 
-def generate_synthetic(spec: SyntheticSpec, out_dir, modality: str = "major") -> DatasetLayout:
+def generate_synthetic(spec: SyntheticSpec, out_dir) -> DatasetLayout:
     """Write the corpus under out_dir/<subject>/<sample>.pgm and return its
     layout.  Subject ids are s00, s01, ... and samples img00.pgm, ..."""
     out = Path(out_dir)
@@ -389,4 +388,4 @@ def generate_synthetic(spec: SyntheticSpec, out_dir, modality: str = "major") ->
             write_pgm(p, synthesize_sample(spec, si, qi))
             paths.append(p)
         subjects[sid] = paths
-    return DatasetLayout(root=out, subjects=subjects, modality=modality)
+    return DatasetLayout(root=out, subjects=subjects)

@@ -55,9 +55,8 @@ from .hashing import (
     ProjectionBasis,
     UserKey,
     basis_for_key,
-    binarize,
-    project,
     template_distance,
+    template_from_basis,
 )
 
 MODALITIES = ("major", "minor", "nail", "fused")
@@ -357,12 +356,7 @@ class TemplateVault:
             self._mark_revoked(user_id, modality, prior["key_version"], reason="superseded")
         f = np.asarray(mean_features, dtype=np.float64)
         key, basis = self.issue_key(user_id, modality, bit_length=bit_length, feature_dim=f.shape[0], seed=seed)
-        template = CancelableTemplate(
-            bits=binarize(project(f, basis)),
-            user_id=user_id,
-            key_version=key.key_version,
-            bit_length=bit_length,
-        )
+        template = template_from_basis(f, basis)
         self.templates.append({
             "kind": "enroll",
             "user_id": user_id,
@@ -427,8 +421,7 @@ class TemplateVault:
         stored = CancelableTemplate.from_hex(
             record["bits_hex"], record["user_id"], record["key_version"], record["bit_length"]
         )
-        query_bits = binarize(project(np.asarray(features, dtype=np.float64), basis))
-        return template_distance(query_bits, stored.bits)
+        return template_distance(template_from_basis(features, basis).bits, stored.bits)
 
     def revoke_and_reissue(
         self,

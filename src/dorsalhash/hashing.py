@@ -9,7 +9,18 @@ and reissuing a new seed yields a statistically independent basis, hence an
 independent template: revocation without touching the biometric.
 
 Templates are compared with a normalized Euclidean distance
-``|Q - T| / (|Q| + |T|)`` in [0, 1]; 0 means identical bit vectors.
+``|Q - T| / (|Q| + |T|)`` in [0, 1]; 0 means identical bit vectors.  On
+bit vectors it is computed from counts, ``sqrt(h) / (sqrt(q) + sqrt(t))``
+with h the Hamming distance and q, t the ones in each vector; every dot
+product of 0/1 values is an exact integer, so the two forms agree bit for
+bit.
+
+``project``, ``binarize`` and ``template_distance`` are batch-first: each
+takes one vector or an (N, .) matrix of rows, so the protocol scores every
+probe under one basis in one call through the same functions the vault
+uses for one query.  A 1-D ``project`` is a matrix-vector product and a
+2-D one a matrix product; BLAS sums them in different orders, so a row of
+the batch agrees with the single call to a few ulps, not bit for bit.
 """
 
 from __future__ import annotations
@@ -84,6 +95,17 @@ class ProjectionBasis:
         return float(np.abs(g - np.eye(self.matrix.shape[1])).max())
 
 
+def _bits(values) -> np.ndarray:
+    """Boolean form of 0/1 values; any other value is a DimensionError."""
+    a = np.asarray(values)
+    if a.ndim not in (1, 2):
+        raise DimensionError(f"bit vectors must be 1-D or 2-D, got shape {a.shape}")
+    bits = a.astype(bool)
+    if (bits != a).any():
+        raise DimensionError("bit values must be 0 or 1")
+    return bits
+
+
 @dataclass(frozen=True, eq=False)
 class CancelableTemplate:
     """The protected record: bits plus the key lineage that produced them."""
@@ -94,14 +116,12 @@ class CancelableTemplate:
     bit_length: int = field(default=0)
 
     def __post_init__(self):
-        b = np.asarray(self.bits, dtype=np.uint8)
+        b = _bits(self.bits).astype(np.uint8)
         object.__setattr__(self, "bits", b)
         if self.bit_length == 0:
             object.__setattr__(self, "bit_length", int(b.shape[0]))
         if b.ndim != 1 or b.shape[0] != self.bit_length:
             raise DimensionError(f"bits shape {b.shape} does not match bit_length {self.bit_length}")
-        if not np.isin(b, (0, 1)).all():
-            raise DimensionError("template bits must be 0 or 1")
 
     def to_hex(self) -> str:
         return np.packbits(self.bits).tobytes().hex()
@@ -162,37 +182,42 @@ def orthonormalize(vectors: np.ndarray, origin_key: UserKey | None = None) -> Pr
 
 
 def project(features: np.ndarray, basis: ProjectionBasis) -> np.ndarray:
-    """Inner products of the feature vector with every basis column."""
+    """Inner products with every basis column: (m,) for one feature vector,
+    (N, m) for an (N, M) matrix of feature rows."""
     f = np.asarray(features, dtype=np.float64)
-    if f.ndim != 1 or f.shape[0] != basis.feature_dim:
+    if f.ndim not in (1, 2) or f.shape[-1] != basis.feature_dim:
         raise DimensionError(
             f"feature shape {f.shape} does not match basis feature dim {basis.feature_dim}"
         )
-    return basis.matrix.T @ f
+    return basis.matrix.T @ f if f.ndim == 1 else f @ basis.matrix
 
 
 def binarize(projections: np.ndarray) -> np.ndarray:
     """Sign quantization: strictly positive -> 1, zero or negative -> 0."""
     p = np.asarray(projections, dtype=np.float64)
-    if p.ndim != 1:
-        raise DimensionError(f"projections must be 1-D, got shape {p.shape}")
+    if p.ndim not in (1, 2):
+        raise DimensionError(f"projections must be 1-D or 2-D, got shape {p.shape}")
     return (p > 0.0).astype(np.uint8)
 
 
-def template_distance(q_bits: np.ndarray, t_bits: np.ndarray) -> float:
-    """Normalized Euclidean distance between two bit vectors, in [0, 1].
+def template_distance(q_bits: np.ndarray, t_bits: np.ndarray):
+    """Normalized Euclidean distance between bit vectors, in [0, 1].
 
-    Undefined (raises) when both vectors are all-zero, since the
-    normalizer vanishes.
+    Either argument is one bit vector or an (N, m) matrix of rows; rows
+    pair up, and a vector pairs with every row.  Returns a float for two
+    vectors, else an (N,) array.  Undefined (raises) when a pair is
+    all-zero on both sides, since the normalizer vanishes.
     """
-    q = np.asarray(q_bits, dtype=np.float64).ravel()
-    t = np.asarray(t_bits, dtype=np.float64).ravel()
-    if q.shape != t.shape:
-        raise DimensionError(f"bit vectors differ in length: {q.shape} vs {t.shape}")
-    nq, nt = np.linalg.norm(q), np.linalg.norm(t)
-    if nq == 0.0 and nt == 0.0:
+    q, t = _bits(q_bits), _bits(t_bits)
+    if q.shape[-1] != t.shape[-1] or (q.ndim == t.ndim == 2 and q.shape != t.shape):
+        raise DimensionError(f"bit vectors differ in shape: {q.shape} vs {t.shape}")
+    hamming = np.count_nonzero(q != t, axis=-1)
+    q_ones = np.count_nonzero(q, axis=-1)
+    t_ones = np.count_nonzero(t, axis=-1)
+    if np.any((q_ones == 0) & (t_ones == 0)):
         raise UndefinedScoreError("both templates are all-zero; distance undefined")
-    return float(np.linalg.norm(q - t) / (nq + nt))
+    d = np.sqrt(hamming) / (np.sqrt(q_ones) + np.sqrt(t_ones))
+    return float(d) if np.ndim(d) == 0 else d
 
 
 def hash_features(features: np.ndarray, key: UserKey) -> CancelableTemplate:

@@ -52,7 +52,6 @@ __all__ = [
     "maxpool2",
     "maxpool2_grad",
     "DenseLayer",
-    "dense_forward",
     "softmax",
     "SgdMomentum",
 ]
@@ -109,20 +108,16 @@ def _fill_shifted(padded: np.ndarray, r0: int, rows: int, kh: int, kw: int, out:
     return views.reshape(kh * kw, rows * w)
 
 
-def conv2d(image: np.ndarray, kernels, padding: str = "replicate") -> np.ndarray:
+def conv2d(image: np.ndarray, kernels) -> np.ndarray:
     """Correlate one 2-D map with a stack of kernels, same-size output.
 
     Args:
         image: (H, W) array.
         kernels: (K, kh, kw) stack (or a single 2-D kernel); odd dims only.
-        padding: only "replicate" is supported; the argument exists so call
-            sites state the edge rule explicitly.
 
     Returns:
         (K, H, W) array; channel k is the correlation of image with kernel k.
     """
-    if padding != "replicate":
-        raise DimensionError(f"unsupported padding mode: {padding!r}")
     img = _check_map(image, "conv2d")
     stack = _as_kernel_stack(kernels)
     k, kh, kw = stack.shape
@@ -315,34 +310,11 @@ class DenseLayer:
         if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
             raise DimensionError("dense layer parameters must be finite")
 
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
 
 def softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - np.max(z)
     e = np.exp(shifted)
     return e / e.sum()
-
-
-def dense_forward(layer: DenseLayer, x: np.ndarray, activation: str = "relu") -> np.ndarray:
-    """Affine map followed by ReLU ("relu"), softmax ("softmax") or nothing ("linear")."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != layer.in_dim:
-        raise DimensionError(f"dense input shape {v.shape} does not match in_dim {layer.in_dim}")
-    z = layer.weights @ v + layer.biases
-    if activation == "relu":
-        return relu(z)
-    if activation == "softmax":
-        return softmax(z)
-    if activation == "linear":
-        return z
-    raise DimensionError(f"unknown activation {activation!r}")
 
 
 class SgdMomentum:

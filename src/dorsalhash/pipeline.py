@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rand
 from .enrollment import fuse_features
-from .errors import DataError, DimensionError, ProtocolError, UndefinedScoreError
+from .errors import DataError, DimensionError, ProtocolError
 from .evaluation import (
     DEFAULT_ROC_POINTS,
     MatchMatrix,
@@ -27,7 +27,7 @@ from .evaluation import (
     roc_grid,
     scores_from_matches,
 )
-from .hashing import UserKey, basis_for_key, binarize, project
+from .hashing import UserKey, basis_for_key, binarize, project, template_distance
 
 
 def split_gallery_probe(
@@ -67,11 +67,9 @@ def protocol_from_features(
     every template under that template's key, and compute metrics.
 
     This is the stolen-token setting: an impostor probe is projected with
-    the claimed identity's own basis.  Per gallery subject, one product
-    projects every probe at once; the distance to the template bits t of a
-    probe's bits q is ``sqrt(h) / (sqrt(|q|) + sqrt(|t|))`` with h their
-    Hamming count, which equals ``template_distance`` on 0/1 vectors bit
-    for bit.
+    the claimed identity's own basis.  Per gallery subject, one batch call
+    of ``project``, ``binarize`` and ``template_distance``, the functions
+    the vault scores with, scores every probe at once.
     """
     if len(gallery_features) < 2:
         raise ProtocolError(f"protocol needs >= 2 subjects, got {len(gallery_features)}")
@@ -95,14 +93,8 @@ def protocol_from_features(
             bit_length=bit_length,
         )
         basis = basis_for_key(key, f.shape[0])
-        bits = binarize(project(f, basis)).astype(bool)
-        q = probe_matrix @ basis.matrix > 0.0
-        q_ones = np.count_nonzero(q, axis=1)
-        t_ones = np.count_nonzero(bits)
-        if t_ones == 0 and (q_ones == 0).any():
-            raise UndefinedScoreError("both templates are all-zero; distance undefined")
-        hamming = np.count_nonzero(q != bits, axis=1)
-        distances[:, j] = np.sqrt(hamming) / (np.sqrt(q_ones) + np.sqrt(t_ones))
+        bits = binarize(project(f, basis))
+        distances[:, j] = template_distance(binarize(project(probe_matrix, basis)), bits)
 
     matches = MatchMatrix(distances=distances, probe_ids=probe_ids, gallery_ids=subjects)
     scores = scores_from_matches(matches)

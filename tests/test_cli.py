@@ -300,6 +300,14 @@ def test_verify_without_threshold_fails(cli_env, tmp_path):
     assert rc == 1
 
 
+def test_verify_checks_threshold_before_loading_the_model(cli_env, tmp_path, capsys):
+    probe = str(cli_env["data"] / "s00" / "img00.pgm")
+    rc = main(["verify", "--model", str(tmp_path / "missing.dfn"), "--store", str(tmp_path / "s"),
+               "--user", "s00", "--image", probe, *common(cli_env)])
+    assert rc == 1
+    assert "verify needs --threshold" in capsys.readouterr().err
+
+
 # -- evaluate ---------------------------------------------------------------------
 
 def test_evaluate_writes_metrics_scores_and_roc(cli_env, tmp_path, capsys):

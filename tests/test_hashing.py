@@ -247,6 +247,104 @@ def test_template_distance_properties(seed):
         assert d_ab > 0.0
 
 
+# -- batch forms --------------------------------------------------------------
+
+def norm_form_distance(q_bits, t_bits):
+    """Reference: the norm form ``|Q - T| / (|Q| + |T|)`` on float
+    vectors, which the count form must equal bit for bit."""
+    q = np.asarray(q_bits, dtype=np.float64)
+    t = np.asarray(t_bits, dtype=np.float64)
+    return float(np.linalg.norm(q - t) / (np.linalg.norm(q) + np.linalg.norm(t)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("bits", [32, 64, 128])
+def test_batch_rows_equal_single_calls(seed, bits):
+    basis = basis_for_key(key(seed=seed + 10, bits=bits), 256)
+    rng = np.random.default_rng(seed)
+    template = binarize(project(rng.standard_normal(256), basis))
+    for rows in (0, 1, 5, 33):
+        feats = rng.standard_normal((rows, 256))
+        projections = project(feats, basis)
+        assert projections.shape == (rows, bits)
+        bit_rows = binarize(projections)
+        assert bit_rows.shape == (rows, bits) and bit_rows.dtype == np.uint8
+        distances = template_distance(bit_rows, template)
+        assert distances.shape == (rows,)
+        for i in range(rows):
+            # A GEMM row and a GEMV sum in different orders: a few ulps of
+            # |f| (the basis columns have unit norm) bound the difference.
+            single = project(feats[i], basis)
+            bound = 4 * 256 * np.finfo(float).eps * np.linalg.norm(feats[i])
+            assert np.abs(projections[i] - single).max() <= bound
+            assert np.array_equal(bit_rows[i], binarize(projections[i]))
+            assert distances[i] == template_distance(bit_rows[i], template)
+            assert distances[i] == template_distance(template, bit_rows[i])
+
+
+def test_batch_distance_pairs_rows_of_two_matrices():
+    rng = np.random.default_rng(6)
+    q = rng.integers(0, 2, (7, 64)).astype(np.uint8)
+    t = rng.integers(0, 2, (7, 64)).astype(np.uint8)
+    q[:, 0] = t[:, 0] = 1
+    d = template_distance(q, t)
+    assert d.tolist() == [template_distance(a, b) for a, b in zip(q, t)]
+    with pytest.raises(DimensionError):
+        template_distance(q, t[:6])
+
+
+@pytest.mark.parametrize("case", ["random", "zero_query", "zero_template", "all_ones", "ones_vs_random"])
+@pytest.mark.parametrize("bits", [32, 64, 128])
+def test_count_form_equals_norm_form(case, bits):
+    rng = np.random.default_rng(bits)
+    for _ in range(20):
+        q = rng.integers(0, 2, bits).astype(np.uint8)
+        t = rng.integers(0, 2, bits).astype(np.uint8)
+        if case == "zero_query":
+            q[:] = 0
+        elif case == "zero_template":
+            t[:] = 0
+        elif case == "all_ones":
+            q[:] = t[:] = 1
+        elif case == "ones_vs_random":
+            q[:] = 1
+        if not q.any() and not t.any():
+            continue
+        assert template_distance(q, t) == norm_form_distance(q, t)
+
+
+@pytest.mark.parametrize("bad", [2, 0.5])
+def test_template_distance_rejects_values_other_than_bits(bad):
+    q = np.array([1, 0, 1, 0], dtype=np.float64)
+    t = np.array([1, 1, 0, 0], dtype=np.float64)
+    for args in ((np.where(q == 1, bad, q), t), (q, np.where(t == 1, bad, t))):
+        with pytest.raises(DimensionError):
+            template_distance(*args)
+    with pytest.raises(DimensionError):
+        template_distance(np.stack([q, np.where(q == 1, bad, q)]), t)
+
+
+def test_all_zero_row_against_all_zero_template_is_undefined():
+    rows = np.ones((3, 16), dtype=np.uint8)
+    rows[1] = 0
+    zero = np.zeros(16, dtype=np.uint8)
+    with pytest.raises(UndefinedScoreError):
+        template_distance(rows, zero)
+    assert template_distance(rows[[0, 2]], zero).tolist() == [1.0, 1.0]
+
+
+def test_batch_forms_reject_other_ranks():
+    basis = orthonormalize(np.eye(4)[:, :2])
+    with pytest.raises(DimensionError):
+        project(np.ones((2, 3, 4)), basis)
+    with pytest.raises(DimensionError):
+        project(np.ones((3, 5)), basis)
+    with pytest.raises(DimensionError):
+        binarize(np.ones((2, 2, 2)))
+    with pytest.raises(DimensionError):
+        template_distance(np.ones((2, 2, 2), dtype=np.uint8), np.ones(2, dtype=np.uint8))
+
+
 def test_positive_scaling_leaves_template_unchanged():
     rng = np.random.default_rng(1)
     f = rng.standard_normal(256)
@@ -283,6 +381,14 @@ def test_template_hex_round_trip():
 def test_template_rejects_non_binary_bits():
     with pytest.raises(DimensionError):
         CancelableTemplate(bits=np.array([0, 1, 2], dtype=np.uint8), user_id="u", key_version=1)
+
+
+@pytest.mark.parametrize("bits", [[0.0, 1.0, 0.5], [0, 1, 256]])
+def test_template_checks_bits_before_the_uint8_cast(bits):
+    # 0.5 and 256 both cast to 0 as uint8; the 0/1 rule of
+    # template_distance refuses them first.
+    with pytest.raises(DimensionError):
+        CancelableTemplate(bits=np.array(bits), user_id="u", key_version=1)
 
 
 def test_template_from_basis_matches_hash_features():

@@ -335,18 +335,6 @@ def test_maxpool2_grad_conserves_mass(seed):
 
 # -- dense layers -------------------------------------------------------------
 
-def test_dense_forward_linear_oracle():
-    layer = ops.DenseLayer(np.array([[1.0, 2.0], [0.0, -1.0]]), np.array([0.5, 0.0]))
-    out = ops.dense_forward(layer, np.array([3.0, 4.0]), activation="linear")
-    assert out.tolist() == [11.5, -4.0]
-
-
-def test_dense_forward_relu_clips():
-    layer = ops.DenseLayer(np.array([[1.0], [-1.0]]), np.zeros(2))
-    out = ops.dense_forward(layer, np.array([2.0]), activation="relu")
-    assert out.tolist() == [2.0, 0.0]
-
-
 def test_softmax_normalizes_and_shifts():
     z = np.array([1.0, 2.0, 3.0])
     p = ops.softmax(z)
