@@ -194,8 +194,7 @@ class _JsonlStore:
 
 def _basis_digest(matrix: np.ndarray) -> str:
     """BLAKE2b of the basis as little-endian float64 bytes, row-major."""
-    raw = np.ascontiguousarray(matrix, dtype="<f8").tobytes()
-    return hashlib.blake2b(raw, digest_size=32).hexdigest()
+    return hashlib.blake2b(np.ascontiguousarray(matrix, dtype="<f8"), digest_size=32).hexdigest()
 
 
 def _decode_basis(text: str, feature_dim: int, bit_length: int) -> np.ndarray:
@@ -247,6 +246,15 @@ class TemplateVault:
     ) -> tuple[UserKey, ProjectionBasis]:
         """Mint the next key version for (user, modality) and persist its
         seed, dimensions and the digest of its realized basis."""
+        key, basis = self._mint_key(user_id, modality, bit_length, feature_dim, seed)
+        self._append_key(modality, key, basis)
+        return key, basis
+
+    def _mint_key(
+        self, user_id: str, modality: str, bit_length: int, feature_dim: int, seed: int | None
+    ) -> tuple[UserKey, ProjectionBasis]:
+        """The next key version for (user, modality) and its basis; writes
+        nothing, so a key that fails validation leaves the stores as they were."""
         _check_modality(modality)
         prior = self._key_records(user_id, modality)
         version = 1 + max((r["key_version"] for r in prior), default=0)
@@ -256,19 +264,20 @@ class TemplateVault:
             else:
                 seed = secrets.randbits(63)
         key = UserKey(user_id=user_id, seed=int(seed), bit_length=bit_length, key_version=version)
-        basis = basis_for_key(key, feature_dim)
+        return key, basis_for_key(key, feature_dim)
+
+    def _append_key(self, modality: str, key: UserKey, basis: ProjectionBasis) -> None:
         self.keys.append({
             "kind": "key",
-            "user_id": user_id,
+            "user_id": key.user_id,
             "modality": modality,
-            "key_version": version,
+            "key_version": key.key_version,
             "seed": key.seed,
-            "bit_length": bit_length,
-            "feature_dim": feature_dim,
+            "bit_length": key.bit_length,
+            "feature_dim": basis.feature_dim,
             "basis_blake2b": _basis_digest(basis.matrix),
             "created_at": self.clock(),
         })
-        return key, basis
 
     def load_basis(self, user_id: str, modality: str, key_version: int) -> tuple[UserKey, ProjectionBasis]:
         """The key and basis of one key record.  Schema 1 reads the inlined
@@ -351,12 +360,15 @@ class TemplateVault:
         bit_length: int = 128,
         seed: int | None = None,
     ) -> CancelableTemplate:
+        # Everything that can reject the input runs before the first append,
+        # so a failed re-enroll leaves the active enrollment in place.
+        f = np.asarray(mean_features, dtype=np.float64)
+        key, basis = self._mint_key(user_id, modality, bit_length, f.shape[0], seed)
+        template = template_from_basis(f, basis)
         prior = self.active_record(user_id, modality)
         if prior is not None:
             self._mark_revoked(user_id, modality, prior["key_version"], reason="superseded")
-        f = np.asarray(mean_features, dtype=np.float64)
-        key, basis = self.issue_key(user_id, modality, bit_length=bit_length, feature_dim=f.shape[0], seed=seed)
-        template = template_from_basis(f, basis)
+        self._append_key(modality, key, basis)
         self.templates.append({
             "kind": "enroll",
             "user_id": user_id,

@@ -8,6 +8,14 @@ quantized by its sign: strictly positive -> 1, otherwise 0.  Losing the key
 and reissuing a new seed yields a statistically independent basis, hence an
 independent template: revocation without touching the biometric.
 
+Orthonormality is measured as the largest entry of ``|Q.T @ Q - I|``: the
+re-orthogonalization trigger and the basis check both read it.  It is
+formed inside the Gram matrix (1 subtracted on the diagonal, then ``abs``
+in place), which gives the same float as subtracting an identity matrix,
+so every threshold decision is what it was.  Together with the in-place
+``rand.normals``, building a basis allocates little beyond the arrays it
+returns, and no bit of any basis changes.
+
 Templates are compared with a normalized Euclidean distance
 ``|Q - T| / (|Q| + |T|)`` in [0, 1]; 0 means identical bit vectors.  On
 bit vectors it is computed from counts, ``sqrt(h) / (sqrt(q) + sqrt(t))``
@@ -75,8 +83,7 @@ class ProjectionBasis:
             raise DimensionError(f"basis must be (M, m) with M >= m, got {m.shape}")
         if not np.isfinite(m).all():
             raise DimensionError("basis contains non-finite values")
-        gram = m.T @ m
-        err = np.abs(gram - np.eye(m.shape[1])).max()
+        err = _gram_error(m)
         if err > ORTHO_TOL:
             raise DegenerateKeyError(
                 f"basis deviates from orthonormal by {err:.3e} (> {ORTHO_TOL:.0e}); reissue the key"
@@ -91,8 +98,19 @@ class ProjectionBasis:
         return self.matrix.shape[1]
 
     def orthonormality_error(self) -> float:
-        g = self.matrix.T @ self.matrix
-        return float(np.abs(g - np.eye(self.matrix.shape[1])).max())
+        return _gram_error(self.matrix)
+
+
+def _gram_error(q: np.ndarray) -> float:
+    """Largest entry of ``|q.T @ q - I|``, formed in the Gram matrix itself.
+
+    Subtracting the identity changes only the diagonal (``x - 0.0`` is
+    ``x``), so this is ``np.abs(q.T @ q - np.eye(m)).max()`` bit for bit,
+    without the identity and difference arrays.
+    """
+    g = q.T @ q
+    g.ravel()[:: g.shape[0] + 1] -= 1.0
+    return float(np.abs(g, out=g).max())
 
 
 def _bits(values) -> np.ndarray:
@@ -175,8 +193,7 @@ def orthonormalize(vectors: np.ndarray, origin_key: UserKey | None = None) -> Pr
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise DimensionError(f"need an (M, m) matrix with M >= m, got {a.shape}")
     q = _sweep(a)
-    gram = q.T @ q
-    if np.abs(gram - np.eye(q.shape[1])).max() > REORTH_TRIGGER:
+    if _gram_error(q) > REORTH_TRIGGER:
         q = _sweep(q)
     return ProjectionBasis(matrix=q, origin_key=origin_key)
 

@@ -17,6 +17,14 @@ routines, which are free to change.  The mapping pinned here is:
 
 Only the raw Philox words come from numpy; everything layered on top is
 fixed here and covered by regression tests.
+
+``normals`` runs in the buffer of raw words it draws: the shifted words
+are converted through a signed view (exact, since every one is below
+2**53) into uniforms, ``r = sqrt(-2 ln u)`` overwrites the even slots, the
+angle and then ``r * sin`` the odd ones, and the even slots are scaled by
+one cosine temporary.  These are the float operations of the formulas
+above, so the values are the formulas' bit for bit; only the throwaway
+arrays are gone.
 """
 
 from __future__ import annotations
@@ -51,15 +59,25 @@ def uniforms(seed: int, purpose: int, n: int) -> np.ndarray:
 
 
 def normals(seed: int, purpose: int, n: int) -> np.ndarray:
-    """Standard-normal doubles via Box-Muller on the uniform stream."""
+    """Standard-normal doubles via Box-Muller on the uniform stream,
+    computed in the buffer of raw words (see the module docstring)."""
     pairs = (n + 1) // 2
-    u = uniforms(seed, purpose, 2 * pairs)
-    u1, u2 = u[0::2], u[1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    ang = 2.0 * np.pi * u2
-    z = np.empty(2 * pairs, dtype=np.float64)
-    z[0::2] = r * np.cos(ang)
-    z[1::2] = r * np.sin(ang)
+    w = raw_words(seed, purpose, 2 * pairs)
+    w >>= np.uint64(11)
+    z = w.view(np.float64)
+    # Every shifted word is below 2**53, so converting it as a signed
+    # integer is exact, and faster than the unsigned conversion.
+    np.add(w.view(np.int64), 1.0, out=z)
+    z *= _TWO_NEG53
+    r, ang = z[0::2], z[1::2]
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    ang *= 2.0 * np.pi
+    cos = np.cos(ang)
+    np.sin(ang, out=ang)
+    ang *= r
+    r *= cos
     return z[:n]
 
 

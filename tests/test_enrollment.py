@@ -13,6 +13,7 @@ from dorsalhash.enrollment import (
     fuse_features,
 )
 from dorsalhash.errors import (
+    BadKeyError,
     DataError,
     DimensionError,
     NormalizationError,
@@ -117,6 +118,18 @@ class TestLifecycle:
         assert active["key_version"] == 2
         with pytest.raises(RevokedCredentialError):
             vault.verify(image, "alice", tiny_net, threshold=0.5, key_version=1)
+
+    def test_failed_reenroll_keeps_the_active_enrollment(self, vault, tiny_net, image):
+        other = np.random.default_rng(12).uniform(0.1, 0.9, image.shape)
+        vault.enroll("alice", [image], tiny_net, bit_length=64)
+        before = vault.verify(other, "alice", tiny_net, threshold=0.5)
+        stores = (vault.keys.path.read_bytes(), vault.templates.path.read_bytes())
+        with pytest.raises(BadKeyError):
+            vault.enroll_features("alice", np.ones(32), bit_length=64)
+        assert (vault.keys.path.read_bytes(), vault.templates.path.read_bytes()) == stores
+        reopened = TemplateVault(vault.keys.path, vault.templates.path, master_seed=42)
+        assert reopened.active_record("alice")["key_version"] == 1
+        assert reopened.verify(other, "alice", tiny_net, threshold=0.5) == before
 
     def test_revoke_and_reissue(self, vault, tiny_net, image):
         vault.enroll("alice", [image], tiny_net, bit_length=32)

@@ -84,6 +84,63 @@ def test_orthonormalize_rejects_wide_matrix():
         orthonormalize(np.ones((2, 8)))
 
 
+def layouts():
+    a = np.random.default_rng(3).standard_normal((96, 48))
+    return {"c": a[:64, :32].copy(), "f": np.asfortranarray(a[:64, :32]), "strided": a[::3, ::2][:, :24]}
+
+
+@pytest.mark.parametrize("layout", ["c", "f", "strided"])
+def test_orthonormalize_and_basis_leave_their_input_alone(layout):
+    a = layouts()[layout]
+    before = a.copy()
+    q = orthonormalize(a).matrix
+    assert np.array_equal(a, before)
+    # The same orthonormal values in the layout under test.
+    q_in = layouts()[layout]
+    q_in[...] = q
+    before = q_in.copy()
+    hashing.ProjectionBasis(q_in)
+    assert np.array_equal(q_in, before)
+
+
+def near_orthonormal(seed):
+    q = orthonormalize(np.random.default_rng(seed).standard_normal((64, 16))).matrix
+    return q + 1e-12 * np.random.default_rng(seed + 1).standard_normal(q.shape)
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: np.random.default_rng(s).standard_normal((40, 12)),
+    lambda s: np.asfortranarray(np.random.default_rng(s).standard_normal((40, 12))),
+    near_orthonormal,
+    lambda s: basis_for_key(key(seed=s, bits=32), 64).matrix,
+], ids=["random_c", "random_f", "near_orthonormal", "basis"])
+@pytest.mark.parametrize("seed", range(5))
+def test_gram_error_equals_the_identity_difference(make, seed):
+    q = make(seed)
+    assert hashing._gram_error(q) == np.abs(q.T @ q - np.eye(q.shape[1])).max()
+
+
+def scaled_first_entry(gram_error):
+    # Orthonormal columns whose first column has squared norm 1 + gram_error.
+    q = np.eye(6)[:, :3].copy()
+    q[0, 0] = np.sqrt(1.0 + gram_error)
+    return q
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_basis_rejects_non_finite_values(bad):
+    q = np.eye(6)[:, :3].copy()
+    q[2, 1] = bad
+    with pytest.raises(DimensionError):
+        hashing.ProjectionBasis(q)
+
+
+def test_basis_rejects_just_above_the_tolerance():
+    hashing.ProjectionBasis(scaled_first_entry(0.99 * hashing.ORTHO_TOL))
+    with pytest.raises(DegenerateKeyError):
+        hashing.ProjectionBasis(scaled_first_entry(1.01 * hashing.ORTHO_TOL))
+
+
 def test_basis_for_key_deterministic_and_validated():
     b1 = basis_for_key(key(), 256)
     b2 = basis_for_key(key(), 256)

@@ -38,6 +38,28 @@ def test_normals_match_box_muller_of_uniforms():
     assert np.array_equal(got[1::2], r * np.sin(theta))
 
 
+def reference_normals(seed, purpose, n):
+    """The pinned map as the module docstring writes it, one array per step."""
+    pairs = (n + 1) // 2
+    w = rand.raw_words(seed, purpose, 2 * pairs)
+    u = ((w >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u[0::2]))
+    ang = 2.0 * np.pi * u[1::2]
+    z = np.empty(2 * pairs, dtype=np.float64)
+    z[0::2] = r * np.cos(ang)
+    z[1::2] = r * np.sin(ang)
+    return z[:n]
+
+
+@pytest.mark.parametrize("purpose", [rand.PURPOSE_BIOHASH, rand.PURPOSE_SYNTH])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 4097, 8192, 32768])
+def test_normals_equal_the_reference_bit_for_bit(purpose, n):
+    for seed in range(50):
+        got = rand.normals(seed, purpose, n)
+        assert got.shape == (n,) and got.dtype == np.float64
+        assert np.array_equal(got, reference_normals(seed, purpose, n))
+
+
 def test_normals_odd_count():
     a = rand.normals(4, rand.PURPOSE_SYNTH, 5)
     b = rand.normals(4, rand.PURPOSE_SYNTH, 6)
