@@ -17,10 +17,26 @@ rebuilt basis does not match the digest.  Regeneration drift therefore
 fails closed.  Schema-1 key records, which inline the basis as
 ``basis_b64``, still load as written, so old and mixed stores verify.
 
+Index sidecar.  Next to each store file sits ``<file>.index`` (for example
+``keys.jsonl.index``): the byte length of the file's validated prefix, the
+BLAKE2b of that prefix, its line and record counts, and the (byte offset,
+line number) of every record, grouped by (user, modality).  Opening a store
+hashes the prefix and compares the digest with the sidecar's; only lines
+whose bytes the digest proves unchanged skip re-validation.  Lines past the
+prefix are validated in full, and the vault then parses and checks just the
+records of the (user, modality) it addresses.  Every sidecar fault -- a
+missing, torn or malformed sidecar, a length past the end of the file, a
+digest mismatch, an offset out of range or one filed under another (user,
+modality) -- falls back to a full replay, so a corrupt or edited line still
+raises ``DataError`` naming ``file:line``.  An open that validated lines
+past the sidecar rewrites it (best effort: a temporary file, then
+``os.replace``); appends never do.  The sidecar is derived data and safe to
+delete.
+
 The vault assumes a single writer.  The CLI holds an exclusive lock on
-``<store>/.lock`` across each ``enroll`` and ``revoke``; ``verify`` only
-reads.  A crash mid-append leaves an unterminated last line, which replay
-ignores and the next append cuts off.
+``<store>/.lock`` across each ``enroll`` and ``revoke``; ``verify`` writes
+no store record but may rewrite the sidecar.  A crash mid-append leaves an
+unterminated last line, which replay ignores and the next append cuts off.
 
 Timestamps come from an injectable clock.  The default is a logical
 monotone clock (epoch seconds equal to the store's record count) so that
@@ -31,6 +47,7 @@ repeated runs from one seed produce byte-identical files; pass
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
 import os
@@ -112,84 +129,257 @@ class VerificationDecision:
             raise DataError("decision flag contradicts score/threshold")
 
 
-class _JsonlStore:
-    """Append-only JSON-lines file; records are replayed at open.
+class _StaleIndex(Exception):
+    """A sidecar entry does not describe the store file."""
 
-    A final segment without a trailing newline is a torn append: replay
-    drops it and the next append truncates it away.  A corrupt line that is
+
+def _check_record(line: bytes, path: Path, line_no: int) -> dict:
+    """One store line, decoded and checked against RECORD_FIELDS and
+    FIELD_TYPES; any fault raises DataError naming ``path:line_no``."""
+    try:
+        rec = json.loads(line)
+    except ValueError as exc:
+        raise DataError(f"{path}:{line_no}: corrupt store line ({exc})") from exc
+    schema = rec.get("schema") if isinstance(rec, dict) else None
+    if schema not in READABLE_SCHEMAS:
+        raise DataError(f"{path}:{line_no}: unsupported store schema {schema!r}")
+    fields = RECORD_FIELDS.get((rec.get("kind"), schema))
+    if fields is None:
+        raise DataError(f"{path}:{line_no}: unknown record kind {rec.get('kind')!r}")
+    missing = [f for f in fields if f not in rec]
+    if missing:
+        raise DataError(f"{path}:{line_no}: {rec['kind']} record lacks {', '.join(missing)}")
+    for f in fields:
+        want = FIELD_TYPES[f]
+        if not isinstance(rec[f], want) or isinstance(rec[f], bool):
+            raise DataError(
+                f"{path}:{line_no}: {rec['kind']} record field {f} must be "
+                f"{want.__name__}, got {rec[f]!r}"
+            )
+    if rec["kind"] == "enroll":
+        digits = 2 * -(-rec["bit_length"] // 8)
+        if len(rec["bits_hex"]) != digits or not _HEX.fullmatch(rec["bits_hex"]):
+            raise DataError(
+                f"{path}:{line_no}: enroll record field bits_hex must be "
+                f"{digits} hex digits, got {rec['bits_hex']!r}"
+            )
+    return rec
+
+
+class _JsonlStore:
+    """Append-only JSON-lines file, read one (user, modality) at a time.
+
+    Open checks the file against its sidecar, then validates and indexes
+    the lines the sidecar does not vouch for (see the module docstring).
+    ``group`` parses and checks the records of one (user, modality) on
+    first use, from the byte offsets the sidecar and the open recorded;
+    appends keep the parsed groups current.  ``records`` replays the whole
+    file.
+
+    A final segment without a trailing newline is a torn append: it is not
+    indexed, and the next append truncates it away.  A corrupt line that is
     terminated raises, wherever it sits, and so does a record of unknown
     kind, one that lacks a field listed in RECORD_FIELDS, or one whose
     field has another type than FIELD_TYPES gives (a JSON boolean is not
     an int), or an enroll record whose bits_hex is not the hex of
     bit_length bits.
+
+    The sidecar is one JSON header line -- ``length`` and ``blake2b`` of
+    the vouched prefix, its ``lines`` and ``records``, and the ``body``
+    size -- followed by one line per (user, modality),
+    ``[user, modality, [offset, line], ...]``.  A lookup finds its line
+    with a byte search, so an open builds nothing per user.
     """
 
     def __init__(self, path):
         self.path = Path(path)
-        self.records: list[dict] = []
-        self._line_nos: list[int] = []  # file line of each record
-        self._lines = 0  # terminated lines in the file
-        self._end = None  # byte length of the terminated lines, if a torn tail follows
-        if not self.path.exists():
+        self._index_path = self.path.with_name(self.path.name + ".index")
+        self._open(use_index=True)
+
+    def _open(self, use_index: bool) -> None:
+        """Read the file and index its terminated lines; with use_index,
+        skip validating the prefix that a sound sidecar vouches for."""
+        self._data = b""
+        self._end = 0  # byte length of the terminated lines
+        self._torn = False  # an unterminated segment follows them
+        self._lines = 0  # terminated lines, then lines appended
+        self._count = 0  # records
+        self._vouched = 0  # leading bytes validated only by the sidecar's digest
+        self._body = b"\n"  # the sidecar's group lines, each after a newline
+        self._validated: dict[tuple[str, str], list] = {}  # [[offset, line], ...] of lines this open checked
+        self._groups: dict[tuple[str, str], tuple[list[dict], list[int]]] = {}  # parsed: records, lines
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
             return
-        data = self.path.read_bytes()
-        end = data.rfind(b"\n") + 1
-        if end < len(data):
-            self._end = end
-        lines = data[:end].split(b"\n")[:-1]
-        self._lines = len(lines)
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
+        self._data = data
+        self._end = data.rfind(b"\n") + 1
+        self._torn = self._end < len(data)
+        digest = self._read_index() if use_index else hashlib.blake2b(digest_size=32)
+        try:
+            self._index_lines()
+            if self._end > self._vouched:
+                digest.update(memoryview(data)[self._vouched:self._end])
+                self._write_index(digest.hexdigest())
+        except (DataError, _StaleIndex):
+            if not self._vouched:
+                raise
+            self._open(use_index=False)  # a bad line is reported under its own number
+
+    def _read_index(self):
+        """Take over a sound sidecar's counts and group lines, and return
+        the BLAKE2b of the prefix it vouches for; an empty hash if there is
+        no sound sidecar."""
+        data = self._data
+        try:
+            side = self._index_path.read_bytes()
+            cut = side.index(b"\n")
+            head = json.loads(side[:cut])
+            sound = (
+                type(head) is dict
+                and all(type(head.get(f)) is int for f in ("length", "lines", "records", "body"))
+                and type(head.get("blake2b")) is str
+                and 0 < head["length"] <= self._end and data[head["length"] - 1] == 0x0A
+                and head["body"] == len(side) - cut
+            )
+        except (OSError, ValueError):
+            sound = False
+        if sound:
+            length = head["length"]
+            digest = hashlib.blake2b(memoryview(data)[:length], digest_size=32)
+            if digest.hexdigest() == head["blake2b"]:
+                self._vouched, self._lines, self._count = length, head["lines"], head["records"]
+                self._body = side[cut:]
+                return digest
+        return hashlib.blake2b(digest_size=32)
+
+    def _index_lines(self) -> None:
+        """Validate and index the terminated lines after the vouched prefix."""
+        pos = self._vouched
+        for line in self._data[pos:self._end].split(b"\n")[:-1]:
+            self._lines += 1
+            if line.strip():
+                rec = _check_record(line, self.path, self._lines)
+                self._validated.setdefault((rec["user_id"], rec["modality"]), []).append([pos, self._lines])
+                self._count += 1
+            pos += len(line) + 1
+
+    def _find(self, key: tuple[str, str]) -> tuple[int, int] | None:
+        """Span of key's group line in the sidecar body, from the newline
+        before it to the one after it."""
+        start = self._body.find(b"\n" + json.dumps(list(key), separators=(",", ":")).encode()[:-1] + b",")
+        if start < 0:
+            return None
+        stop = self._body.find(b"\n", start + 1)
+        if stop < 0:
+            raise _StaleIndex
+        return start, stop
+
+    def _entries(self, key: tuple[str, str]) -> list:
+        """[[offset, line], ...] of key's records, vouched ones first."""
+        span = self._find(key)
+        vouched = []
+        if span:
             try:
-                rec = json.loads(line)
+                vouched = json.loads(self._body[span[0] + 1:span[1]])[2:]
             except ValueError as exc:
-                raise DataError(f"{self.path}:{line_no}: corrupt store line ({exc})") from exc
-            schema = rec.get("schema") if isinstance(rec, dict) else None
-            if schema not in READABLE_SCHEMAS:
-                raise DataError(f"{self.path}:{line_no}: unsupported store schema {schema!r}")
-            fields = RECORD_FIELDS.get((rec.get("kind"), schema))
-            if fields is None:
-                raise DataError(f"{self.path}:{line_no}: unknown record kind {rec.get('kind')!r}")
-            missing = [f for f in fields if f not in rec]
-            if missing:
-                raise DataError(f"{self.path}:{line_no}: {rec['kind']} record lacks {', '.join(missing)}")
-            for f in fields:
-                want = FIELD_TYPES[f]
-                if not isinstance(rec[f], want) or isinstance(rec[f], bool):
-                    raise DataError(
-                        f"{self.path}:{line_no}: {rec['kind']} record field {f} must be "
-                        f"{want.__name__}, got {rec[f]!r}"
-                    )
-            if rec["kind"] == "enroll":
-                digits = 2 * -(-rec["bit_length"] // 8)
-                if len(rec["bits_hex"]) != digits or not _HEX.fullmatch(rec["bits_hex"]):
-                    raise DataError(
-                        f"{self.path}:{line_no}: enroll record field bits_hex must be "
-                        f"{digits} hex digits, got {rec['bits_hex']!r}"
-                    )
-            self.records.append(rec)
-            self._line_nos.append(line_no)
+                raise _StaleIndex from exc
+        return vouched + self._validated.get(key, [])
+
+    def _write_index(self, digest: str) -> None:
+        """Best-effort sidecar for the terminated lines: the group lines of
+        keys this open validated lines for are rewritten, the rest are
+        kept as they are.  A failed write only means the next open
+        validates those lines again."""
+        new = [json.dumps([*key, *self._entries(key)], separators=(",", ":")) for key in self._validated]
+        kept, pos = [], 0
+        for start, stop in sorted(filter(None, map(self._find, self._validated))):
+            kept.append(self._body[pos:start])
+            pos = stop
+        body = b"".join(kept) + self._body[pos:] + "".join(line + "\n" for line in new).encode()
+        head = {"length": self._end, "blake2b": digest, "lines": self._lines, "records": self._count,
+                "body": len(body)}
+        tmp = self._index_path.with_name(f"{self._index_path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_bytes(json.dumps(head, separators=(",", ":")).encode() + body)
+            os.replace(tmp, self._index_path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
+
+    def _group(self, key: tuple[str, str]) -> tuple[list[dict], list[int]]:
+        group = self._groups.get(key)
+        if group is None:
+            try:
+                group = self._parse(key)
+            except (_StaleIndex, DataError):
+                if not self._vouched:
+                    raise
+                self._open(use_index=False)
+                return self._group(key)
+            self._groups[key] = group
+        return group
+
+    def _parse(self, key: tuple[str, str]) -> tuple[list[dict], list[int]]:
+        """Decode and check the indexed lines of one (user, modality).  An
+        entry that is not the start of a later line of that (user,
+        modality) than the entry before it is stale."""
+        data, end = self._data, self._end
+        records, line_nos = [], []
+        prev = -1
+        for entry in self._entries(key):
+            if not (type(entry) is list and len(entry) == 2 and all(type(x) is int for x in entry)):
+                raise _StaleIndex
+            offset, line_no = entry
+            if not (prev < offset < end and (offset == 0 or data[offset - 1] == 0x0A)):
+                raise _StaleIndex
+            rec = _check_record(data[offset:data.index(b"\n", offset)], self.path, line_no)
+            if (rec["user_id"], rec["modality"]) != key:
+                raise _StaleIndex
+            records.append(rec)
+            line_nos.append(line_no)
+            prev = offset
+        return records, line_nos
+
+    def group(self, user_id: str, modality: str) -> list[dict]:
+        """The records of (user_id, modality), in file order."""
+        return self._group((user_id, modality))[0]
+
+    @property
+    def records(self) -> list[dict]:
+        """Every record, in file order; replays the whole file."""
+        if self._vouched:
+            self._open(use_index=False)
+        numbered = [
+            (n, r)
+            for key in {*self._validated, *self._groups}
+            for r, n in zip(*self._group(key))
+        ]
+        return [r for _, r in sorted(numbered, key=lambda e: e[0])]
 
     def append(self, record: dict) -> None:
         rec = dict(record, schema=STORE_SCHEMA)
+        # Parse the group first: a fallback replay re-reads the file, which
+        # must not hold this record yet.
+        records, line_nos = self._group((rec["user_id"], rec["modality"]))
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self._end is not None:
+        if self._torn:
             os.truncate(self.path, self._end)
-            self._end = None
+            self._torn = False
         with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-        self.records.append(rec)
         self._lines += 1
-        self._line_nos.append(self._lines)
+        self._count += 1
+        records.append(rec)
+        line_nos.append(self._lines)
 
     def where(self, record: dict) -> str:
         """``file:line`` of one of this store's records."""
-        i = next(i for i, r in enumerate(self.records) if r is record)
-        return f"{self.path}:{self._line_nos[i]}"
+        records, line_nos = self._group((record["user_id"], record["modality"]))
+        return f"{self.path}:{next(n for r, n in zip(records, line_nos) if r is record)}"
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._count
 
 
 def _basis_digest(matrix: np.ndarray) -> str:
@@ -231,10 +421,7 @@ class TemplateVault:
     # -- key store ---------------------------------------------------------
 
     def _key_records(self, user_id: str, modality: str) -> list[dict]:
-        return [
-            r for r in self.keys.records
-            if r["kind"] == "key" and r["user_id"] == user_id and r["modality"] == modality
-        ]
+        return [r for r in self.keys.group(user_id, modality) if r["kind"] == "key"]
 
     def issue_key(
         self,
@@ -303,16 +490,10 @@ class TemplateVault:
     # -- template store ----------------------------------------------------
 
     def _enrollments(self, user_id: str, modality: str) -> list[dict]:
-        return [
-            r for r in self.templates.records
-            if r["kind"] == "enroll" and r["user_id"] == user_id and r["modality"] == modality
-        ]
+        return [r for r in self.templates.group(user_id, modality) if r["kind"] == "enroll"]
 
     def _revoked_versions(self, user_id: str, modality: str) -> set[int]:
-        return {
-            r["key_version"] for r in self.templates.records
-            if r["kind"] == "revoke" and r["user_id"] == user_id and r["modality"] == modality
-        }
+        return {r["key_version"] for r in self.templates.group(user_id, modality) if r["kind"] == "revoke"}
 
     def active_record(self, user_id: str, modality: str = "major") -> dict | None:
         revoked = self._revoked_versions(user_id, modality)
@@ -346,11 +527,8 @@ class TemplateVault:
         under a freshly issued key.  Any previously active enrollment for
         (user, modality) is marked revoked (superseded)."""
         _check_modality(modality)
-        imgs = list(images)
-        if not imgs:
-            raise DataError(f"enrollment for {user_id!r} needs at least one image")
-        feats = model.extract_features(imgs)
-        return self.enroll_features(user_id, feats.mean(axis=0), modality=modality, bit_length=bit_length, seed=seed)
+        features = _mean_features(user_id, images, model)
+        return self.enroll_features(user_id, features, modality=modality, bit_length=bit_length, seed=seed)
 
     def enroll_features(
         self,
@@ -360,14 +538,27 @@ class TemplateVault:
         bit_length: int = 128,
         seed: int | None = None,
     ) -> CancelableTemplate:
-        # Everything that can reject the input runs before the first append,
-        # so a failed re-enroll leaves the active enrollment in place.
+        return self._replace_active(user_id, mean_features, modality, bit_length, seed, reason="superseded")
+
+    def _replace_active(
+        self,
+        user_id: str,
+        mean_features: np.ndarray,
+        modality: str,
+        bit_length: int,
+        seed: int | None,
+        reason: str,
+    ) -> CancelableTemplate:
+        """Enroll under the next key version, marking the active enrollment
+        (if any) revoked for ``reason``.  Everything that can reject the
+        input runs before the first append, so a failed call leaves the
+        active enrollment in place."""
         f = np.asarray(mean_features, dtype=np.float64)
         key, basis = self._mint_key(user_id, modality, bit_length, f.shape[0], seed)
         template = template_from_basis(f, basis)
         prior = self.active_record(user_id, modality)
         if prior is not None:
-            self._mark_revoked(user_id, modality, prior["key_version"], reason="superseded")
+            self._mark_revoked(user_id, modality, prior["key_version"], reason=reason)
         self._append_key(modality, key, basis)
         self.templates.append({
             "kind": "enroll",
@@ -445,21 +636,30 @@ class TemplateVault:
     ) -> CancelableTemplate:
         """Invalidate the active enrollment and re-enroll under a new key
         (next version, fresh seed).  The old record stays on file, marked
-        revoked."""
+        revoked.  Features, key and template are made before the revoke is
+        appended, so a reissue that fails leaves the old enrollment active."""
         _check_modality(modality)
         record = self.active_record(user_id, modality)
         if record is None:
             if self._enrollments(user_id, modality):
                 raise RevokedCredentialError(f"all enrollments for {user_id!r}/{modality} already revoked")
             raise UnknownIdentityError(f"no enrollment for {user_id!r}/{modality}")
-        self._mark_revoked(user_id, modality, record["key_version"], reason="revoked")
         bits = bit_length if bit_length is not None else record["bit_length"]
-        return self.enroll(user_id, images, model, modality=modality, bit_length=bits)
+        features = _mean_features(user_id, images, model)
+        return self._replace_active(user_id, features, modality, bits, None, reason="revoked")
 
 
 def _check_modality(modality: str) -> None:
     if modality not in MODALITIES:
         raise DataError(f"modality must be one of {MODALITIES}, got {modality!r}")
+
+
+def _mean_features(user_id: str, images, model) -> np.ndarray:
+    """Mean feature vector of one user's enrollment images."""
+    imgs = list(images)
+    if not imgs:
+        raise DataError(f"enrollment for {user_id!r} needs at least one image")
+    return model.extract_features(imgs).mean(axis=0)
 
 
 def fuse_features(vectors) -> np.ndarray:

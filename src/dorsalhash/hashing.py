@@ -9,10 +9,11 @@ and reissuing a new seed yields a statistically independent basis, hence an
 independent template: revocation without touching the biometric.
 
 Orthonormality is measured as the largest entry of ``|Q.T @ Q - I|``: the
-re-orthogonalization trigger and the basis check both read it.  It is
-formed inside the Gram matrix (1 subtracted on the diagonal, then ``abs``
-in place), which gives the same float as subtracting an identity matrix,
-so every threshold decision is what it was.  Together with the in-place
+re-orthogonalization trigger and the basis check both read it, and
+``orthonormalize`` forms it once per sweep.  It is formed inside the Gram
+matrix (1 subtracted on the diagonal, then ``abs`` in place), which gives
+the same float as subtracting an identity matrix, so every threshold
+decision is what it was.  Together with the in-place
 ``rand.normals``, building a basis allocates little beyond the arrays it
 returns, and no bit of any basis changes.
 
@@ -34,7 +35,7 @@ the batch agrees with the single call to a few ulps, not bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -71,19 +72,25 @@ class UserKey:
 
 @dataclass(frozen=True, eq=False)
 class ProjectionBasis:
-    """Orthonormal basis columns; validated on construction."""
+    """Orthonormal basis columns; validated on construction.
+
+    ``orthonormalize`` passes ``_gram_err``, the error it has just measured
+    on this very matrix, so the check does not form the Gram product again;
+    any other caller leaves it unset and the basis measures itself.
+    """
 
     matrix: np.ndarray  # (M, m), columns orthonormal
     origin_key: UserKey | None = None
+    _gram_err: InitVar[float | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _gram_err):
         m = np.asarray(self.matrix, dtype=np.float64)
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] < m.shape[1]:
             raise DimensionError(f"basis must be (M, m) with M >= m, got {m.shape}")
         if not np.isfinite(m).all():
             raise DimensionError("basis contains non-finite values")
-        err = _gram_error(m)
+        err = _gram_error(m) if _gram_err is None else _gram_err
         if err > ORTHO_TOL:
             raise DegenerateKeyError(
                 f"basis deviates from orthonormal by {err:.3e} (> {ORTHO_TOL:.0e}); reissue the key"
@@ -187,15 +194,18 @@ def _sweep(cols: np.ndarray) -> np.ndarray:
 def orthonormalize(vectors: np.ndarray, origin_key: UserKey | None = None) -> ProjectionBasis:
     """Classical Gram-Schmidt over the columns, with one conditional
     re-orthogonalization pass if any off-diagonal inner product exceeds
-    REORTH_TRIGGER after the first sweep.
+    REORTH_TRIGGER after the first sweep.  The error is formed once per
+    sweep, and the last one is what the returned basis is checked against.
     """
     a = np.asarray(vectors, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise DimensionError(f"need an (M, m) matrix with M >= m, got {a.shape}")
     q = _sweep(a)
-    if _gram_error(q) > REORTH_TRIGGER:
+    err = _gram_error(q)
+    if err > REORTH_TRIGGER:
         q = _sweep(q)
-    return ProjectionBasis(matrix=q, origin_key=origin_key)
+        err = _gram_error(q)
+    return ProjectionBasis(matrix=q, origin_key=origin_key, _gram_err=err)
 
 
 def project(features: np.ndarray, basis: ProjectionBasis) -> np.ndarray:

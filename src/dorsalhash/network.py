@@ -14,6 +14,7 @@ hashing side of the package.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -352,7 +353,7 @@ class FixedFilterNet:
             raise ModelFormatError(f"{path}: checksum mismatch, file is corrupt")
         payload.flags.writeable = False
         config, layout = _parse_header(path, header_bytes)
-        declared = sum(int(np.prod(shape)) for shape in layout.values())
+        declared = sum(math.prod(shape) for shape in layout.values())
         if declared != payload.size:
             raise ModelFormatError(
                 f"{path}: header declares {8 * declared} payload bytes, file holds {payload_len}"
@@ -360,7 +361,7 @@ class FixedFilterNet:
         loaded: dict[str, np.ndarray] = {}
         offset = 0
         for name, shape in layout.items():
-            n = int(np.prod(shape))
+            n = math.prod(shape)
             loaded[name] = payload[offset:offset + n].reshape(shape)
             offset += n
         return cls(

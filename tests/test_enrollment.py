@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from dorsalhash import enrollment
 from dorsalhash.enrollment import (
     LogicalClock,
     TemplateVault,
@@ -126,6 +127,18 @@ class TestLifecycle:
         stores = (vault.keys.path.read_bytes(), vault.templates.path.read_bytes())
         with pytest.raises(BadKeyError):
             vault.enroll_features("alice", np.ones(32), bit_length=64)
+        assert (vault.keys.path.read_bytes(), vault.templates.path.read_bytes()) == stores
+        reopened = TemplateVault(vault.keys.path, vault.templates.path, master_seed=42)
+        assert reopened.active_record("alice")["key_version"] == 1
+        assert reopened.verify(other, "alice", tiny_net, threshold=0.5) == before
+
+    def test_failed_reissue_keeps_the_active_enrollment(self, vault, tiny_net, image):
+        other = np.random.default_rng(12).uniform(0.1, 0.9, image.shape)
+        vault.enroll("alice", [image], tiny_net, bit_length=64)
+        before = vault.verify(other, "alice", tiny_net, threshold=0.5)
+        stores = (vault.keys.path.read_bytes(), vault.templates.path.read_bytes())
+        with pytest.raises(DataError, match="at least one image"):
+            vault.revoke_and_reissue("alice", [], tiny_net)
         assert (vault.keys.path.read_bytes(), vault.templates.path.read_bytes()) == stores
         reopened = TemplateVault(vault.keys.path, vault.templates.path, master_seed=42)
         assert reopened.active_record("alice")["key_version"] == 1
@@ -277,6 +290,180 @@ class TestStore:
         p.write_text('not json\n{"schema":2,"ki')
         with pytest.raises(DataError):
             TemplateVault(p, tmp_path / "t.jsonl")
+
+
+def _sidecar(path):
+    return path.with_name(path.name + ".index")
+
+
+def _edit_sidecar(path, edit):
+    """Apply edit(head, groups) to a sidecar and write it back whole: a
+    header line, then one compact JSON line per (user, modality)."""
+    head, *groups = [json.loads(line) for line in _sidecar(path).read_text().splitlines()]
+    edit(head, groups)
+    body = "\n" + "".join(json.dumps(g, separators=(",", ":")) + "\n" for g in groups)
+    head["body"] = len(body)
+    _sidecar(path).write_text(json.dumps(head) + body)
+
+
+def _entries(groups, user):
+    return next(g for g in groups if g[0] == user)[2:]
+
+
+def _swap_alice_and_bob(head, groups):
+    alice, bob = (next(g for g in groups if g[0] == user) for user in ("alice", "bob"))
+    alice[2:], bob[2:] = bob[2:], alice[2:]
+
+
+def _set_first_offset(user, offset):
+    return lambda head, groups: _entries(groups, user)[0].__setitem__(0, offset)
+
+
+def _cut_below_the_sidecar(keys, templates):
+    length = json.loads(_sidecar(templates).read_text().splitlines()[0])["length"]
+    data = templates.read_bytes()
+    templates.write_bytes(data[:data.rfind(b"\n", 0, length - 1) + 1])
+
+
+def _flip_a_bit_of_alice(keys, templates):
+    # A same-length edit of a line the sidecar covers: still a valid
+    # record, so only the digest can tell the sidecar is stale.
+    lines = templates.read_bytes().split(b"\n")
+    i = next(i for i, line in enumerate(lines) if b'"alice"' in line and b'"enroll"' in line)
+    rec = json.loads(lines[i])
+    rec["bits_hex"] = f"{int(rec['bits_hex'], 16) ^ 1:0{len(rec['bits_hex'])}x}"
+    lines[i] = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+    templates.write_bytes(b"\n".join(lines))
+
+
+SIDECAR_FAULTS = {
+    "none": lambda k, t: None,
+    "deleted": lambda k, t: (_sidecar(k).unlink(), _sidecar(t).unlink()),
+    "torn": lambda k, t: _sidecar(t).write_bytes(_sidecar(t).read_bytes()[:20]),
+    "cut_at_a_line_end": lambda k, t: _sidecar(k).write_bytes(
+        _sidecar(k).read_bytes()[:_sidecar(k).read_bytes().rindex(b"\n", 0, -1) + 1]),
+    "not_json": lambda k, t: _sidecar(k).write_text("not json"),
+    "header_not_an_object": lambda k, t: _sidecar(t).write_text("[]\n"),
+    "wrong_types": lambda k, t: _edit_sidecar(t, lambda h, g: h.update(length=str(h["length"]))),
+    "digest_mismatch": lambda k, t: _edit_sidecar(k, lambda h, g: h.update(blake2b="00" * 32)),
+    "length_past_the_file": lambda k, t: _edit_sidecar(t, lambda h, g: h.update(length=t.stat().st_size + 10)),
+    "store_cut_below_the_sidecar": _cut_below_the_sidecar,
+    "prefix_line_edited": _flip_a_bit_of_alice,
+    "offset_out_of_range": lambda k, t: _edit_sidecar(t, _set_first_offset("alice", 10**9)),
+    "offset_negative": lambda k, t: _edit_sidecar(k, _set_first_offset("bob", -1)),
+    "offset_inside_a_line": lambda k, t: _edit_sidecar(t, _set_first_offset("bob", 1)),
+    "offsets_filed_under_another_user": lambda k, t: (_edit_sidecar(k, _swap_alice_and_bob),
+                                                      _edit_sidecar(t, _swap_alice_and_bob)),
+}
+
+INDEXED_PAIRS = [("alice", "major"), ("bob", "major"), ("carol", "minor"), ("dave", "major"), ("nobody", "major")]
+
+
+@pytest.fixture
+def indexed(tmp_path, tiny_net, image):
+    """Two stores whose sidecars cover every line but a tail: alice
+    re-enrolled, bob reissued, carol on another modality, and dave enrolled
+    after the sidecars were written."""
+    rng = np.random.default_rng(21)
+    dim = tiny_net.feature_dim
+    v = TemplateVault(tmp_path / "keys.jsonl", tmp_path / "templates.jsonl", master_seed=5)
+    for user, modality in [("alice", "major"), ("bob", "major"), ("carol", "minor"), ("alice", "major")]:
+        v.enroll_features(user, rng.standard_normal(dim), modality=modality, bit_length=32)
+    v.revoke_and_reissue("bob", [image], tiny_net)
+    assert not _sidecar(v.keys.path).exists()  # appends never write it
+    v = TemplateVault(v.keys.path, v.templates.path, master_seed=5)
+    assert _sidecar(v.keys.path).exists() and _sidecar(v.templates.path).exists()
+    v.enroll_features("dave", rng.standard_normal(dim), bit_length=32)
+    return v.keys.path, v.templates.path
+
+
+def _answers(keys, templates, net, image):
+    vault = TemplateVault(keys, templates, master_seed=5)
+    out = [len(vault.keys), len(vault.templates)]
+    for user, modality in INDEXED_PAIRS:
+        out += [vault.active_record(user, modality), vault._key_records(user, modality)]
+        try:
+            out.append(vault.verify(image, user, net, threshold=0.5, modality=modality))
+        except (UnknownIdentityError, RevokedCredentialError) as exc:
+            out.append(type(exc))
+    return out
+
+
+class TestIndexSidecar:
+    @pytest.mark.parametrize("fault", SIDECAR_FAULTS.values(), ids=SIDECAR_FAULTS.keys())
+    def test_indexed_open_answers_as_a_full_replay(self, indexed, tiny_net, image, fault):
+        keys, templates = indexed
+        fault(keys, templates)
+        got = _answers(keys, templates, tiny_net, image)
+        # Each open validated lines past its sidecar, so it rewrote it.
+        for path in (keys, templates):
+            assert json.loads(_sidecar(path).read_text().splitlines()[0])["length"] == path.stat().st_size
+        for path in (keys, templates):
+            _sidecar(path).unlink()
+        assert got == _answers(keys, templates, tiny_net, image)
+
+    def test_edited_line_inside_the_indexed_prefix_raises(self, indexed):
+        keys, templates = indexed
+        data = templates.read_bytes()
+        first = data[:data.index(b"\n")]
+        rec = json.loads(first)
+        edited = json.dumps(dict(rec, bits_hex="zz" * 4), sort_keys=True, separators=(",", ":")).encode()
+        assert len(edited) == len(first)
+        templates.write_bytes(edited + data[len(first):])
+        with pytest.raises(DataError, match="templates.jsonl:1: .*bits_hex"):
+            TemplateVault(keys, templates)
+
+    def test_unwritable_sidecar_is_skipped(self, indexed, tiny_net, image):
+        keys, templates = indexed
+        for path in (keys, templates):
+            _sidecar(path).unlink()
+            _sidecar(path).mkdir()  # os.replace onto a directory fails
+        got = _answers(keys, templates, tiny_net, image)
+        for path in (keys, templates):
+            _sidecar(path).rmdir()
+        assert got == _answers(keys, templates, tiny_net, image)
+        assert not list(keys.parent.glob("*.tmp"))
+
+    def test_open_decodes_only_the_addressed_users_and_the_tail(self, tmp_path, monkeypatch):
+        users = 10_000
+        keys, templates = tmp_path / "keys.jsonl", tmp_path / "templates.jsonl"
+
+        def lineage(u, version=1):
+            return {"user_id": f"u{u:05d}", "modality": "major", "key_version": version, "schema": 2,
+                    "created_at": "1970-01-01T00:00:00+00:00"}
+
+        def key(u, version=1):
+            return {**lineage(u, version), "kind": "key", "seed": u, "bit_length": 128, "feature_dim": 256,
+                    "basis_blake2b": "00" * 32}
+
+        def enroll(u, version=1):
+            return {**lineage(u, version), "kind": "enroll", "bit_length": 128, "bits_hex": f"{u + version:032x}"}
+
+        keys.write_text(_dump(key(u) for u in range(users)))
+        templates.write_text(_dump(enroll(u) for u in range(users)))
+        TemplateVault(keys, templates)  # replays both stores in full and writes their sidecars
+        tails = {keys: [key(7, 2)], templates: [dict(lineage(7), kind="revoke"), enroll(7, 2)]}
+        for path, records in tails.items():
+            with open(path, "a") as fh:
+                fh.write(_dump(records))
+        # active_record reads the template store only; the key store's tail
+        # is validated at open.
+        addressed = {line for line in templates.read_bytes().splitlines()
+                     if b'"u00007"' in line or b'"u09999"' in line}
+        addressed |= set(_dump(tails[keys]).encode().splitlines())
+
+        decoded = []
+        loads = json.loads
+        monkeypatch.setattr(enrollment.json, "loads", lambda s, *a, **kw: decoded.append(s) or loads(s, *a, **kw))
+        vault = TemplateVault(keys, templates)
+        assert vault.active_record("u00007")["bits_hex"] == f"{9:032x}"
+        assert vault.active_record("u09999")["bits_hex"] == f"{10000:032x}"
+        monkeypatch.undo()
+
+        lines = [bytes(s) for s in decoded if b'"kind":' in s]  # not a sidecar line
+        assert set(lines) == addressed
+        assert len(lines) < 2 * len(addressed)
+        assert (len(vault.keys), len(vault.templates)) == (users + 1, users + 2)
 
 
 class TestDerivedBasis:

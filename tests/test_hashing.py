@@ -226,6 +226,51 @@ def test_orthonormalize_digests_are_pinned(monkeypatch, make, contiguous, sweeps
     assert basis_digest(q) == pinned
 
 
+@pytest.fixture
+def gram_calls(monkeypatch):
+    calls = []
+    gram = hashing._gram_error
+    monkeypatch.setattr(hashing, "_gram_error", lambda q: calls.append(q.shape) or gram(q))
+    return calls
+
+
+@pytest.mark.parametrize("seed,bits,dim", [(1, 128, 256), (7, 32, 128), (2024, 64, 256)])
+def test_key_basis_forms_the_gram_error_once(gram_calls, seed, bits, dim):
+    basis = basis_for_key(UserKey(user_id="u", seed=seed, bit_length=bits), dim)
+    assert gram_calls == [(dim, bits)]
+    assert basis_digest(basis.matrix) == PINNED_BASES[seed, bits, dim]
+
+
+def test_reorthogonalized_basis_forms_the_gram_error_twice(gram_calls):
+    orthonormalize(nearly_dependent())
+    assert len(gram_calls) == 2
+
+
+def test_direct_basis_still_measures_itself(gram_calls):
+    hashing.ProjectionBasis(np.eye(6)[:, :3])
+    assert gram_calls == [(6, 3)]
+    with pytest.raises(DegenerateKeyError):
+        hashing.ProjectionBasis(scaled_first_entry(1.01 * hashing.ORTHO_TOL))
+
+
+# The sweep's arithmetic on a NaN or inf warns on its way to the check.
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_orthonormalize_rejects_non_finite_input(bad):
+    a = np.random.default_rng(3).standard_normal((16, 4))
+    a[5, 2] = bad
+    with pytest.raises(DimensionError):
+        orthonormalize(a)
+
+
+def test_orthonormalize_rejects_a_sweep_left_above_the_tolerance(monkeypatch):
+    # Both sweeps return the same matrix, off orthonormal by 10 * ORTHO_TOL:
+    # the check on the returned basis reads the error of the second sweep.
+    monkeypatch.setattr(hashing, "_sweep", lambda cols: scaled_first_entry(10 * hashing.ORTHO_TOL))
+    with pytest.raises(DegenerateKeyError):
+        orthonormalize(np.eye(6)[:, :3])
+
+
 # -- hashing ------------------------------------------------------------------
 
 def test_projection_applies_transpose():
