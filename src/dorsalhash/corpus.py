@@ -4,6 +4,16 @@ On disk a dataset is ``root/<subject_id>/<sample>.pgm``: one directory per
 subject, binary 8-bit PGM (P5) samples, lexicographic order defining the
 sample sequence.  PNG files are accepted too when Pillow is installed.
 Pixels are handled as float64 in [0, 1] everywhere past the loaders.
+
+A synthetic sample is a pure function of (spec, subject, sample): nothing
+is cached between calls, and the same arguments give the same bits in any
+order or process.  The geometry is separable: coordinates are an (h, 1)
+column of rows and a (1, w) row of columns that broadcast, so anything that
+depends on one axis only (the crease curves, the rotation terms, resize
+weights) is computed once per row or column, and only what needs both axes
+fills the grid.  Every pixel still goes through the same float operations in
+the same order as a full-grid evaluation, and ``tests/test_corpus.py`` pins
+the bits against a full-grid reference and against stored digests.
 """
 
 from __future__ import annotations
@@ -63,6 +73,8 @@ def write_pgm(path, grid: np.ndarray) -> None:
     g = np.asarray(grid, dtype=np.float64)
     if g.ndim != 2:
         raise DimensionError(f"PGM output must be 2-D, got shape {g.shape}")
+    if g.size == 0:
+        raise DimensionError(f"PGM output must be non-empty, got shape {g.shape}")
     pixels = np.clip(np.rint(g * 255.0), 0, 255).astype(np.uint8)
     h, w = pixels.shape
     with open(path, "wb") as fh:
@@ -95,21 +107,25 @@ def load_image(path) -> np.ndarray:
 def bilinear_sample(grid: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Sample grid at float coordinates with bilinear weights, edge-clamped.
 
-    Integer coordinates reproduce grid values exactly, so identity warps
-    are lossless.
+    ys and xs broadcast against each other, so a separable lookup passes an
+    (h, 1) column of rows and a (1, w) row of columns.  Integer coordinates
+    reproduce grid values exactly, so identity warps are lossless.
     """
     g = np.asarray(grid, dtype=np.float64)
     h, w = g.shape
+    flat = g.ravel()
     y = np.clip(ys, 0.0, h - 1.0)
     x = np.clip(xs, 0.0, w - 1.0)
     y0 = np.floor(y).astype(int)
     x0 = np.floor(x).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     fy = y - y0
     fx = x - x0
-    top = g[y0, x0] * (1.0 - fx) + g[y0, x1] * fx
-    bot = g[y1, x0] * (1.0 - fx) + g[y1, x1] * fx
+    gx = 1.0 - fx
+    row0 = y0 * w
+    row1 = np.minimum(y0 + 1, h - 1) * w
+    top = flat[row0 + x0] * gx + flat[row0 + x1] * fx
+    bot = flat[row1 + x0] * gx + flat[row1 + x1] * fx
     return top * (1.0 - fy) + bot * fy
 
 
@@ -127,8 +143,7 @@ def bilinear_resize(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         return g.copy()
     ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
     xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    yy, xx = np.meshgrid(ys, xs, indexing="ij")
-    return bilinear_sample(g, yy, xx)
+    return bilinear_sample(g, ys[:, None], xs[None, :])
 
 
 def _warp(grid: np.ndarray, angle_deg: float, zoom: float, shift=(0.0, 0.0), elastic=None) -> np.ndarray:
@@ -138,9 +153,8 @@ def _warp(grid: np.ndarray, angle_deg: float, zoom: float, shift=(0.0, 0.0), ela
     g = np.asarray(grid, dtype=np.float64)
     h, w = g.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    yr = yy - cy
-    xr = xx - cx
+    yr = np.arange(h, dtype=np.float64)[:, None] - cy
+    xr = np.arange(w, dtype=np.float64)[None, :] - cx
     theta = np.deg2rad(angle_deg)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     # Inverse of rotate-then-zoom: un-zoom, then rotate by -theta.
@@ -299,6 +313,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.num_subjects < 1 or self.samples_per_subject < 1:
             raise DataError("need at least one subject and one sample")
+        if self.height < 1 or self.width < 1:
+            raise DataError(f"image size must be positive, got {self.height}x{self.width}")
         if self.freq_band[1] <= self.freq_band[0] or self.freq_band[0] <= 0.0:
             raise DataError(f"bad frequency band {self.freq_band}")
         if self.noise_level < 0.0:
@@ -335,7 +351,10 @@ def subject_base_texture(spec: SyntheticSpec, subject_index: int) -> np.ndarray:
     )
     phase = 2.0 * np.pi * u[0]
 
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+    # A crease curve depends on x alone, so it and its sin are formed once
+    # per column; only the sinusoid and the Gaussian profiles fill the grid.
+    yy = np.arange(h, dtype=np.float64)[:, None]
+    xx = np.arange(w, dtype=np.float64)[None, :]
     axis = (np.cos(angle) * xx + np.sin(angle) * yy) / w
     base = 0.55 + 0.22 * np.sin(2.0 * np.pi * freq * axis + phase)
     ncrease = min(MAX_CREASES, (MAX_CREASES - 2) + int(u[1] * 3.0))
@@ -353,6 +372,8 @@ def subject_base_texture(spec: SyntheticSpec, subject_index: int) -> np.ndarray:
 
 def synthesize_sample(spec: SyntheticSpec, subject_index: int, sample_index: int) -> np.ndarray:
     """One corpus sample: base texture plus seeded noise and jitter."""
+    if not 0 <= sample_index < spec.samples_per_subject:
+        raise DataError(f"sample index {sample_index} outside {spec.samples_per_subject} samples per subject")
     base = subject_base_texture(spec, subject_index)
     if spec.noise_level == 0.0:
         return base

@@ -87,6 +87,17 @@ def test_synth_layout_on_disk(cli_env):
     assert files == ["img00.pgm", "img01.pgm", "img02.pgm", "img03.pgm"]
 
 
+@pytest.mark.parametrize("bad", ["input_height=0", "input_width=0", "input_height=-3"])
+def test_synth_zero_size_fails_and_writes_nothing(tmp_path, capsys, bad):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(bad + "\n", encoding="utf-8")
+    out = tmp_path / "corpus"
+    rc = main(["synth", "--subjects", "2", "--samples", "2", "--out", str(out), "--config", str(cfg)])
+    assert rc == 1
+    assert "image size must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_augment_writes_requested_count(cli_env, tmp_path):
     src = cli_env["data"] / "s00" / "img00.pgm"
     out = tmp_path / "aug"

@@ -1,8 +1,11 @@
 """Image IO, augmentation and synthetic-corpus generation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from dorsalhash import corpus, rand
 from dorsalhash.corpus import (
     AugmentationSpec,
     SyntheticSpec,
@@ -17,6 +20,93 @@ from dorsalhash.corpus import (
     write_pgm,
 )
 from dorsalhash.errors import DataError, DimensionError, IngestionError
+
+
+# -- full-grid reference -------------------------------------------------------
+# The package evaluates its geometry on broadcast (h, 1) and (1, w) vectors.
+# These are the full-grid (meshgrid) forms it replaced, kept as written so
+# the tests can check that every pixel still comes out bit for bit the same.
+
+
+def reference_bilinear_sample(grid, ys, xs):
+    g = np.asarray(grid, dtype=np.float64)
+    h, w = g.shape
+    y = np.clip(ys, 0.0, h - 1.0)
+    x = np.clip(xs, 0.0, w - 1.0)
+    y0 = np.floor(y).astype(int)
+    x0 = np.floor(x).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = y - y0
+    fx = x - x0
+    top = g[y0, x0] * (1.0 - fx) + g[y0, x1] * fx
+    bot = g[y1, x0] * (1.0 - fx) + g[y1, x1] * fx
+    return top * (1.0 - fy) + bot * fy
+
+
+def reference_resize(grid, out_h, out_w):
+    h, w = grid.shape
+    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    yy, xx = np.meshgrid(ys, xs, indexing="ij")
+    return reference_bilinear_sample(grid, yy, xx)
+
+
+def reference_warp(grid, angle_deg, zoom, shift=(0.0, 0.0), elastic=None):
+    g = np.asarray(grid, dtype=np.float64)
+    h, w = g.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+    yr = yy - cy
+    xr = xx - cx
+    theta = np.deg2rad(angle_deg)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    src_y = (cos_t * yr + sin_t * xr) / zoom + cy - shift[0]
+    src_x = (-sin_t * yr + cos_t * xr) / zoom + cx - shift[1]
+    if elastic is not None:
+        src_y = src_y + elastic[0]
+        src_x = src_x + elastic[1]
+    return reference_bilinear_sample(g, src_y, src_x)
+
+
+def reference_subject_base_texture(spec, subject_index):
+    h, w = spec.height, spec.width
+    n = spec.num_subjects
+    freqs = np.linspace(spec.freq_band[0], spec.freq_band[1], n)
+    angles = np.deg2rad(np.linspace(-40.0, 40.0, n))
+    shuffle = rand.permutation(rand.derive_seed(spec.seed, "assign"), rand.PURPOSE_SYNTH, n)
+    freq = freqs[subject_index]
+    angle = angles[shuffle[subject_index]]
+    u = rand.uniforms(
+        rand.derive_seed(spec.seed, "subject", subject_index),
+        rand.PURPOSE_SYNTH,
+        8 + 6 * corpus.MAX_CREASES,
+    )
+    phase = 2.0 * np.pi * u[0]
+    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+    axis = (np.cos(angle) * xx + np.sin(angle) * yy) / w
+    base = 0.55 + 0.22 * np.sin(2.0 * np.pi * freq * axis + phase)
+    ncrease = min(corpus.MAX_CREASES, (corpus.MAX_CREASES - 2) + int(u[1] * 3.0))
+    for c in range(ncrease):
+        k = 2 + 6 * c
+        center = (0.08 + 0.84 * u[k]) * h
+        bend = (u[k + 1] - 0.5) * 0.5 * h
+        tilt = (u[k + 2] - 0.5) * 0.6 * h
+        sigma = 1.0 + 2.5 * u[k + 3]
+        depth = 0.20 + 0.25 * u[k + 4]
+        curve = center + bend * np.sin(np.pi * xx / w + 2.0 * np.pi * u[k + 5]) + tilt * (xx / w - 0.5)
+        base -= depth * np.exp(-((yy - curve) ** 2) / (2.0 * sigma ** 2))
+    return np.clip(base, 0.0, 1.0)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def blake2b_hex(grid):
+    return hashlib.blake2b(np.ascontiguousarray(grid, dtype="<f8").tobytes(), digest_size=16).hexdigest()
 
 
 class TestPgm:
@@ -70,6 +160,13 @@ class TestPgm:
     def test_write_rejects_non_2d(self, tmp_path):
         with pytest.raises(DimensionError):
             write_pgm(tmp_path / "g.pgm", np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+    def test_write_rejects_empty_grid(self, tmp_path, shape):
+        p = tmp_path / "empty.pgm"
+        with pytest.raises(DimensionError, match="non-empty"):
+            write_pgm(p, np.zeros(shape))
+        assert not p.exists()
 
 
 class TestResize:
@@ -219,6 +316,23 @@ class TestSynthetic:
                 frac = np.mean(np.abs(bases[i] - bases[j]) > 0.1)
                 assert frac > 0.10, f"subjects {i},{j} differ at only {frac:.2%}"
 
+    @pytest.mark.parametrize("dims", [(0, 128), (64, 0), (0, 0), (-1, 8)])
+    def test_spec_rejects_empty_images(self, dims):
+        with pytest.raises(DataError, match="image size must be positive"):
+            SyntheticSpec(num_subjects=2, samples_per_subject=2, height=dims[0], width=dims[1])
+
+    def test_one_pixel_geometry_works(self):
+        spec = SyntheticSpec(num_subjects=2, samples_per_subject=2, height=1, width=1)
+        assert synthesize_sample(spec, 1, 1).shape == (1, 1)
+
+    def test_sample_index_bounds(self):
+        spec = SyntheticSpec(num_subjects=2, samples_per_subject=3, height=8, width=16)
+        assert synthesize_sample(spec, 0, 0).shape == (8, 16)
+        assert synthesize_sample(spec, 1, 2).shape == (8, 16)
+        for bad in (-1, 3):
+            with pytest.raises(DataError, match="sample index"):
+                synthesize_sample(spec, 0, bad)
+
     def test_subject_index_bounds(self):
         spec = SyntheticSpec(num_subjects=3, samples_per_subject=2)
         with pytest.raises(DataError):
@@ -256,3 +370,81 @@ class TestSynthetic:
         disk = read_pgm(tmp_path / "c" / "s01" / "img01.pgm")
         fresh = synthesize_sample(spec, 1, 1)
         assert np.abs(disk - fresh).max() <= 0.5 / 255.0 + 1e-12
+
+
+class TestSeparableGeometry:
+    """The separable geometry against the full-grid reference, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    @pytest.mark.parametrize("subjects", [8, 20, 64])
+    def test_textures_match_reference(self, seed, subjects):
+        spec = SyntheticSpec(num_subjects=subjects, samples_per_subject=1, seed=seed)
+        for s in range(subjects):
+            assert_same_bits(subject_base_texture(spec, s), reference_subject_base_texture(spec, s))
+
+    @pytest.mark.parametrize("dims", [(32, 64), (17, 45), (1, 9), (9, 1)])
+    def test_textures_match_reference_off_default_geometry(self, dims):
+        spec = SyntheticSpec(num_subjects=6, samples_per_subject=1, height=dims[0], width=dims[1], seed=2)
+        for s in range(6):
+            assert_same_bits(subject_base_texture(spec, s), reference_subject_base_texture(spec, s))
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05, 0.2])
+    @pytest.mark.parametrize("dims", [(64, 128), (32, 64)])
+    def test_samples_match_reference(self, monkeypatch, noise, dims):
+        spec = SyntheticSpec(num_subjects=10, samples_per_subject=4, height=dims[0], width=dims[1],
+                             noise_level=noise, seed=3)
+        pairs = [(s, q) for s in range(10) for q in range(4)]
+        got = [synthesize_sample(spec, s, q) for s, q in pairs]
+        monkeypatch.setattr(corpus, "subject_base_texture", reference_subject_base_texture)
+        monkeypatch.setattr(corpus, "_warp", reference_warp)
+        for (s, q), g in zip(pairs, got):
+            assert_same_bits(g, synthesize_sample(spec, s, q))
+
+    @pytest.mark.parametrize("shape", [(64, 128), (19, 33)])
+    def test_augment_matches_reference(self, monkeypatch, shape):
+        img = np.random.default_rng(11).uniform(0.0, 1.0, shape)
+        spec = AugmentationSpec(count=4, seed=6)
+        assert spec.elastic_amplitude > 0.0
+        got = augment(img, spec)
+        monkeypatch.setattr(corpus, "_warp", reference_warp)
+        for g, w in zip(got, augment(img, spec)):
+            assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("src", [(1, 1), (1, 9), (7, 1), (16, 24), (64, 128)])
+    @pytest.mark.parametrize("out", [(64, 128), (32, 64), (45, 97), (3, 5), (1, 1)])
+    def test_resize_matches_reference(self, src, out):
+        grid = np.random.default_rng(src[0] * 100 + src[1]).uniform(0.0, 1.0, src)
+        assert_same_bits(bilinear_resize(grid, *out), reference_resize(grid, *out))
+
+    # Digests taken from the full-grid implementation at the default
+    # geometry (seed 0, 20 subjects x 12 samples).  Like the basis digests
+    # they depend on libm's sin and exp.
+    PINNED = {
+        ("sample", 0, 0): "2b3a084945f2b33de09cbb27286cddc3",
+        ("sample", 7, 5): "6efd05c60260e71b8d43a2cae8048437",
+        ("sample", 19, 11): "8641d8390b72dce1d149c790eeaddd04",
+        ("texture", 3, None): "a81555e329ff76e06836ccc552454bb9",
+        ("noise_0.2", 4, 2): "139dfb012f153f04878307e4788dd045",
+    }
+    PINNED_AUGMENT = ["0f4bf7c547aeaaa384523b7f5b32e49d", "324205a20898fbd6d5762c439fa37c23"]
+
+    def test_pinned_digests(self):
+        spec = SyntheticSpec(num_subjects=20, samples_per_subject=12, seed=0)
+        noisy = SyntheticSpec(num_subjects=20, samples_per_subject=12, seed=0, noise_level=0.2)
+        got = {
+            ("sample", 0, 0): synthesize_sample(spec, 0, 0),
+            ("sample", 7, 5): synthesize_sample(spec, 7, 5),
+            ("sample", 19, 11): synthesize_sample(spec, 19, 11),
+            ("texture", 3, None): subject_base_texture(spec, 3),
+            ("noise_0.2", 4, 2): synthesize_sample(noisy, 4, 2),
+        }
+        assert {k: blake2b_hex(v) for k, v in got.items()} == self.PINNED
+        variants = augment(synthesize_sample(spec, 1, 0), AugmentationSpec(count=2, seed=0))
+        assert [blake2b_hex(v) for v in variants] == self.PINNED_AUGMENT
+
+    def test_samples_do_not_depend_on_call_order(self):
+        spec = SyntheticSpec(num_subjects=5, samples_per_subject=3, height=16, width=24, seed=8)
+        pairs = [(s, q) for s in range(5) for q in range(3)]
+        forward = {p: synthesize_sample(spec, *p) for p in pairs}
+        for p in reversed(pairs):
+            assert_same_bits(synthesize_sample(spec, *p), forward[p])
