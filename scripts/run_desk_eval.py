@@ -15,7 +15,7 @@ from dorsalhash import rand
 from dorsalhash.corpus import SyntheticSpec, synthesize_sample
 from dorsalhash.network import FixedFilterNet, NetworkConfig, TrainConfig, train
 from dorsalhash.hashing import BIT_LENGTHS
-from dorsalhash.pipeline import protocol_from_features
+from dorsalhash.pipeline import protocol_from_features, stream_features
 
 
 def build_corpus(spec: SyntheticSpec) -> dict[str, list[np.ndarray]]:
@@ -67,12 +67,8 @@ def main(argv=None) -> int:
     print(f"training: {args.epochs} epochs in {time.perf_counter() - t0:.1f}s, "
           f"final loss {history[-1].loss:.4f}, accuracy {history[-1].accuracy:.3f}")
 
-    gallery_feats, probe_feats = {}, {}
     t0 = time.perf_counter()
-    for sid in subjects:
-        feats = model.extract_features(corpus[sid])
-        gallery_feats[sid] = feats[:args.gallery].mean(axis=0)
-        probe_feats[sid] = list(feats[args.gallery:])
+    gallery_feats, probe_feats = stream_features(model, corpus, args.gallery)
     print(f"features: {time.perf_counter() - t0:.1f}s")
 
     print(f"{'bits':>5} {'EER %':>8} {'CRR %':>8} {'DI':>7} {'thr':>8}")

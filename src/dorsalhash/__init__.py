@@ -16,14 +16,7 @@ from .corpus import (
     ingest,
     load_samples,
 )
-from .enrollment import (
-    MODALITIES,
-    LogicalClock,
-    TemplateVault,
-    VerificationDecision,
-    fuse_features,
-    wall_clock,
-)
+from .enrollment import MODALITIES, LogicalClock, TemplateVault, VerificationDecision
 from .evaluation import (
     MatchMatrix,
     MetricsReport,
@@ -54,7 +47,7 @@ from .hashing import (
     template_distance,
 )
 from .network import EpochStats, FixedFilterNet, NetworkConfig, TrainConfig, train
-from .pipeline import ProtocolRun, evaluate_fused, evaluate_split, split_gallery_probe
+from .pipeline import ProtocolRun, fuse_features, fuse_streams, protocol_from_features, stream_features
 
 __version__ = "0.1.0"
 
@@ -85,11 +78,10 @@ __all__ = [
     "crr_rank1",
     "decidability_index",
     "eer",
-    "evaluate_fused",
-    "evaluate_split",
     "export_roc",
     "far_frr",
     "fuse_features",
+    "fuse_streams",
     "generate_random_vectors",
     "generate_synthetic",
     "hash_features",
@@ -100,9 +92,9 @@ __all__ = [
     "make_lbc_filters",
     "orthonormalize",
     "project",
-    "split_gallery_probe",
+    "protocol_from_features",
+    "stream_features",
     "template_distance",
     "train",
-    "wall_clock",
     "__version__",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 from . import config as cfgmod
 from . import corpus, pipeline
 from .enrollment import TemplateVault
-from .errors import DorsalHashError, MetricUndefinedError
+from .errors import DataError, DorsalHashError, MetricUndefinedError
 from .evaluation import ScoreSet, export_roc
 from .hashing import BIT_LENGTHS
 from .network import FixedFilterNet, NetworkConfig, TrainConfig, train
@@ -341,8 +341,8 @@ def _cmd_revoke(settings: _Settings, args) -> int:
 def _cmd_evaluate(settings: _Settings, args) -> int:
     model = FixedFilterNet.load(args.model)
     samples = _load_corpus(args.data, model.config.input_height, model.config.input_width)
-    gallery, probes = pipeline.split_gallery_probe(samples, settings.get_int("gallery_count", 6))
-    run = pipeline.evaluate_split(model, gallery, probes, settings.bits, settings.seed)
+    features = pipeline.stream_features(model, samples, settings.get_int("gallery_count", 6))
+    run = pipeline.protocol_from_features(*features, settings.bits, settings.seed)
     _write_protocol_outputs(run, Path(args.out), str(settings.bits))
     _print_report(run, f"protocol@{settings.bits}bit")
     return EXIT_OK
@@ -351,30 +351,44 @@ def _cmd_evaluate(settings: _Settings, args) -> int:
 def _cmd_fuse(settings: _Settings, args) -> int:
     if len(args.data) < 2:
         raise cfgmod.ConfigError("fuse needs at least two stream corpus roots")
+    # A stream is named by its root's last component, so two roots that
+    # share one would silently fuse as a single stream.
+    names = [Path(root).name for root in args.data]
+    clashes = sorted({name for name in names if names.count(name) > 1})
+    if clashes:
+        raise cfgmod.ConfigError(f"fuse streams are named by directory; more than one root is named {clashes}")
     model = FixedFilterNet.load(args.model)
     gallery_count = settings.get_int("gallery_count", 6)
-    galleries, probes = {}, {}
-    for root in args.data:
-        name = Path(root).name
-        samples = _load_corpus(root, model.config.input_height, model.config.input_width)
-        g, p = pipeline.split_gallery_probe(samples, gallery_count)
-        galleries[name], probes[name] = g, p
-    for name in sorted(galleries):
-        single = pipeline.evaluate_split(model, galleries[name], probes[name], settings.bits, settings.seed)
+    h, w = model.config.input_height, model.config.input_width
+    streams = {name: pipeline.stream_features(model, _load_corpus(root, h, w), gallery_count)
+               for name, root in zip(names, args.data)}
+    for name in sorted(streams):
+        single = pipeline.protocol_from_features(*streams[name], settings.bits, settings.seed)
         _print_report(single, f"stream {name}@{settings.bits}bit")
-    run = pipeline.evaluate_fused(model, galleries, probes, settings.bits, settings.seed)
+    run = pipeline.protocol_from_features(*pipeline.fuse_streams(streams), settings.bits, settings.seed)
     _write_protocol_outputs(run, Path(args.out), f"fused_{settings.bits}")
     _print_report(run, f"fused@{settings.bits}bit")
     return EXIT_OK
 
 
+def _read_scores(path) -> ScoreSet:
+    """The genuine and impostor arrays of a scores file; a malformed file
+    raises DataError naming the file and the fault."""
+    try:
+        blob = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(blob, dict):
+            raise TypeError(f"top level must be a JSON object, got {type(blob).__name__}")
+        return ScoreSet(**{name: np.asarray(blob[name], dtype=np.float64) for name in ("genuine", "impostor")})
+    except json.JSONDecodeError as exc:
+        raise DataError(f"scores file {path}: not JSON ({exc})") from None
+    except KeyError as exc:
+        raise DataError(f"scores file {path}: missing the {exc} array") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"scores file {path}: {exc}") from None
+
+
 def _cmd_roc(settings: _Settings, args) -> int:
-    blob = json.loads(Path(args.scores).read_text(encoding="utf-8"))
-    scores = ScoreSet(
-        genuine=np.asarray(blob["genuine"], dtype=np.float64),
-        impostor=np.asarray(blob["impostor"], dtype=np.float64),
-    )
-    export_roc(scores, args.out, points=settings.get_int("points", 1000))
+    export_roc(_read_scores(args.scores), args.out, points=settings.get_int("points", 1000))
     print(f"wrote ROC ({settings.get_int('points', 1000)} rows) to {args.out}")
     return EXIT_OK
 

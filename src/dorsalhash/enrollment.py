@@ -1,5 +1,5 @@
-"""Enrollment lifecycle: key issuance, template stores, verification,
-revocation and multi-stream feature fusion.
+"""Enrollment lifecycle: key issuance, template stores, verification and
+revocation.
 
 Both stores are append-only JSON-lines files with a versioned per-record
 schema.  Template records hold only the protected bits and key lineage --
@@ -38,10 +38,9 @@ The vault assumes a single writer.  The CLI holds an exclusive lock on
 no store record but may rewrite the sidecar.  A crash mid-append leaves an
 unterminated last line, which replay ignores and the next append cuts off.
 
-Timestamps come from an injectable clock.  The default is a logical
-monotone clock (epoch seconds equal to the store's record count) so that
-repeated runs from one seed produce byte-identical files; pass
-``wall_clock`` for real timestamps.
+Timestamps come from a logical monotone clock (epoch seconds equal to the
+store's record count), so repeated runs from one seed produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -60,13 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rand
-from .errors import (
-    DataError,
-    DimensionError,
-    NormalizationError,
-    RevokedCredentialError,
-    UnknownIdentityError,
-)
+from .errors import DataError, RevokedCredentialError, UnknownIdentityError
 from .hashing import (
     CancelableTemplate,
     ProjectionBasis,
@@ -97,10 +90,6 @@ FIELD_TYPES = {
     **{f: str for f in ("kind", "user_id", "modality", "basis_b64", "basis_blake2b", "bits_hex")},
 }
 _HEX = re.compile(r"[0-9a-fA-F]*")
-
-
-def wall_clock() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 class LogicalClock:
@@ -412,11 +401,11 @@ class TemplateVault:
     concurrently serialize writes themselves (the CLI locks the store).
     """
 
-    def __init__(self, key_path, template_path, master_seed: int | None = None, clock=None):
+    def __init__(self, key_path, template_path, master_seed: int | None = None):
         self.keys = _JsonlStore(key_path)
         self.templates = _JsonlStore(template_path)
         self.master_seed = master_seed
-        self.clock = clock if clock is not None else LogicalClock(start=len(self.keys) + len(self.templates))
+        self.clock = LogicalClock(start=len(self.keys) + len(self.templates))
 
     # -- key store ---------------------------------------------------------
 
@@ -660,29 +649,3 @@ def _mean_features(user_id: str, images, model) -> np.ndarray:
     if not imgs:
         raise DataError(f"enrollment for {user_id!r} needs at least one image")
     return model.extract_features(imgs).mean(axis=0)
-
-
-def fuse_features(vectors) -> np.ndarray:
-    """Sum-rule fusion: min-max each vector to [0, 1], center it to zero
-    mean, then add.
-
-    Centering is load-bearing for sign-projection hashing: a sum of
-    [0, 1]-range vectors rides a large shared positive offset, and that
-    common component correlates projections across unrelated subjects,
-    compressing the score distribution. All vectors must share one
-    length; a constant vector cannot be normalized and raises.
-    """
-    vecs = [np.asarray(v, dtype=np.float64) for v in vectors]
-    if not vecs:
-        raise DataError("fuse_features needs at least one vector")
-    length = vecs[0].shape
-    if any(v.ndim != 1 for v in vecs) or any(v.shape != length for v in vecs):
-        raise DimensionError(f"fusion vectors must be 1-D with equal length, got {[v.shape for v in vecs]}")
-    fused = np.zeros(length, dtype=np.float64)
-    for v in vecs:
-        lo, hi = float(v.min()), float(v.max())
-        if hi == lo:
-            raise NormalizationError("cannot min-max normalize a constant vector")
-        ranged = (v - lo) / (hi - lo)
-        fused += ranged - ranged.mean()
-    return fused

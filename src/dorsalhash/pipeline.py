@@ -1,10 +1,12 @@
-"""End-to-end experiment composition: split a corpus, enroll the gallery,
-score the probes, compute the metric report.
+"""End-to-end experiment composition: images -> per-stream features ->
+optional fusion -> the protocol (enroll, score, report).
 
-Enrollment here is in-memory (per-subject keys derived from one master
-seed); the persistent stores in :mod:`dorsalhash.enrollment` serve the
-operational CLI flows, while this module serves evaluation runs where no
-state should outlive the experiment.
+Every image goes through the extractor once; single-stream and fused runs
+score the same features.  Enrollment here is in-memory (per-subject keys
+derived from one master seed); the persistent stores in
+:mod:`dorsalhash.enrollment` serve the operational CLI flows, while this
+module serves evaluation runs where no state should outlive the
+experiment.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rand
-from .enrollment import fuse_features
-from .errors import DataError, DimensionError, ProtocolError
+from .errors import DataError, DimensionError, NormalizationError, ProtocolError
 from .evaluation import (
     DEFAULT_ROC_POINTS,
     MatchMatrix,
@@ -30,21 +31,73 @@ from .evaluation import (
 from .hashing import UserKey, basis_for_key, binarize, project, template_distance
 
 
-def split_gallery_probe(
-    samples: dict[str, list[np.ndarray]], gallery_count: int
-) -> tuple[dict[str, list[np.ndarray]], dict[str, list[np.ndarray]]]:
-    """First gallery_count samples per subject enroll; the rest probe."""
+def stream_features(
+    model, samples: dict[str, list[np.ndarray]], gallery_count: int
+) -> tuple[dict[str, np.ndarray], dict[str, list[np.ndarray]]]:
+    """(gallery means, probe feature lists) of one stream: per subject, the
+    first gallery_count samples enroll as their mean feature vector and the
+    rest probe.  Each image is extracted once."""
     if gallery_count < 1:
         raise DataError(f"gallery count must be >= 1, got {gallery_count}")
-    gallery, probes = {}, {}
     for sid, imgs in samples.items():
         if len(imgs) <= gallery_count:
             raise DataError(
                 f"subject {sid!r} has {len(imgs)} samples; need more than gallery count {gallery_count}"
             )
-        gallery[sid] = imgs[:gallery_count]
-        probes[sid] = imgs[gallery_count:]
+    gallery, probes = {}, {}
+    for sid, imgs in sorted(samples.items()):
+        feats = model.extract_features(imgs)
+        gallery[sid] = feats[:gallery_count].mean(axis=0)
+        probes[sid] = list(feats[gallery_count:])
     return gallery, probes
+
+
+def fuse_features(vectors) -> np.ndarray:
+    """Sum-rule fusion: min-max each vector to [0, 1], center it to zero
+    mean, then add.
+
+    Centering is load-bearing for sign-projection hashing: a sum of
+    [0, 1]-range vectors rides a large shared positive offset, and that
+    common component correlates projections across unrelated subjects,
+    compressing the score distribution. All vectors must share one
+    length; a constant vector cannot be normalized and raises.
+    """
+    vecs = [np.asarray(v, dtype=np.float64) for v in vectors]
+    if not vecs:
+        raise DataError("fuse_features needs at least one vector")
+    length = vecs[0].shape
+    if any(v.ndim != 1 for v in vecs) or any(v.shape != length for v in vecs):
+        raise DimensionError(f"fusion vectors must be 1-D with equal length, got {[v.shape for v in vecs]}")
+    fused = np.zeros(length, dtype=np.float64)
+    for v in vecs:
+        lo, hi = float(v.min()), float(v.max())
+        if hi == lo:
+            raise NormalizationError("cannot min-max normalize a constant vector")
+        ranged = (v - lo) / (hi - lo)
+        fused += ranged - ranged.mean()
+    return fused
+
+
+def fuse_streams(
+    streams: dict[str, tuple[dict[str, np.ndarray], dict[str, list[np.ndarray]]]],
+) -> tuple[dict[str, np.ndarray], dict[str, list[np.ndarray]]]:
+    """Fuse {stream name: (gallery, probes)} from stream_features into one
+    (gallery, probes) pair, fusing streams in name order.  Streams must
+    agree on subjects and on the number of probe samples per subject
+    (sample k of every stream fuses together).
+    """
+    if len(streams) < 2:
+        raise DataError(f"fusion needs >= 2 streams, got {len(streams)}")
+    galleries, probes = zip(*(streams[name] for name in sorted(streams)))
+    if any(set(g) != set(galleries[0]) for g in galleries[1:]):
+        raise DataError("streams disagree on gallery subjects")
+    fused_gallery = {sid: fuse_features([g[sid] for g in galleries]) for sid in sorted(galleries[0])}
+    fused_probes = {}
+    for sid in sorted(probes[0]):
+        if len({len(p[sid]) for p in probes}) != 1:
+            raise DataError(f"streams disagree on probe count for subject {sid!r}")
+        fused_probes[sid] = [fuse_features(sample) for sample in zip(*(p[sid] for p in probes))]
+    return fused_gallery, fused_probes
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,71 +160,3 @@ def protocol_from_features(
         roc=tuple(roc_grid(scores, roc_points)),
     )
     return ProtocolRun(report=report, scores=scores, matches=matches)
-
-
-def mean_gallery_features(model, gallery: dict[str, list[np.ndarray]]) -> dict[str, np.ndarray]:
-    return {sid: model.extract_features(imgs).mean(axis=0) for sid, imgs in sorted(gallery.items())}
-
-
-def probe_feature_lists(model, probes: dict[str, list[np.ndarray]]) -> dict[str, list[np.ndarray]]:
-    return {sid: [model.forward(img)[0] for img in imgs] for sid, imgs in sorted(probes.items())}
-
-
-def evaluate_split(
-    model,
-    gallery: dict[str, list[np.ndarray]],
-    probes: dict[str, list[np.ndarray]],
-    bit_length: int,
-    master_seed: int,
-    roc_points: int = DEFAULT_ROC_POINTS,
-) -> ProtocolRun:
-    """Single-stream protocol: multishot gallery means versus probe images."""
-    return protocol_from_features(
-        mean_gallery_features(model, gallery),
-        probe_feature_lists(model, probes),
-        bit_length,
-        master_seed,
-        roc_points,
-    )
-
-
-def evaluate_fused(
-    model,
-    galleries: dict[str, dict[str, list[np.ndarray]]],
-    probes: dict[str, dict[str, list[np.ndarray]]],
-    bit_length: int,
-    master_seed: int,
-    roc_points: int = DEFAULT_ROC_POINTS,
-) -> ProtocolRun:
-    """Multi-stream protocol: per-stream features are min-max normalized,
-    centered, and summed before hashing.  Streams must agree on subjects and
-    on the number of probe samples per subject (sample k of every stream
-    fuses together).
-    """
-    if len(galleries) < 2:
-        raise DataError(f"fusion needs >= 2 streams, got {len(galleries)}")
-    stream_names = sorted(galleries)
-    if sorted(probes) != stream_names:
-        raise DataError("gallery and probe stream names differ")
-    subject_sets = [set(galleries[s]) for s in stream_names]
-    if any(s != subject_sets[0] for s in subject_sets[1:]):
-        raise DataError("streams disagree on gallery subjects")
-
-    per_stream_gallery = {s: mean_gallery_features(model, galleries[s]) for s in stream_names}
-    fused_gallery = {
-        sid: fuse_features([per_stream_gallery[s][sid] for s in stream_names])
-        for sid in subject_sets[0]
-    }
-
-    per_stream_probe = {s: probe_feature_lists(model, probes[s]) for s in stream_names}
-    fused_probe: dict[str, list[np.ndarray]] = {}
-    for sid in sorted(per_stream_probe[stream_names[0]]):
-        lengths = {len(per_stream_probe[s][sid]) for s in stream_names}
-        if len(lengths) != 1:
-            raise DataError(f"streams disagree on probe count for subject {sid!r}")
-        count = lengths.pop()
-        fused_probe[sid] = [
-            fuse_features([per_stream_probe[s][sid][k] for s in stream_names])
-            for k in range(count)
-        ]
-    return protocol_from_features(fused_gallery, fused_probe, bit_length, master_seed, roc_points)

@@ -33,7 +33,7 @@ from dorsalhash.network import (
     _loss_and_grads,
     train,
 )
-from dorsalhash.pipeline import evaluate_fused, evaluate_split, protocol_from_features
+from dorsalhash.pipeline import fuse_streams, protocol_from_features, stream_features
 
 SEED = 0
 SUBJECTS = 20
@@ -72,11 +72,7 @@ def desk():
     model.calibrate_dense(images)
     history = train(model, images, labels, epochs=EPOCHS,
                     config=TrainConfig(lr=0.03, shuffle_seed=SEED, clip_norm=1.0))
-    gallery_feats, probe_feats = {}, {}
-    for sid in subjects:
-        feats = model.extract_features(corpus[sid])
-        gallery_feats[sid] = feats[:GALLERY].mean(axis=0)
-        probe_feats[sid] = list(feats[GALLERY:])
+    gallery_feats, probe_feats = stream_features(model, corpus, GALLERY)
     return {
         "corpus": corpus,
         "model": model,
@@ -211,19 +207,18 @@ def test_gate_fusion_improves_decidability(desk):
     for k, name in enumerate(("major", "minor", "nail")):
         spec = SyntheticSpec(num_subjects=20, samples_per_subject=8,
                              seed=rand.derive_seed(SEED, "gate-fuse", k))
-        streams[name] = {
+        samples = {
             f"s{i:02d}": [synthesize_sample(spec, i, j) for j in range(8)]
             for i in range(20)
         }
-    galleries = {n: {sid: imgs[:4] for sid, imgs in s.items()} for n, s in streams.items()}
-    probes = {n: {sid: imgs[4:] for sid, imgs in s.items()} for n, s in streams.items()}
+        streams[name] = stream_features(model, samples, 4)
 
     master = rand.derive_seed(SEED, "gate-fuse-keys")
     single_di = {
-        n: evaluate_split(model, galleries[n], probes[n], 128, master).report.di
+        n: protocol_from_features(*streams[n], 128, master).report.di
         for n in streams
     }
-    fused_di = evaluate_fused(model, galleries, probes, 128, master).report.di
+    fused_di = protocol_from_features(*fuse_streams(streams), 128, master).report.di
     best = max(single_di.values())
     assert fused_di >= best
     verdict("fusion decidability",

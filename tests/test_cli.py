@@ -1,6 +1,8 @@
+import hashlib
 import json
 import multiprocessing
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -392,6 +394,80 @@ def test_fuse_requires_two_streams(cli_env, tmp_path):
     assert rc == 1
 
 
+STREAMS = ("major", "minor", "nail")
+
+
+@pytest.fixture(scope="module")
+def streams_env(tmp_path_factory):
+    """Three seeded 3-subject x 4-sample streams at 32x64 and an untrained
+    model built from a seed."""
+    root = tmp_path_factory.mktemp("streams")
+    cfg = root / "geometry.cfg"
+    cfg.write_text("input_height=32\ninput_width=64\n", encoding="utf-8")
+    for seed, name in enumerate(STREAMS):
+        assert main(["synth", "--subjects", "3", "--samples", "4", "--seed", str(seed),
+                     "--out", str(root / name), "--config", str(cfg)]) == 0
+    FixedFilterNet.build(NetworkConfig(
+        num_classes=3, input_height=32, input_width=64, fc1_dim=96, fc2_dim=128, lbc_seed=5,
+    )).save(root / "model.dfn")
+    return root
+
+# BLAKE2b-128 of stdout and of every file evaluate and fuse write on
+# streams_env, recorded when fuse still extracted every image twice.  Like
+# the basis digests they depend on libm and BLAS.
+PINNED_PROTOCOL_OUTPUTS = {
+    ("evaluate", "stdout"): "cbdc92e9b1ebd79c8fc79eccae38c27c",
+    ("evaluate", "metrics_128.json"): "941bf7776e764d3f03067888ef0ffc44",
+    ("evaluate", "roc_128.csv"): "4b86a1bf4458b473e49cb66e6255f69e",
+    ("evaluate", "scores_128.json"): "5d2fe2008b509b59bca2ecb0e97b0e46",
+    ("fuse", "stdout"): "8ce971a335340d2718cce84eed8d504a",
+    ("fuse", "metrics_fused_128.json"): "a63b11bf5725d49fd57bf11bb07a5133",
+    ("fuse", "roc_fused_128.csv"): "230461e358779902c56bb66bdf21f4fb",
+    ("fuse", "scores_fused_128.json"): "b91dee56c99d05a9dd2fdd8db2c09c20",
+}
+
+
+def _protocol_argv(command, root, streams, out):
+    return [command, "--data", *[str(root / s) for s in streams], "--model", str(root / "model.dfn"),
+            "--out", str(out), "--gallery-count", "2", "--seed", "0"]
+
+
+def test_evaluate_and_fuse_outputs_are_pinned(streams_env, tmp_path, capsys):
+    got = {}
+    for command, streams in (("evaluate", STREAMS[:1]), ("fuse", STREAMS)):
+        out = tmp_path / command
+        assert main(_protocol_argv(command, streams_env, streams, out)) == 0
+        got[command, "stdout"] = capsys.readouterr().out.encode()
+        got.update({(command, f.name): f.read_bytes() for f in out.iterdir()})
+    assert {k: hashlib.blake2b(v, digest_size=16).hexdigest() for k, v in got.items()} \
+        == PINNED_PROTOCOL_OUTPUTS
+
+
+def test_fuse_extracts_each_image_once(streams_env, tmp_path, monkeypatch, capsys):
+    calls = []
+    trace = FixedFilterNet._trace
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return trace(self, *args, **kwargs)
+
+    monkeypatch.setattr(FixedFilterNet, "_trace", counted)
+    assert main(_protocol_argv("fuse", streams_env, STREAMS, tmp_path / "out")) == 0
+    assert len(calls) == len(STREAMS) * 3 * 4
+
+
+def test_fuse_refuses_two_roots_with_one_name(streams_env, tmp_path, capsys):
+    # Streams are named by directory: a second "major" would replace the
+    # first and fuse two streams where three were given.
+    shutil.copytree(streams_env / "major", tmp_path / "other" / "major")
+    argv = _protocol_argv("fuse", streams_env, STREAMS, tmp_path / "out")
+    argv[argv.index("--model"):argv.index("--model")] = [str(tmp_path / "other" / "major")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "['major']" in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 # -- roc --------------------------------------------------------------------------
 
 def test_roc_command_row_count_and_precedence(tmp_path):
@@ -412,6 +488,22 @@ def test_roc_command_row_count_and_precedence(tmp_path):
     assert rc == 0
     # The explicit flag wins over the config file value.
     assert len(out2.read_text(encoding="utf-8").splitlines()) == 1 + 5
+
+
+@pytest.mark.parametrize("text, fault", [
+    ('{"genuine": [0.1]}', "missing the 'impostor' array"),
+    ("genuine=0.1", "not JSON"),
+    ('{"genuine": "x", "impostor": [0.6]}', "could not convert"),
+    ("[0.1, 0.6]", "top level must be a JSON object, got list"),
+], ids=["missing_key", "not_json", "not_numbers", "top_level_list"])
+def test_roc_on_a_malformed_scores_file_fails_cleanly(tmp_path, capsys, text, fault):
+    scores = tmp_path / "scores.json"
+    scores.write_text(text, encoding="utf-8")
+    rc = main(["roc", "--scores", str(scores), "--out", str(tmp_path / "roc.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scores file {scores}: ") and fault in err
+    assert not (tmp_path / "roc.csv").exists()
 
 
 # -- model geometry ---------------------------------------------------------------

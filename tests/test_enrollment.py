@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from dorsalhash import enrollment
-from dorsalhash.enrollment import (
-    LogicalClock,
-    TemplateVault,
-    VerificationDecision,
-    fuse_features,
-)
+from dorsalhash.enrollment import LogicalClock, TemplateVault, VerificationDecision
 from dorsalhash.errors import (
     BadKeyError,
     DataError,
@@ -22,6 +17,7 @@ from dorsalhash.errors import (
     UnknownIdentityError,
 )
 from dorsalhash.hashing import ProjectionBasis, UserKey, basis_for_key, binarize, project
+from dorsalhash.pipeline import fuse_features
 
 # BLAKE2b of basis_for_key(UserKey("u", 1, 128), 256); also pinned in test_hashing.
 PINNED_BASIS_BLAKE2B = "33cbcfabdd8696b14c27ee5187146cd481ac16a27ddb822ab770bd8148c62b82"

@@ -29,7 +29,7 @@ from dorsalhash.evaluation import (
     scores_from_matches,
 )
 from dorsalhash.hashing import UserKey, basis_for_key, binarize, project, template_distance
-from dorsalhash.pipeline import evaluate_split, protocol_from_features
+from dorsalhash.pipeline import fuse_features, fuse_streams, protocol_from_features, stream_features
 
 
 def _scores(genuine, impostor):
@@ -427,9 +427,13 @@ class TestProtocol:
     def test_empty_gallery_subject_rejected(self, tiny_net):
         rng = np.random.default_rng(9)
         images = {sid: [rng.uniform(0, 1, (16, 32)) for _ in range(2)] for sid in ("s0", "s1")}
-        gallery = {"s0": [], "s1": images["s1"]}
-        with pytest.raises(DataError):
-            evaluate_split(tiny_net, gallery, images, 32, master_seed=17)
+        with pytest.raises(DataError, match="'s0' has 0 samples"):
+            stream_features(tiny_net, dict(images, s0=[]), 1)
+        with pytest.raises(DataError, match="gallery count"):
+            stream_features(tiny_net, images, 0)
+        # Two samples and a gallery of two leave s0 no probe.
+        with pytest.raises(DataError, match="'s0' has 2 samples"):
+            stream_features(tiny_net, images, 2)
 
     def test_scores_from_matches_partition(self):
         s = scores_from_matches(_matrix([[0.1, 0.6], [0.7, 0.2]], ("a", "b")))
@@ -441,6 +445,48 @@ class TestProtocol:
                                         ("a", "b", "a"), gallery_ids=("a", "b", "c")))
         assert s.genuine.tolist() == [0.1, 0.2, 0.5]
         assert s.impostor.tolist() == [0.6, 0.3, 0.7, 0.4, 0.8, 0.9]
+
+
+class TestStreamFeatures:
+    """stream_features and fuse_streams against per-image references: the
+    gallery mean over separately extracted gallery images, each probe
+    through its own forward pass, and fuse_features per sample."""
+
+    @staticmethod
+    def _samples(seed, subjects=("s0", "s1", "s2"), count=4):
+        rng = np.random.default_rng(seed)
+        return {sid: [rng.uniform(0, 1, (16, 32)) for _ in range(count)] for sid in subjects}
+
+    def test_equals_separate_gallery_and_probe_extraction(self, tiny_net):
+        samples = self._samples(21)
+        gallery, probes = stream_features(tiny_net, samples, 3)
+        assert list(gallery) == list(probes) == sorted(samples)
+        for sid, imgs in samples.items():
+            assert np.array_equal(gallery[sid], tiny_net.extract_features(imgs[:3]).mean(axis=0))
+            assert len(probes[sid]) == 1
+            assert np.array_equal(probes[sid][0], tiny_net.forward(imgs[3])[0])
+
+    def test_fuse_streams_fuses_sample_k_of_every_stream(self, tiny_net):
+        streams = {name: stream_features(tiny_net, self._samples(seed), 2)
+                   for name, seed in (("nail", 22), ("major", 23))}
+        gallery, probes = fuse_streams(streams)
+        order = ("major", "nail")
+        for sid in gallery:
+            assert np.array_equal(gallery[sid], fuse_features([streams[n][0][sid] for n in order]))
+            assert len(probes[sid]) == 2
+            for k, fused in enumerate(probes[sid]):
+                assert np.array_equal(fused, fuse_features([streams[n][1][sid][k] for n in order]))
+
+    def test_fuse_streams_rejects_mismatched_streams(self):
+        gallery, probes = _feature_corpus(3, 2, seed=24)
+        with pytest.raises(DataError, match=">= 2 streams"):
+            fuse_streams({"major": (gallery, probes)})
+        fewer = {sid: v for sid, v in gallery.items() if sid != "s2"}
+        with pytest.raises(DataError, match="gallery subjects"):
+            fuse_streams({"major": (gallery, probes), "minor": (fewer, probes)})
+        short = dict(probes, s1=probes["s1"][:1])
+        with pytest.raises(DataError, match="probe count for subject 's1'"):
+            fuse_streams({"major": (gallery, probes), "minor": (gallery, short)})
 
 
 class TestMetricsReport:
