@@ -357,11 +357,14 @@ def _cmd_fuse(settings: _Settings, args) -> int:
     clashes = sorted({name for name in names if names.count(name) > 1})
     if clashes:
         raise cfgmod.ConfigError(f"fuse streams are named by directory; more than one root is named {clashes}")
+    # Subjects are compared before the model loads or any image is extracted.
+    layouts = {name: corpus.ingest(root) for name, root in zip(names, args.data)}
+    pipeline.require_same_subjects({name: layout.subjects for name, layout in layouts.items()})
     model = FixedFilterNet.load(args.model)
     gallery_count = settings.get_int("gallery_count", 6)
     h, w = model.config.input_height, model.config.input_width
-    streams = {name: pipeline.stream_features(model, _load_corpus(root, h, w), gallery_count)
-               for name, root in zip(names, args.data)}
+    streams = {name: pipeline.stream_features(model, corpus.load_samples(layout, h, w), gallery_count)
+               for name, layout in layouts.items()}
     for name in sorted(streams):
         single = pipeline.protocol_from_features(*streams[name], settings.bits, settings.seed)
         _print_report(single, f"stream {name}@{settings.bits}bit")

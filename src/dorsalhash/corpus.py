@@ -5,15 +5,19 @@ subject, binary 8-bit PGM (P5) samples, lexicographic order defining the
 sample sequence.  PNG files are accepted too when Pillow is installed.
 Pixels are handled as float64 in [0, 1] everywhere past the loaders.
 
-A synthetic sample is a pure function of (spec, subject, sample): nothing
-is cached between calls, and the same arguments give the same bits in any
-order or process.  The geometry is separable: coordinates are an (h, 1)
-column of rows and a (1, w) row of columns that broadcast, so anything that
-depends on one axis only (the crease curves, the rotation terms, resize
-weights) is computed once per row or column, and only what needs both axes
-fills the grid.  Every pixel still goes through the same float operations in
-the same order as a full-grid evaluation, and ``tests/test_corpus.py`` pins
-the bits against a full-grid reference and against stored digests.
+A synthetic sample is a pure function of (spec, subject, sample): the same
+arguments give the same bits in any call order or process.  The one thing
+kept between calls is a one-entry memo of the last subject's base texture,
+read-only, so a subject-major loop builds each subject's texture once
+rather than once per sample; any other call order just rebuilds it.
+
+The geometry is separable: coordinates are an (h, 1) column of rows and a
+(1, w) row of columns that broadcast, so anything that depends on one axis
+only (the crease curves, the rotation terms, resize weights) is computed
+once per row or column, and only what needs both axes fills the grid.
+Every pixel still goes through the same float operations in the same order
+as a full-grid evaluation, and ``tests/test_corpus.py`` pins the bits
+against a full-grid reference and against stored digests.
 """
 
 from __future__ import annotations
@@ -370,13 +374,38 @@ def subject_base_texture(spec: SyntheticSpec, subject_index: int) -> np.ndarray:
     return np.clip(base, 0.0, 1.0)
 
 
+# (key, texture) of the last texture synthesize_sample built, replaced in one
+# assignment, so a thread that races another can only rebuild a texture,
+# never read one filed under another key.
+_last_base: tuple[str, np.ndarray] | None = None
+
+
+def _memo_base_texture(spec: SyntheticSpec, subject_index: int) -> np.ndarray:
+    """subject_base_texture, served read-only from the one-entry memo.
+
+    The key is the repr of (spec, subject), not the pair itself: 1, 1.0 and
+    True compare equal but derive_seed labels them differently, a list
+    freq_band is not hashable, and a string snapshot cannot change when a
+    caller edits that list in place.
+    """
+    global _last_base
+    key = repr((spec, subject_index))
+    entry = _last_base
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    base = subject_base_texture(spec, subject_index)
+    base.flags.writeable = False
+    _last_base = (key, base)
+    return base
+
+
 def synthesize_sample(spec: SyntheticSpec, subject_index: int, sample_index: int) -> np.ndarray:
     """One corpus sample: base texture plus seeded noise and jitter."""
     if not 0 <= sample_index < spec.samples_per_subject:
         raise DataError(f"sample index {sample_index} outside {spec.samples_per_subject} samples per subject")
-    base = subject_base_texture(spec, subject_index)
+    base = _memo_base_texture(spec, subject_index)
     if spec.noise_level == 0.0:
-        return base
+        return base.copy()
     sub_seed = rand.derive_seed(spec.seed, "sample", subject_index, sample_index)
     u = rand.uniforms(sub_seed, rand.PURPOSE_SYNTH, 3)
     # Jitter scales with the noise knob: at the 0.05 default this is about

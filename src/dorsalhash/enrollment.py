@@ -3,10 +3,15 @@ revocation.
 
 Both stores are append-only JSON-lines files with a versioned per-record
 schema.  Template records hold only the protected bits and key lineage --
-never feature vectors or image data -- so leaking the store does not leak
-the biometric.  Superseded enrollments are marked revoked by follow-up
-records; no complete record is ever rewritten or deleted, which keeps the
-history auditable.
+never feature vectors or image data -- so the raw feature vector is not on
+disk.  That is all that is claimed: the keys are not secret.  With a known
+master seed (the CLI passes ``--seed``, default 0) a key's seed is
+``rand.derive_seed(master_seed, user, modality, version)``, a function of
+public labels, so the template file alone lets anyone rebuild the basis B
+and form the pre-image B(2b - 1), which verifies at distance 0.  Secret
+keys are ROADMAP.md item 2.  Superseded enrollments are marked revoked by
+follow-up records; no complete record is ever rewritten or deleted, which
+keeps the history auditable.
 
 Store format.  Every record carries a ``schema`` number.  New records are
 schema 2.  A schema-2 key record holds the key's seed and dimensions plus

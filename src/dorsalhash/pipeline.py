@@ -11,6 +11,7 @@ experiment.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,16 @@ def fuse_features(vectors) -> np.ndarray:
     return fused
 
 
+def require_same_subjects(subjects: dict[str, Iterable[str]]) -> None:
+    """Raise DataError unless every stream in {stream name: subject ids}
+    has the same subjects, naming for each stream the ones it lacks."""
+    sets = {name: set(ids) for name, ids in subjects.items()}
+    every = set().union(*sets.values())
+    lacking = [f"{name} lacks {sorted(every - have)}" for name, have in sorted(sets.items()) if have != every]
+    if lacking:
+        raise DataError(f"streams disagree on gallery subjects: {'; '.join(lacking)}")
+
+
 def fuse_streams(
     streams: dict[str, tuple[dict[str, np.ndarray], dict[str, list[np.ndarray]]]],
 ) -> tuple[dict[str, np.ndarray], dict[str, list[np.ndarray]]]:
@@ -88,9 +99,8 @@ def fuse_streams(
     """
     if len(streams) < 2:
         raise DataError(f"fusion needs >= 2 streams, got {len(streams)}")
+    require_same_subjects({name: gallery for name, (gallery, _) in streams.items()})
     galleries, probes = zip(*(streams[name] for name in sorted(streams)))
-    if any(set(g) != set(galleries[0]) for g in galleries[1:]):
-        raise DataError("streams disagree on gallery subjects")
     fused_gallery = {sid: fuse_features([g[sid] for g in galleries]) for sid in sorted(galleries[0])}
     fused_probes = {}
     for sid in sorted(probes[0]):

@@ -468,6 +468,26 @@ def test_fuse_refuses_two_roots_with_one_name(streams_env, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_fuse_refuses_streams_with_other_subjects_before_loading(streams_env, tmp_path, monkeypatch, capsys):
+    # "short" has s00 and s01 only; the comparison must come before the
+    # model loads, so no stream is extracted or reported.
+    assert main(["synth", "--subjects", "2", "--samples", "4", "--out", str(tmp_path / "short"),
+                 "--config", str(streams_env / "geometry.cfg")]) == 0
+    capsys.readouterr()
+
+    def no_load(path):
+        raise AssertionError("the model loaded before the streams' subjects were compared")
+
+    monkeypatch.setattr(FixedFilterNet, "load", no_load)
+    argv = _protocol_argv("fuse", streams_env, STREAMS[:2], tmp_path / "out")
+    argv[argv.index("--model"):argv.index("--model")] = [str(tmp_path / "short")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "stream" not in captured.out
+    assert "short lacks ['s02']" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 # -- roc --------------------------------------------------------------------------
 
 def test_roc_command_row_count_and_precedence(tmp_path):

@@ -395,6 +395,9 @@ class TestSeparableGeometry:
                              noise_level=noise, seed=3)
         pairs = [(s, q) for s in range(10) for q in range(4)]
         got = [synthesize_sample(spec, s, q) for s, q in pairs]
+        # Empty the memo first, or its last texture would serve the
+        # reference side and the texture would go unchecked.
+        monkeypatch.setattr(corpus, "_last_base", None)
         monkeypatch.setattr(corpus, "subject_base_texture", reference_subject_base_texture)
         monkeypatch.setattr(corpus, "_warp", reference_warp)
         for (s, q), g in zip(pairs, got):
@@ -448,3 +451,98 @@ class TestSeparableGeometry:
         forward = {p: synthesize_sample(spec, *p) for p in pairs}
         for p in reversed(pairs):
             assert_same_bits(synthesize_sample(spec, *p), forward[p])
+
+
+def uncached_sample(spec, subject, sample):
+    corpus._last_base = None
+    return synthesize_sample(spec, subject, sample)
+
+
+# Holds the three pinned default-geometry samples.
+MEMO_PAIRS = [(s, q) for s in (0, 1, 7, 19) for q in (0, 5, 11)]
+MEMO_ORDERS = {
+    "subject-major": sorted(MEMO_PAIRS),
+    "sample-major": sorted(MEMO_PAIRS, key=lambda p: (p[1], p[0])),
+    "reversed": sorted(MEMO_PAIRS, reverse=True),
+    "random": [MEMO_PAIRS[i] for i in np.random.default_rng(5).permutation(len(MEMO_PAIRS))],
+}
+
+
+class TestBaseTextureMemo:
+    """synthesize_sample keeps the last subject's texture; bits must not
+    depend on what it holds."""
+
+    DEFAULT = SyntheticSpec(num_subjects=20, samples_per_subject=12, seed=0)
+
+    @pytest.mark.parametrize("order", sorted(MEMO_ORDERS))
+    def test_call_order_does_not_change_bits(self, order):
+        want = {p: uncached_sample(self.DEFAULT, *p) for p in MEMO_PAIRS}
+        got = {p: synthesize_sample(self.DEFAULT, *p) for p in MEMO_ORDERS[order]}
+        for p in MEMO_PAIRS:
+            assert_same_bits(got[p], want[p])
+        pinned = {k: v for k, v in TestSeparableGeometry.PINNED.items() if k[0] == "sample"}
+        assert {k: blake2b_hex(got[k[1:]]) for k in pinned} == pinned
+
+    @pytest.mark.parametrize("other", [
+        {"seed": 2},
+        {"seed": 1.0},  # equal to 1, but derive_seed labels it "1.0"
+        {"noise_level": 0.2},
+        {"freq_band": (4.0, 12.0)},
+    ])
+    def test_interleaved_specs_keep_their_bits(self, other):
+        base = {"num_subjects": 5, "samples_per_subject": 3, "height": 16, "width": 24, "seed": 1}
+        specs = [SyntheticSpec(**base), SyntheticSpec(**{**base, **other})]
+        pairs = [(s, q) for s in range(5) for q in range(3)]
+        want = [{p: uncached_sample(spec, *p) for p in pairs} for spec in specs]
+        # Each subject's samples of one spec, then of the other: the memo
+        # hits within a run and must miss when the spec changes.
+        for s in range(5):
+            for spec, expected in zip(specs, want):
+                for q in range(3):
+                    assert_same_bits(synthesize_sample(spec, s, q), expected[s, q])
+
+    def test_pinned_noisy_sample_after_the_default_spec(self):
+        noisy = SyntheticSpec(num_subjects=20, samples_per_subject=12, seed=0, noise_level=0.2)
+        synthesize_sample(self.DEFAULT, 4, 2)
+        got = synthesize_sample(noisy, 4, 2)
+        assert blake2b_hex(got) == TestSeparableGeometry.PINNED[("noise_0.2", 4, 2)]
+
+    def test_subject_major_corpus_builds_each_texture_once(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(spec, subject_index):
+            calls.append(subject_index)
+            return subject_base_texture(spec, subject_index)
+
+        monkeypatch.setattr(corpus, "_last_base", None)
+        monkeypatch.setattr(corpus, "subject_base_texture", counted)
+        generate_synthetic(SyntheticSpec(num_subjects=3, samples_per_subject=4, height=16, width=24),
+                           tmp_path / "c")
+        assert calls == [0, 1, 2]
+
+    def test_zero_noise_sample_is_a_writable_copy(self):
+        spec = SyntheticSpec(num_subjects=2, samples_per_subject=3, noise_level=0.0, seed=5)
+        first = synthesize_sample(spec, 1, 0)
+        assert first.flags.writeable
+        want = first.copy()
+        first[:] = -1.0
+        assert_same_bits(synthesize_sample(spec, 1, 1), want)
+
+    def test_base_texture_stays_fresh_and_writable(self):
+        spec = SyntheticSpec(num_subjects=2, samples_per_subject=2, height=16, width=24, seed=5)
+        sample = synthesize_sample(spec, 0, 0)
+        texture = subject_base_texture(spec, 0)
+        assert texture.flags.writeable
+        texture[:] = -1.0
+        assert_same_bits(synthesize_sample(spec, 0, 0), sample)
+        assert subject_base_texture(spec, 0).min() >= 0.0
+
+    def test_list_freq_band_synthesizes_and_follows_edits(self):
+        band = [6.0, 16.0]
+        spec = SyntheticSpec(num_subjects=3, samples_per_subject=2, height=16, width=24, freq_band=band)
+        as_tuple = SyntheticSpec(num_subjects=3, samples_per_subject=2, height=16, width=24)
+        assert_same_bits(synthesize_sample(spec, 2, 1), uncached_sample(as_tuple, 2, 1))
+        synthesize_sample(spec, 2, 0)
+        band[1] = 20.0
+        wider = SyntheticSpec(num_subjects=3, samples_per_subject=2, height=16, width=24, freq_band=(6.0, 20.0))
+        assert_same_bits(synthesize_sample(spec, 2, 1), uncached_sample(wider, 2, 1))

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from dorsalhash import enrollment
+from dorsalhash import enrollment, rand
 from dorsalhash.enrollment import LogicalClock, TemplateVault, VerificationDecision
 from dorsalhash.errors import (
     BadKeyError,
@@ -16,7 +16,7 @@ from dorsalhash.errors import (
     RevokedCredentialError,
     UnknownIdentityError,
 )
-from dorsalhash.hashing import ProjectionBasis, UserKey, basis_for_key, binarize, project
+from dorsalhash.hashing import CancelableTemplate, ProjectionBasis, UserKey, basis_for_key, binarize, project
 from dorsalhash.pipeline import fuse_features
 
 # BLAKE2b of basis_for_key(UserKey("u", 1, 128), 256); also pinned in test_hashing.
@@ -286,6 +286,28 @@ class TestStore:
         p.write_text('not json\n{"schema":2,"ki')
         with pytest.raises(DataError):
             TemplateVault(p, tmp_path / "t.jsonl")
+
+
+class TestKeyExposure:
+    @pytest.mark.xfail(strict=True, reason="keys derive from public labels under a known master "
+                       "seed until the vault has a secret (ROADMAP item 2)")
+    def test_template_file_alone_does_not_give_a_verifying_preimage(self, tmp_path):
+        # The CLI's default master seed is 0.  An attacker holding only
+        # templates.jsonl derives alice's key seed from public labels,
+        # rebuilds the basis B and forms the pre-image f' = B(2b - 1).
+        vault = TemplateVault(tmp_path / "keys.jsonl", tmp_path / "templates.jsonl", master_seed=0)
+        feature_dim = 128
+        vault.enroll_features("alice", np.random.default_rng(3).normal(size=feature_dim))
+        record = next(json.loads(line) for line in vault.templates.path.read_text().splitlines()
+                      if json.loads(line)["kind"] == "enroll")
+        version, bits = record["key_version"], record["bit_length"]
+        seed = rand.derive_seed(0, "alice", "major", version)
+        basis = basis_for_key(UserKey("alice", seed, bits, version), feature_dim)
+        stored = CancelableTemplate.from_hex(record["bits_hex"], "alice", version, bits)
+        preimage = basis.matrix @ (2.0 * stored.bits - 1.0)
+        # With secret keys the pre-image is a guess against an unknown
+        # basis and scores near 0.5; with public keys it scores 0.0.
+        assert vault.score_features(preimage, record) > 0.25
 
 
 def _sidecar(path):

@@ -482,8 +482,11 @@ class TestStreamFeatures:
         with pytest.raises(DataError, match=">= 2 streams"):
             fuse_streams({"major": (gallery, probes)})
         fewer = {sid: v for sid, v in gallery.items() if sid != "s2"}
-        with pytest.raises(DataError, match="gallery subjects"):
+        with pytest.raises(DataError, match=r"gallery subjects: minor lacks \['s2'\]$"):
             fuse_streams({"major": (gallery, probes), "minor": (fewer, probes)})
+        other = {sid: v for sid, v in gallery.items() if sid != "s0"}
+        with pytest.raises(DataError, match=r"major lacks \['s0'\]; minor lacks \['s2'\]$"):
+            fuse_streams({"major": (other, probes), "minor": (fewer, probes)})
         short = dict(probes, s1=probes["s1"][:1])
         with pytest.raises(DataError, match="probe count for subject 's1'"):
             fuse_streams({"major": (gallery, probes), "minor": (gallery, short)})
