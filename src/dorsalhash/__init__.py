@@ -27,13 +27,7 @@ from .evaluation import (
     export_roc,
     far_frr,
 )
-from .filters import (
-    GapFilterSpec,
-    LbcFilterSpec,
-    make_gap_filters,
-    make_layer_bank,
-    make_lbc_filters,
-)
+from .filters import make_gap_filters, make_layer_bank, make_lbc_filters
 from .hashing import (
     BIT_LENGTHS,
     CancelableTemplate,
@@ -58,8 +52,6 @@ __all__ = [
     "DatasetLayout",
     "EpochStats",
     "FixedFilterNet",
-    "GapFilterSpec",
-    "LbcFilterSpec",
     "LogicalClock",
     "MODALITIES",
     "MatchMatrix",

@@ -240,10 +240,12 @@ def _training_arrays(samples: dict[str, list[np.ndarray]], gallery_count: int):
 
 
 def _cmd_train(settings: _Settings, args) -> int:
+    gallery_count = settings.get_int("gallery_count", 6)
+    if gallery_count < 0:
+        raise cfgmod.ConfigError(f"gallery count must be >= 0 (0 = all samples), got {gallery_count}")
     samples = _load_corpus(
         args.data, settings.get_int("input_height", 64), settings.get_int("input_width", 128)
     )
-    gallery_count = settings.get_int("gallery_count", 6)
     images, labels = _training_arrays(samples, gallery_count)
     model = FixedFilterNet.build(settings.network_config(num_classes=len(samples)))
     # Whitened re-init plus clipping is the house training recipe: flatten

@@ -22,6 +22,7 @@ against a full-grid reference and against stored digests.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -180,9 +181,6 @@ class DatasetLayout:
     root: Path
     subjects: dict[str, list[Path]]
 
-    def subject_ids(self) -> list[str]:
-        return sorted(self.subjects)
-
 
 def ingest(root) -> DatasetLayout:
     """Scan root/<subject>/<sample> and decode-check every sample.
@@ -223,34 +221,27 @@ def load_samples(layout: DatasetLayout, height: int, width: int) -> dict[str, li
 # -- augmentation ------------------------------------------------------------
 
 
+# Augmentation ranges.  Each output draws, in order: a zoom factor, a
+# rotation angle and a brightness offset, each uniform in its range, and an
+# elastic displacement field: two smoothed noise planes scaled to a peak of
+# ELASTIC_AMPLITUDE pixels.
+ZOOM = (0.9, 1.1)
+ROTATION_DEG = (-10.0, 10.0)
+BRIGHTNESS = (-0.15, 0.15)
+ELASTIC_AMPLITUDE = 2.0
+ELASTIC_SIGMA = 8.0
+
+
 @dataclass(frozen=True)
 class AugmentationSpec:
-    """Ranges for the four augmentation ops plus the stream seed.
-
-    Each output draws, in order: zoom factor, rotation angle, brightness
-    offset (all uniform in their ranges) and an elastic displacement field
-    (two smoothed noise planes scaled to the given peak amplitude, in
-    pixels).  Collapsing every range to the identity yields exact copies.
-    """
+    """How many augmented variants to make, and the seed of their stream."""
 
     count: int = 45
-    zoom: tuple[float, float] = (0.9, 1.1)
-    rotation_deg: tuple[float, float] = (-10.0, 10.0)
-    elastic_amplitude: float = 2.0
-    elastic_sigma: float = 8.0
-    brightness: tuple[float, float] = (-0.15, 0.15)
     seed: int = 0
 
     def __post_init__(self):
         if self.count < 1:
             raise DataError(f"augmentation count must be >= 1, got {self.count}")
-        for name, rng in (("zoom", self.zoom), ("rotation_deg", self.rotation_deg), ("brightness", self.brightness)):
-            if rng[1] < rng[0]:
-                raise DataError(f"{name} range is reversed: {rng}")
-        if self.zoom[0] <= 0.0:
-            raise DataError(f"zoom must stay positive, got {self.zoom}")
-        if self.elastic_amplitude < 0.0 or self.elastic_sigma <= 0.0:
-            raise DataError("elastic amplitude must be >= 0 and sigma > 0")
 
 
 def _uniform_in(u: float, rng: tuple[float, float]) -> float:
@@ -268,26 +259,22 @@ def augment(image: np.ndarray, spec: AugmentationSpec) -> list[np.ndarray]:
         raise DimensionError(f"augment expects a 2-D image, got shape {img.shape}")
     h, w = img.shape
     draws = rand.uniforms(spec.seed, rand.PURPOSE_AUGMENT, 3 * spec.count)
+    # Imported here, its only use: scipy.ndimage alone roughly doubles the
+    # import time and resident memory of every other command.
+    from scipy.ndimage import gaussian_filter
+
     out = []
     for i in range(spec.count):
-        zoom = _uniform_in(draws[3 * i], spec.zoom)
-        angle = _uniform_in(draws[3 * i + 1], spec.rotation_deg)
-        bright = _uniform_in(draws[3 * i + 2], spec.brightness)
-        elastic = None
-        if spec.elastic_amplitude > 0.0:
-            field = rand.uniforms(rand.derive_seed(spec.seed, "elastic", i), rand.PURPOSE_AUGMENT, 2 * h * w)
-            field = (2.0 * field - 1.0).reshape(2, h, w)
-            # Imported here, its only use: scipy.ndimage alone roughly
-            # doubles the import time and resident memory of every other
-            # command.
-            from scipy.ndimage import gaussian_filter
-
-            field = gaussian_filter(field, sigma=(0.0, spec.elastic_sigma, spec.elastic_sigma), mode="reflect")
-            peak = np.abs(field).max()
-            if peak > 0.0:
-                field = field * (spec.elastic_amplitude / peak)
-            elastic = (field[0], field[1])
-        warped = _warp(img, angle, zoom, elastic=elastic)
+        zoom = _uniform_in(draws[3 * i], ZOOM)
+        angle = _uniform_in(draws[3 * i + 1], ROTATION_DEG)
+        bright = _uniform_in(draws[3 * i + 2], BRIGHTNESS)
+        field = rand.uniforms(rand.derive_seed(spec.seed, "elastic", i), rand.PURPOSE_AUGMENT, 2 * h * w)
+        field = (2.0 * field - 1.0).reshape(2, h, w)
+        field = gaussian_filter(field, sigma=(0.0, ELASTIC_SIGMA, ELASTIC_SIGMA), mode="reflect")
+        peak = np.abs(field).max()
+        if peak > 0.0:
+            field = field * (ELASTIC_AMPLITUDE / peak)
+        warped = _warp(img, angle, zoom, elastic=(field[0], field[1]))
         out.append(np.clip(warped + bright, 0.0, 1.0))
     return out
 
@@ -297,10 +284,10 @@ def augment(image: np.ndarray, spec: AugmentationSpec) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Knobs for the generated ridge-texture corpus.
+    """Size, noise and seed of the generated ridge-texture corpus.
 
     Every subject gets a unique (frequency, orientation) pair drawn from
-    freq_band and a fixed orientation fan, plus a few dark crease curves.
+    FREQ_BAND and a fixed orientation fan, plus a few dark crease curves.
     Samples perturb the base texture with pixel noise of sigma noise_level
     and geometric jitter whose amplitude scales with noise_level, so a
     noise_level of zero reproduces the base exactly.
@@ -310,7 +297,6 @@ class SyntheticSpec:
     samples_per_subject: int
     height: int = 64
     width: int = 128
-    freq_band: tuple[float, float] = (6.0, 16.0)
     noise_level: float = 0.05
     seed: int = 0
 
@@ -319,12 +305,13 @@ class SyntheticSpec:
             raise DataError("need at least one subject and one sample")
         if self.height < 1 or self.width < 1:
             raise DataError(f"image size must be positive, got {self.height}x{self.width}")
-        if self.freq_band[1] <= self.freq_band[0] or self.freq_band[0] <= 0.0:
-            raise DataError(f"bad frequency band {self.freq_band}")
-        if self.noise_level < 0.0:
-            raise DataError(f"noise level must be >= 0, got {self.noise_level}")
+        if not 0.0 <= self.noise_level < math.inf:
+            raise DataError(f"noise level must be finite and >= 0, got {self.noise_level}")
 
 
+# Ridge frequencies of the subjects' sinusoids, in cycles per image width,
+# spread evenly from the first subject to the last.
+FREQ_BAND = (6.0, 16.0)
 MAX_CREASES = 6
 
 
@@ -343,7 +330,7 @@ def subject_base_texture(spec: SyntheticSpec, subject_index: int) -> np.ndarray:
         raise DataError(f"subject index {subject_index} outside corpus of {spec.num_subjects}")
     h, w = spec.height, spec.width
     n = spec.num_subjects
-    freqs = np.linspace(spec.freq_band[0], spec.freq_band[1], n)
+    freqs = np.linspace(FREQ_BAND[0], FREQ_BAND[1], n)
     angles = np.deg2rad(np.linspace(-40.0, 40.0, n))
     shuffle = rand.permutation(rand.derive_seed(spec.seed, "assign"), rand.PURPOSE_SYNTH, n)
     freq = freqs[subject_index]
@@ -383,10 +370,8 @@ _last_base: tuple[str, np.ndarray] | None = None
 def _memo_base_texture(spec: SyntheticSpec, subject_index: int) -> np.ndarray:
     """subject_base_texture, served read-only from the one-entry memo.
 
-    The key is the repr of (spec, subject), not the pair itself: 1, 1.0 and
-    True compare equal but derive_seed labels them differently, a list
-    freq_band is not hashable, and a string snapshot cannot change when a
-    caller edits that list in place.
+    The key is the repr of (spec, subject), not the pair itself: seeds 1,
+    1.0 and True compare equal but derive_seed labels them differently.
     """
     global _last_base
     key = repr((spec, subject_index))

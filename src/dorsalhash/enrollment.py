@@ -167,8 +167,7 @@ class _JsonlStore:
     the lines the sidecar does not vouch for (see the module docstring).
     ``group`` parses and checks the records of one (user, modality) on
     first use, from the byte offsets the sidecar and the open recorded;
-    appends keep the parsed groups current.  ``records`` replays the whole
-    file.
+    appends keep the parsed groups current.
 
     A final segment without a trailing newline is a torn append: it is not
     indexed, and the next append truncates it away.  A corrupt line that is
@@ -339,18 +338,6 @@ class _JsonlStore:
         """The records of (user_id, modality), in file order."""
         return self._group((user_id, modality))[0]
 
-    @property
-    def records(self) -> list[dict]:
-        """Every record, in file order; replays the whole file."""
-        if self._vouched:
-            self._open(use_index=False)
-        numbered = [
-            (n, r)
-            for key in {*self._validated, *self._groups}
-            for r, n in zip(*self._group(key))
-        ]
-        return [r for _, r in sorted(numbered, key=lambda e: e[0])]
-
     def append(self, record: dict) -> None:
         rec = dict(record, schema=STORE_SCHEMA)
         # Parse the group first: a fallback replay re-reads the file, which
@@ -396,10 +383,10 @@ class TemplateVault:
     """Filesystem-backed enrollment state: a key store plus a template store.
 
     Keys are scoped per (user, modality) and versioned; exactly one
-    enrollment per (user, modality) is active at a time.  When
-    ``master_seed`` is set, key seeds are derived deterministically from
-    (master_seed, user, modality, version); otherwise they are drawn from
-    the OS entropy pool.
+    enrollment per (user, modality) is active at a time.  The vault alone
+    picks key seeds, and no method takes one: when ``master_seed`` is set,
+    they are derived deterministically from (master_seed, user, modality,
+    version); otherwise they are drawn from the OS entropy pool.
 
     A vault assumes a single writer: two vaults appending to one store can
     each see no active enrollment and both add one.  Callers that may run
@@ -423,28 +410,26 @@ class TemplateVault:
         modality: str = "major",
         bit_length: int = 128,
         feature_dim: int = 256,
-        seed: int | None = None,
     ) -> tuple[UserKey, ProjectionBasis]:
         """Mint the next key version for (user, modality) and persist its
         seed, dimensions and the digest of its realized basis."""
-        key, basis = self._mint_key(user_id, modality, bit_length, feature_dim, seed)
+        key, basis = self._mint_key(user_id, modality, bit_length, feature_dim)
         self._append_key(modality, key, basis)
         return key, basis
 
     def _mint_key(
-        self, user_id: str, modality: str, bit_length: int, feature_dim: int, seed: int | None
+        self, user_id: str, modality: str, bit_length: int, feature_dim: int
     ) -> tuple[UserKey, ProjectionBasis]:
         """The next key version for (user, modality) and its basis; writes
         nothing, so a key that fails validation leaves the stores as they were."""
         _check_modality(modality)
         prior = self._key_records(user_id, modality)
         version = 1 + max((r["key_version"] for r in prior), default=0)
-        if seed is None:
-            if self.master_seed is not None:
-                seed = rand.derive_seed(self.master_seed, user_id, modality, version)
-            else:
-                seed = secrets.randbits(63)
-        key = UserKey(user_id=user_id, seed=int(seed), bit_length=bit_length, key_version=version)
+        if self.master_seed is not None:
+            seed = rand.derive_seed(self.master_seed, user_id, modality, version)
+        else:
+            seed = secrets.randbits(63)
+        key = UserKey(user_id=user_id, seed=seed, bit_length=bit_length, key_version=version)
         return key, basis_for_key(key, feature_dim)
 
     def _append_key(self, modality: str, key: UserKey, basis: ProjectionBasis) -> None:
@@ -515,14 +500,13 @@ class TemplateVault:
         model,
         modality: str = "major",
         bit_length: int = 128,
-        seed: int | None = None,
     ) -> CancelableTemplate:
         """Multishot enrollment: mean of the per-image features, hashed
         under a freshly issued key.  Any previously active enrollment for
         (user, modality) is marked revoked (superseded)."""
         _check_modality(modality)
         features = _mean_features(user_id, images, model)
-        return self.enroll_features(user_id, features, modality=modality, bit_length=bit_length, seed=seed)
+        return self.enroll_features(user_id, features, modality=modality, bit_length=bit_length)
 
     def enroll_features(
         self,
@@ -530,9 +514,8 @@ class TemplateVault:
         mean_features: np.ndarray,
         modality: str = "major",
         bit_length: int = 128,
-        seed: int | None = None,
     ) -> CancelableTemplate:
-        return self._replace_active(user_id, mean_features, modality, bit_length, seed, reason="superseded")
+        return self._replace_active(user_id, mean_features, modality, bit_length, reason="superseded")
 
     def _replace_active(
         self,
@@ -540,7 +523,6 @@ class TemplateVault:
         mean_features: np.ndarray,
         modality: str,
         bit_length: int,
-        seed: int | None,
         reason: str,
     ) -> CancelableTemplate:
         """Enroll under the next key version, marking the active enrollment
@@ -548,7 +530,7 @@ class TemplateVault:
         input runs before the first append, so a failed call leaves the
         active enrollment in place."""
         f = np.asarray(mean_features, dtype=np.float64)
-        key, basis = self._mint_key(user_id, modality, bit_length, f.shape[0], seed)
+        key, basis = self._mint_key(user_id, modality, bit_length, f.shape[0])
         template = template_from_basis(f, basis)
         prior = self.active_record(user_id, modality)
         if prior is not None:
@@ -640,7 +622,7 @@ class TemplateVault:
             raise UnknownIdentityError(f"no enrollment for {user_id!r}/{modality}")
         bits = bit_length if bit_length is not None else record["bit_length"]
         features = _mean_features(user_id, images, model)
-        return self._replace_active(user_id, features, modality, bits, None, reason="revoked")
+        return self._replace_active(user_id, features, modality, bits, reason="revoked")
 
 
 def _check_modality(modality: str) -> None:

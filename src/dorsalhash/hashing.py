@@ -104,9 +104,6 @@ class ProjectionBasis:
     def bit_length(self) -> int:
         return self.matrix.shape[1]
 
-    def orthonormality_error(self) -> float:
-        return _gram_error(self.matrix)
-
 
 def _gram_error(q: np.ndarray) -> float:
     """Largest entry of ``|q.T @ q - I|``, formed in the Gram matrix itself.

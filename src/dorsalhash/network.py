@@ -35,7 +35,6 @@ from .filters import (
     KERNEL_WIDTH,
     LAYER_GAPS,
     RING_SIZE,
-    LbcFilterSpec,
     make_layer_bank,
     make_lbc_filters,
 )
@@ -156,8 +155,8 @@ class FixedFilterNet:
             make_layer_bank(1),
             make_layer_bank(2),
             make_layer_bank(3),
-            make_lbc_filters(LbcFilterSpec(count=LBC_COUNTS[0], seed=rand.derive_seed(config.lbc_seed, "lbc", 4))),
-            make_lbc_filters(LbcFilterSpec(count=LBC_COUNTS[1], seed=rand.derive_seed(config.lbc_seed, "lbc", 5))),
+            make_lbc_filters(LBC_COUNTS[0], rand.derive_seed(config.lbc_seed, "lbc", 4)),
+            make_lbc_filters(LBC_COUNTS[1], rand.derive_seed(config.lbc_seed, "lbc", 5)),
         ]
         combine = [np.full(b.shape[0], 1.0 / b.shape[0]) for b in banks]
         fc1 = _init_dense(config.fc1_dim, config.flat_dim, rand.derive_seed(config.lbc_seed, "dense", 1))
@@ -465,7 +464,7 @@ def _loss_and_grads(model: FixedFilterNet, image: np.ndarray, label: int, maps: 
     dx = dv.reshape(h4, w4)
     for s in (4, 3, 2, 1):
         dc = ops.maxpool2_grad(t["c"][s], dx) if s >= 3 else dx
-        d_w, dd = ops.combine1x1_grads(t["b"][s], model.combine[s], dc, rectified=True)
+        d_w, dd = ops.combine1x1_grads(t["b"][s], model.combine[s], dc)
         grads[f"combine{s + 1}"] = d_w
         dx = ops.conv2d_input_grad(dd, model.banks[s], t["x"][s].shape)
     # The image is not trained, so stage 1 needs only its weight gradient,

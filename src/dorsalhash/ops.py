@@ -238,25 +238,22 @@ def combine1x1(maps: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (w @ m.reshape(m.shape[0], -1)).reshape(m.shape[1:])
 
 
-def combine1x1_grads(maps: np.ndarray, weights: np.ndarray, grad_out: np.ndarray, rectified: bool = False):
-    """Returns (d_weights, d_maps) for combine1x1.
+def combine1x1_grads(maps: np.ndarray, weights: np.ndarray, grad_out: np.ndarray):
+    """Returns (d_weights, d_pre) for combine1x1(relu(pre), weights), given
+    the rectified maps relu(pre).
 
-    With ``rectified`` the maps are ReLU outputs and the second result is
-    the gradient with respect to the ReLU input instead: d_maps masked to
-    the cells where maps > 0 (subgradient 0 at the kink), formed in one
-    product without a separate relu_grad pass.
+    d_pre is the gradient with respect to the ReLU input: w[c] * grad_out
+    on the cells where maps > 0 and 0 elsewhere (subgradient 0 at the
+    kink), formed in one product without a separate relu_grad pass.
     """
     m = np.asarray(maps, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     g = np.asarray(grad_out, dtype=np.float64).ravel()
     flat = m.reshape(m.shape[0], -1)
     d_w = flat @ g
-    if rectified:
-        d_m = np.multiply(flat > 0.0, w[:, None])
-        d_m *= g
-    else:
-        d_m = np.outer(w, g)
-    return d_w, d_m.reshape(m.shape)
+    d_pre = np.multiply(flat > 0.0, w[:, None])
+    d_pre *= g
+    return d_w, d_pre.reshape(m.shape)
 
 
 def maxpool2(x: np.ndarray) -> np.ndarray:

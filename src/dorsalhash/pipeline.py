@@ -19,7 +19,6 @@ import numpy as np
 from . import rand
 from .errors import DataError, DimensionError, NormalizationError, ProtocolError
 from .evaluation import (
-    DEFAULT_ROC_POINTS,
     MatchMatrix,
     MetricsReport,
     ScoreSet,
@@ -124,7 +123,6 @@ def protocol_from_features(
     probe_features: dict[str, list[np.ndarray]],
     bit_length: int,
     master_seed: int,
-    roc_points: int = DEFAULT_ROC_POINTS,
 ) -> ProtocolRun:
     """Hash per-subject gallery features, score every probe feature against
     every template under that template's key, and compute metrics.
@@ -167,6 +165,6 @@ def protocol_from_features(
         eer_threshold=eer_thr,
         crr=crr_rank1(matches),
         di=decidability_index(scores),
-        roc=tuple(roc_grid(scores, roc_points)),
+        roc=tuple(roc_grid(scores)),
     )
     return ProtocolRun(report=report, scores=scores, matches=matches)

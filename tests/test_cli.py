@@ -100,6 +100,17 @@ def test_synth_zero_size_fails_and_writes_nothing(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+# "-inf" would parse as a flag, so every value goes in the --noise=VALUE form.
+@pytest.mark.parametrize("noise", ["nan", "inf", "-inf"])
+def test_synth_non_finite_noise_fails_and_writes_nothing(tmp_path, capsys, noise):
+    out = tmp_path / "corpus"
+    rc = main(["synth", "--subjects", "2", "--samples", "2", f"--noise={noise}", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "noise level" in err
+    assert not out.exists()
+
+
 def test_augment_writes_requested_count(cli_env, tmp_path):
     src = cli_env["data"] / "s00" / "img00.pgm"
     out = tmp_path / "aug"
@@ -107,6 +118,27 @@ def test_augment_writes_requested_count(cli_env, tmp_path):
                *common(cli_env)])
     assert rc == 0
     assert sorted(p.name for p in out.iterdir()) == [f"aug{i:02d}.pgm" for i in range(5)]
+
+
+# -- train ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("count, images", [(0, 12), (2, 6)])
+def test_train_gallery_count_zero_means_every_sample(cli_env, tmp_path, capsys, count, images):
+    rc = main(["train", "--data", str(cli_env["data"]), "--out", str(tmp_path / "m.dfn"), "--epochs", "0",
+               "--gallery-count", str(count), *common(cli_env)])
+    assert rc == 0
+    assert f"saved untrained model for {images} images" in capsys.readouterr().out
+
+
+def test_train_refuses_a_negative_gallery_count_before_loading(cli_env, tmp_path, capsys):
+    # The missing root shows that the count is checked before the corpus loads.
+    for data in (cli_env["data"], tmp_path / "missing"):
+        out = tmp_path / "model.dfn"
+        rc = main(["train", "--data", str(data), "--out", str(out), "--epochs", "1",
+                   "--gallery-count", "-1", *common(cli_env)])
+        assert rc == 1
+        assert "gallery count must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # -- extract ----------------------------------------------------------------------
@@ -303,7 +335,8 @@ def test_concurrent_enrolls_keep_one_active_record(cli_env, tmp_path):
     assert [proc.exitcode for proc in procs] == [0, 0]
     vault = TemplateVault(store / "keys.jsonl", store / "templates.jsonl")
     assert vault.active_record("s00")["key_version"] == 2
-    assert sorted(r["key_version"] for r in vault.keys.records) == [1, 2]
+    keys = [json.loads(line) for line in (store / "keys.jsonl").read_text().splitlines()]
+    assert sorted(r["key_version"] for r in keys) == [1, 2]
 
 
 def test_verify_without_threshold_fails(cli_env, tmp_path):

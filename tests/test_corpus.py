@@ -72,7 +72,7 @@ def reference_warp(grid, angle_deg, zoom, shift=(0.0, 0.0), elastic=None):
 def reference_subject_base_texture(spec, subject_index):
     h, w = spec.height, spec.width
     n = spec.num_subjects
-    freqs = np.linspace(spec.freq_band[0], spec.freq_band[1], n)
+    freqs = np.linspace(6.0, 16.0, n)
     angles = np.deg2rad(np.linspace(-40.0, 40.0, n))
     shuffle = rand.permutation(rand.derive_seed(spec.seed, "assign"), rand.PURPOSE_SYNTH, n)
     freq = freqs[subject_index]
@@ -204,7 +204,7 @@ class TestIngest:
     def test_layout_sorted(self, tmp_path):
         self._make_corpus(tmp_path, subjects=2, samples=3)
         layout = ingest(tmp_path)
-        assert layout.subject_ids() == ["sub0", "sub1"]
+        assert sorted(layout.subjects) == ["sub0", "sub1"]
         assert [p.name for p in layout.subjects["sub0"]] == ["im0.pgm", "im1.pgm", "im2.pgm"]
 
     def test_load_samples_resizes(self, tmp_path):
@@ -258,15 +258,12 @@ class TestAugment:
         b = augment(img, spec)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    def test_identity_ranges_give_exact_copies(self):
+    def test_identity_warp_gives_exact_copies(self):
         rng = np.random.default_rng(7)
         img = rng.uniform(0.0, 1.0, (9, 11))
-        spec = AugmentationSpec(
-            count=3, zoom=(1.0, 1.0), rotation_deg=(0.0, 0.0),
-            elastic_amplitude=0.0, brightness=(0.0, 0.0), seed=1,
-        )
-        for v in augment(img, spec):
-            assert np.array_equal(v, img)
+        zero = np.zeros_like(img)
+        assert np.array_equal(corpus._warp(img, 0.0, 1.0), img)
+        assert np.array_equal(corpus._warp(img, 0.0, 1.0, elastic=(zero, zero)), img)
 
     def test_variants_differ_from_source(self):
         rng = np.random.default_rng(8)
@@ -275,14 +272,9 @@ class TestAugment:
         assert all(np.abs(v - img).max() > 1e-6 for v in out)
 
     def test_spec_validation(self):
-        with pytest.raises(DataError):
-            AugmentationSpec(count=0)
-        with pytest.raises(DataError):
-            AugmentationSpec(zoom=(1.1, 0.9))
-        with pytest.raises(DataError):
-            AugmentationSpec(zoom=(-0.5, 1.0))
-        with pytest.raises(DataError):
-            AugmentationSpec(elastic_sigma=0.0)
+        for count in (0, -1):
+            with pytest.raises(DataError, match="augmentation count"):
+                AugmentationSpec(count=count)
 
     def test_non_2d_rejected(self):
         with pytest.raises(DimensionError):
@@ -293,10 +285,9 @@ class TestSynthetic:
     def test_spec_validation(self):
         with pytest.raises(DataError):
             SyntheticSpec(num_subjects=0, samples_per_subject=3)
-        with pytest.raises(DataError):
-            SyntheticSpec(num_subjects=2, samples_per_subject=2, freq_band=(8.0, 4.0))
-        with pytest.raises(DataError):
-            SyntheticSpec(num_subjects=2, samples_per_subject=2, noise_level=-0.1)
+        for noise in (-0.1, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(DataError, match="noise level"):
+                SyntheticSpec(num_subjects=2, samples_per_subject=2, noise_level=noise)
 
     def test_base_texture_deterministic(self):
         spec = SyntheticSpec(num_subjects=4, samples_per_subject=2, seed=3)
@@ -357,11 +348,11 @@ class TestSynthetic:
         spec = SyntheticSpec(num_subjects=4, samples_per_subject=3,
                              height=16, width=24, seed=2)
         layout = generate_synthetic(spec, tmp_path / "corpus")
-        assert layout.subject_ids() == ["s00", "s01", "s02", "s03"]
+        assert sorted(layout.subjects) == ["s00", "s01", "s02", "s03"]
         files = sorted((tmp_path / "corpus").rglob("*.pgm"))
         assert len(files) == 12
         reloaded = ingest(tmp_path / "corpus")
-        assert reloaded.subject_ids() == layout.subject_ids()
+        assert reloaded.subjects == layout.subjects
 
     def test_generated_files_quantize_faithfully(self, tmp_path):
         spec = SyntheticSpec(num_subjects=2, samples_per_subject=2,
@@ -407,7 +398,6 @@ class TestSeparableGeometry:
     def test_augment_matches_reference(self, monkeypatch, shape):
         img = np.random.default_rng(11).uniform(0.0, 1.0, shape)
         spec = AugmentationSpec(count=4, seed=6)
-        assert spec.elastic_amplitude > 0.0
         got = augment(img, spec)
         monkeypatch.setattr(corpus, "_warp", reference_warp)
         for g, w in zip(got, augment(img, spec)):
@@ -487,7 +477,7 @@ class TestBaseTextureMemo:
         {"seed": 2},
         {"seed": 1.0},  # equal to 1, but derive_seed labels it "1.0"
         {"noise_level": 0.2},
-        {"freq_band": (4.0, 12.0)},
+        {"seed": True},  # equal to 1, but derive_seed labels it "True"
     ])
     def test_interleaved_specs_keep_their_bits(self, other):
         base = {"num_subjects": 5, "samples_per_subject": 3, "height": 16, "width": 24, "seed": 1}
@@ -536,13 +526,3 @@ class TestBaseTextureMemo:
         texture[:] = -1.0
         assert_same_bits(synthesize_sample(spec, 0, 0), sample)
         assert subject_base_texture(spec, 0).min() >= 0.0
-
-    def test_list_freq_band_synthesizes_and_follows_edits(self):
-        band = [6.0, 16.0]
-        spec = SyntheticSpec(num_subjects=3, samples_per_subject=2, height=16, width=24, freq_band=band)
-        as_tuple = SyntheticSpec(num_subjects=3, samples_per_subject=2, height=16, width=24)
-        assert_same_bits(synthesize_sample(spec, 2, 1), uncached_sample(as_tuple, 2, 1))
-        synthesize_sample(spec, 2, 0)
-        band[1] = 20.0
-        wider = SyntheticSpec(num_subjects=3, samples_per_subject=2, height=16, width=24, freq_band=(6.0, 20.0))
-        assert_same_bits(synthesize_sample(spec, 2, 1), uncached_sample(wider, 2, 1))

@@ -486,8 +486,12 @@ class TestIndexSidecar:
 
 class TestDerivedBasis:
     def test_key_record_digest_is_pinned(self, vault):
-        key, basis = vault.issue_key("u", bit_length=128, feature_dim=256, seed=1)
-        record = vault.keys.records[-1]
+        # Keys are minted from the vault's master seed, so the seed-1 key is
+        # appended directly.
+        key = UserKey(user_id="u", seed=1, bit_length=128)
+        basis = basis_for_key(key, 256)
+        vault._append_key("major", key, basis)
+        record = json.loads(vault.keys.path.read_text().splitlines()[-1])
         assert record["schema"] == 2
         assert record["basis_blake2b"] == PINNED_BASIS_BLAKE2B
         loaded_key, loaded = vault.load_basis("u", "major", key.key_version)
@@ -562,7 +566,7 @@ class TestDerivedBasis:
         other = np.random.default_rng(12).uniform(0.1, 0.9, image.shape)
         vault.enroll("bob", [other], tiny_net, bit_length=32)
         mixed = TemplateVault(keys, templates)
-        assert [r["schema"] for r in mixed.keys.records] == [1, 2]
+        assert [json.loads(line)["schema"] for line in keys.read_text().splitlines()] == [1, 2]
         assert mixed.verify(image, "alice", tiny_net, threshold=0.2).score == 0.0
         assert mixed.verify(other, "bob", tiny_net, threshold=0.2).score == 0.0
 

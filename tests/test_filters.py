@@ -17,7 +17,7 @@ def test_ring_enumeration_is_clockwise_outer_boundary():
 
 
 def test_gap_filter_layout():
-    bank = filters.make_gap_filters(filters.GapFilterSpec(gap=1))
+    bank = filters.make_gap_filters(1)
     assert bank.shape == (12, 3, 5)
     for p, k in enumerate(bank):
         plus = filters.RING_POSITIONS[p]
@@ -63,13 +63,13 @@ def test_gap_spec_bounds():
 
 
 def test_lbc_cells_are_ternary():
-    bank = filters.make_lbc_filters(filters.LbcFilterSpec(count=64, seed=5))
+    bank = filters.make_lbc_filters(64, 5)
     assert bank.shape == (64, 3, 5)
     assert set(np.unique(bank)) <= {-1.0, 0.0, 1.0}
 
 
 def test_lbc_zero_fraction_near_sparsity():
-    bank = filters.make_lbc_filters(filters.LbcFilterSpec(count=512, seed=5))
+    bank = filters.make_lbc_filters(512, 5)
     frac = np.mean(bank == 0.0)
     assert abs(frac - 0.5) < 0.03
     nonzero = bank[bank != 0.0]
@@ -77,29 +77,25 @@ def test_lbc_zero_fraction_near_sparsity():
 
 
 def test_lbc_seed_determinism():
-    a = filters.make_lbc_filters(filters.LbcFilterSpec(count=64, seed=9))
-    b = filters.make_lbc_filters(filters.LbcFilterSpec(count=64, seed=9))
-    c = filters.make_lbc_filters(filters.LbcFilterSpec(count=64, seed=10))
+    a = filters.make_lbc_filters(64, 9)
+    b = filters.make_lbc_filters(64, 9)
+    c = filters.make_lbc_filters(64, 10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_lbc_single_draw_per_cell():
-    # The ternary value is carved out of one uniform per cell: u < s -> 0,
-    # u < s + (1-s)*p -> +1, else -1.
+    # The ternary value is carved out of one uniform per cell: u < 0.5 -> 0,
+    # u < 0.5 + 0.5 * 0.5 -> +1, else -1.
     from dorsalhash import rand
-    spec = filters.LbcFilterSpec(count=8, seed=21, sparsity=0.4, bernoulli_p=0.25)
     u = rand.uniforms(21, rand.PURPOSE_LBC_BANK, 8 * 15)
-    expect = np.where(u < 0.4, 0.0, np.where(u < 0.4 + 0.6 * 0.25, 1.0, -1.0))
-    bank = filters.make_lbc_filters(spec)
+    expect = np.where(u < 0.5, 0.0, np.where(u < 0.75, 1.0, -1.0))
+    bank = filters.make_lbc_filters(8, 21)
     assert np.array_equal(bank.ravel(), expect)
 
 
 def test_lbc_spec_validation():
-    with pytest.raises(FilterSpecError):
-        filters.LbcFilterSpec(count=0, seed=1)
-    with pytest.raises(FilterSpecError):
-        filters.LbcFilterSpec(count=8, seed=1, sparsity=1.5)
-    with pytest.raises(FilterSpecError):
-        filters.LbcFilterSpec(count=8, seed=1, bernoulli_p=-0.1)
+    for count in (0, -3):
+        with pytest.raises(FilterSpecError, match="bank count"):
+            filters.make_lbc_filters(count, 1)
 

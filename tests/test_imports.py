@@ -1,4 +1,4 @@
-"""scipy is loaded only by augment's elastic warp.
+"""scipy is loaded only by augment, for its elastic warp.
 
 Each check runs in a new interpreter, since the test process has usually
 imported scipy already.
@@ -71,14 +71,16 @@ loaded()
     assert seen["scipy"] == [[]] * 6
 
 
-def test_elastic_augment_loads_scipy_on_first_use():
+def test_elastic_augment_loads_scipy_on_first_use(tmp_path):
     img = np.linspace(0.0, 1.0, 24 * 40).reshape(24, 40)
-    seen = run_fresh("""
+    synth_out = str(tmp_path / "corpus")
+    seen = run_fresh(f"""
 import hashlib
 import numpy as np
-from dorsalhash.corpus import AugmentationSpec, augment
+from dorsalhash.corpus import AugmentationSpec, SyntheticSpec, augment, generate_synthetic
 img = np.linspace(0.0, 1.0, 24 * 40).reshape(24, 40)
-augment(img, AugmentationSpec(count=3, seed=4, elastic_amplitude=0.0))
+loaded()
+generate_synthetic(SyntheticSpec(num_subjects=2, samples_per_subject=2, height=8, width=16), {synth_out!r})
 loaded()
 out = augment(img, AugmentationSpec(count=3, seed=4))
 print("digest:", json.dumps(hashlib.sha256(np.stack(out).tobytes()).hexdigest()))
@@ -86,5 +88,5 @@ loaded()
 """)
     expect = np.stack(augment(img, AugmentationSpec(count=3, seed=4)))
     assert seen["digest"] == [hashlib.sha256(expect.tobytes()).hexdigest()]
-    assert seen["scipy"][0] == []
-    assert "scipy.ndimage" in seen["scipy"][1]
+    assert seen["scipy"][:2] == [[], []]
+    assert "scipy.ndimage" in seen["scipy"][2]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 import struct
@@ -114,6 +115,23 @@ def test_same_seed_builds_identical_nets(tiny_config):
         assert np.array_equal(getattr(a, n).weights, getattr(b, n).weights)
 
 
+# BLAKE2b-128 of the two ternary banks (stages 4 and 5) as little-endian
+# float64, pinned so that a change to how a bank is drawn cannot pass as a
+# refactor.  The banks depend only on lbc_seed.
+PINNED_TERNARY_BANKS = {
+    0: ["da2461550c01fee5af246e82a0a2f7c0", "d8229192accd1571630e398b1a730801"],
+    7: ["8e58bfed988cb6beac72a05e9f97a83a", "86464deb3f985ad5c8875bbed35ef5c8"],
+}
+
+
+@pytest.mark.parametrize("lbc_seed", sorted(PINNED_TERNARY_BANKS))
+def test_ternary_bank_digests_are_pinned(lbc_seed):
+    net = FixedFilterNet.build(NetworkConfig(num_classes=2, lbc_seed=lbc_seed))
+    got = [hashlib.blake2b(np.ascontiguousarray(b, dtype="<f8").tobytes(), digest_size=16).hexdigest()
+           for b in net.banks[3:]]
+    assert got == PINNED_TERNARY_BANKS[lbc_seed]
+
+
 # -- gradients ----------------------------------------------------------------
 
 def _fd_group_errors(net, img, label, eps, coords_per_group=8, pick_seed=1234):
@@ -183,7 +201,7 @@ def reference_loss_and_grads(net, image, label):
     dx = (net.fc1.weights.T @ dz1).reshape(xs[-1].shape)
     for s in (4, 3, 2, 1, 0):
         dc = ops.maxpool2_grad(combined[s], dx) if s >= 3 else dx
-        grads[f"combine{s + 1}"], dd = ops.combine1x1_grads(rectified[s], net.combine[s], dc, rectified=True)
+        grads[f"combine{s + 1}"], dd = ops.combine1x1_grads(rectified[s], net.combine[s], dc)
         if s:
             dx = ops.conv2d_input_grad(dd, net.banks[s], xs[s].shape)
     return -logz[label], int(np.argmax(z3) == label), grads

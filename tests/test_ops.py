@@ -30,6 +30,15 @@ def reference_conv2d_input_grad(grad_out, kernels):
     return ops._replicate_pad_adjoint(acc, ph, pw)
 
 
+# Reference for the 1x1 combine's gradients with no ReLU behind it: the
+# per-channel dot product for the weights and the outer product of the
+# weights with the incoming gradient for the maps.
+
+def reference_combine1x1_grads(maps, weights, grad_out):
+    d_w = np.array([np.sum(grad_out * maps[i]) for i in range(maps.shape[0])])
+    return d_w, np.outer(weights, grad_out).reshape(maps.shape)
+
+
 def package_banks(lbc_seed):
     cfg = NetworkConfig(num_classes=2, input_height=16, input_width=32,
                         fc1_dim=8, fc2_dim=128, lbc_seed=lbc_seed)
@@ -246,13 +255,13 @@ def test_combine1x1_weighted_sum():
 
 def test_combine1x1_grads():
     rng = np.random.default_rng(11)
-    maps = rng.standard_normal((3, 4, 4))
+    maps = ops.relu(rng.standard_normal((3, 4, 4)))
     w = rng.standard_normal(3)
     g = rng.standard_normal((4, 4))
-    d_w, d_maps = ops.combine1x1_grads(maps, w, g)
-    expect_w = np.array([np.sum(g * maps[i]) for i in range(3)])
+    d_w, d_pre = ops.combine1x1_grads(maps, w, g)
+    expect_w, expect_maps = reference_combine1x1_grads(maps, w, g)
     assert np.allclose(d_w, expect_w, rtol=1e-12)
-    assert np.allclose(d_maps, w[:, None, None] * g, rtol=1e-12)
+    assert np.allclose(d_pre, np.where(maps > 0.0, expect_maps, 0.0), rtol=1e-12)
 
 
 def test_combine1x1_grads_rectified_is_relu_pullback():
@@ -262,9 +271,10 @@ def test_combine1x1_grads_rectified_is_relu_pullback():
     w = rng.standard_normal(5)
     g = rng.standard_normal((4, 6))
     maps = ops.relu(pre)
-    d_w, d_maps = ops.combine1x1_grads(maps, w, g)
-    d_w_fused, d_pre = ops.combine1x1_grads(maps, w, g, rectified=True)
-    assert np.array_equal(d_w_fused, d_w)
+    d_w, d_maps = reference_combine1x1_grads(maps, w, g)
+    d_w_fused, d_pre = ops.combine1x1_grads(maps, w, g)
+    assert np.array_equal(d_w_fused, maps.reshape(5, -1) @ g.ravel())
+    assert np.allclose(d_w_fused, d_w, rtol=1e-12)
     assert np.array_equal(d_pre, ops.relu_grad(pre, d_maps))
     assert d_pre[0, 0, 0] == 0.0
 
@@ -413,15 +423,17 @@ def test_conv_input_grad_matches_finite_differences():
 
 
 def test_combine_grads_match_finite_differences():
+    # The gradients of combine1x1(relu(pre), w) with respect to w and pre.
     rng = np.random.default_rng(21)
-    maps = rng.standard_normal((3, 4, 6))
+    pre = rng.standard_normal((3, 4, 6))
+    pre[np.abs(pre) < 1e-2] = 0.5  # keep every cell away from the kink
     w = rng.standard_normal(3)
     cost = rng.standard_normal((4, 6))
-    d_w, d_maps = ops.combine1x1_grads(maps, w, cost)
-    num_w = central_diff(lambda ww: np.sum(cost * ops.combine1x1(maps, ww)), w)
-    num_maps = central_diff(lambda mm: np.sum(cost * ops.combine1x1(mm, w)), maps)
+    d_w, d_pre = ops.combine1x1_grads(ops.relu(pre), w, cost)
+    num_w = central_diff(lambda ww: np.sum(cost * ops.combine1x1(ops.relu(pre), ww)), w)
+    num_pre = central_diff(lambda pp: np.sum(cost * ops.combine1x1(ops.relu(pp), w)), pre)
     assert np.allclose(d_w, num_w, atol=1e-8)
-    assert np.allclose(d_maps, num_maps, atol=1e-8)
+    assert np.allclose(d_pre, num_pre, atol=1e-8)
 
 
 def test_maxpool_grad_matches_finite_differences():
