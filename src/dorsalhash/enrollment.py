@@ -530,6 +530,8 @@ class TemplateVault:
         input runs before the first append, so a failed call leaves the
         active enrollment in place."""
         f = np.asarray(mean_features, dtype=np.float64)
+        if not np.isfinite(f).all():
+            raise DataError(f"features of {user_id!r} are not finite")
         key, basis = self._mint_key(user_id, modality, bit_length, f.shape[0])
         template = template_from_basis(f, basis)
         prior = self.active_record(user_id, modality)

@@ -11,7 +11,9 @@ experiment.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import os
+import threading
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +120,82 @@ class ProtocolRun:
     matches: MatchMatrix
 
 
+# The fewest gallery subjects a process scores in the protocol.  Below 6-8
+# subjects a process, forking a child and piping its distances back costs
+# more than the key bases it takes over (2-vCPU VM, 45 and 87 MB processes);
+# 11 keeps a 20-subject protocol, such as the desk loop's, in one process.
+MIN_SUBJECTS_PER_PROCESS = 11
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _process_count(subjects: int) -> int:
+    """Processes that share a protocol of ``subjects`` gallery subjects: one
+    per usable CPU while each gets MIN_SUBJECTS_PER_PROCESS, and only one
+    without ``fork`` or while other threads run, since a forked child
+    inherits the locks they hold."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(_usable_cpus(), subjects // MIN_SUBJECTS_PER_PROCESS))
+
+
+def _send_result(fn: Callable[[range], np.ndarray], block: range, conn) -> None:
+    """Child side of _map_blocks: send ("ok", fn(block)) or ("error", exc)."""
+    try:
+        result = ("ok", fn(block))
+    except Exception as exc:
+        result = ("error", exc)
+    with conn:
+        conn.send(result)
+
+
+def _map_blocks(fn: Callable[[range], np.ndarray], blocks: list[range]) -> list[np.ndarray]:
+    """[fn(block) for block in blocks], the first in this process and each
+    other in a forked child that inherits fn's inputs and pipes back only its
+    result.  A child's exception re-raises here; on any failure the children
+    are killed.  Every child is joined and every pipe closed before return."""
+    # Imported here, so that CLI commands that run no protocol (enroll,
+    # verify, revoke) do not pay for it.
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    procs, pipes = [], []
+    try:
+        for block in blocks[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            pipes.append(recv)
+            proc = ctx.Process(target=_send_result, args=(fn, block, send))
+            try:
+                proc.start()
+            finally:
+                send.close()
+            procs.append(proc)
+        results = [fn(blocks[0])]
+        for recv, block in zip(pipes, blocks[1:]):
+            try:
+                status, value = recv.recv()
+            except EOFError:
+                raise RuntimeError(f"the process scoring columns {block.start}..{block.stop - 1} "
+                                   "ended without a result") from None
+            if status == "error":
+                raise value
+            results.append(value)
+        return results
+    except BaseException:
+        # SIGKILL, not SIGTERM: a child may have inherited a SIGTERM handler.
+        for proc in procs:
+            proc.kill()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+            proc.close()
+        for recv in pipes:
+            recv.close()
+
+
 def protocol_from_features(
     gallery_features: dict[str, np.ndarray],
     probe_features: dict[str, list[np.ndarray]],
@@ -130,7 +208,10 @@ def protocol_from_features(
     This is the stolen-token setting: an impostor probe is projected with
     the claimed identity's own basis.  Per gallery subject, one batch call
     of ``project``, ``binarize`` and ``template_distance``, the functions
-    the vault scores with, scores every probe at once.
+    the vault scores with, scores every probe at once.  The sorted subjects
+    split into contiguous column blocks, one per process (_process_count);
+    every block is scored by the same code on the same inputs, so the
+    distances do not depend on the split.
     """
     if len(gallery_features) < 2:
         raise ProtocolError(f"protocol needs >= 2 subjects, got {len(gallery_features)}")
@@ -145,17 +226,25 @@ def protocol_from_features(
     if any(v.ndim != 1 or v.shape != shape for v in gallery + probes):
         raise DimensionError("gallery and probe features must be 1-D vectors of one length")
     probe_matrix = np.array(probes).reshape(len(probes), shape[0])
+    _require_finite(np.array(gallery), subjects, "gallery")
+    _require_finite(probe_matrix, probe_ids, "probe")
 
-    distances = np.empty((len(probes), len(subjects)))
-    for j, (sid, f) in enumerate(zip(subjects, gallery)):
-        key = UserKey(
-            user_id=sid,
-            seed=rand.derive_seed(master_seed, sid, "protocol", 1),
-            bit_length=bit_length,
-        )
-        basis = basis_for_key(key, f.shape[0])
-        bits = binarize(project(f, basis))
-        distances[:, j] = template_distance(binarize(project(probe_matrix, basis)), bits)
+    def _score_columns(block: range) -> np.ndarray:
+        out = np.empty((len(probes), len(block)))
+        for c, j in enumerate(block):
+            key = UserKey(
+                user_id=subjects[j],
+                seed=rand.derive_seed(master_seed, subjects[j], "protocol", 1),
+                bit_length=bit_length,
+            )
+            basis = basis_for_key(key, shape[0])
+            bits = binarize(project(gallery[j], basis))
+            out[:, c] = template_distance(binarize(project(probe_matrix, basis)), bits)
+        return out
+
+    n = _process_count(len(subjects))
+    blocks = [range(len(subjects) * k // n, len(subjects) * (k + 1) // n) for k in range(n)]
+    distances = np.concatenate(_map_blocks(_score_columns, blocks), axis=1)
 
     matches = MatchMatrix(distances=distances, probe_ids=probe_ids, gallery_ids=subjects)
     scores = scores_from_matches(matches)
@@ -168,3 +257,11 @@ def protocol_from_features(
         roc=tuple(roc_grid(scores)),
     )
     return ProtocolRun(report=report, scores=scores, matches=matches)
+
+
+def _require_finite(rows: np.ndarray, subject_ids: list[str], role: str) -> None:
+    """Raise DataError naming the first subject whose row of ``rows`` holds
+    a NaN or an infinity."""
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise DataError(f"{role} features of subject {subject_ids[bad[0]]!r} are not finite")

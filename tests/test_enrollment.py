@@ -128,6 +128,19 @@ class TestLifecycle:
         assert reopened.active_record("alice")["key_version"] == 1
         assert reopened.verify(other, "alice", tiny_net, threshold=0.5) == before
 
+    @pytest.mark.parametrize("bad", ["all_nan", "one_inf"])
+    def test_non_finite_features_refused_before_any_append(self, vault, tiny_net, image, bad):
+        vault.enroll("alice", [image], tiny_net, bit_length=64)
+        stores = (vault.keys.path.read_bytes(), vault.templates.path.read_bytes())
+        features = np.full(256, np.nan) if bad == "all_nan" else np.where(np.arange(256) == 9, np.inf, 0.5)
+        for user in ("u", "alice"):
+            with pytest.raises(DataError, match=f"features of '{user}' are not finite"):
+                vault.enroll_features(user, features)
+        assert (vault.keys.path.read_bytes(), vault.templates.path.read_bytes()) == stores
+        reopened = TemplateVault(vault.keys.path, vault.templates.path, master_seed=42)
+        assert reopened.active_record("u") is None
+        assert reopened.active_record("alice")["key_version"] == 1
+
     def test_failed_reissue_keeps_the_active_enrollment(self, vault, tiny_net, image):
         other = np.random.default_rng(12).uniform(0.1, 0.9, image.shape)
         vault.enroll("alice", [image], tiny_net, bit_length=64)

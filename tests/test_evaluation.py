@@ -7,15 +7,30 @@ protocol are also checked against per-threshold and per-pair references
 kept in this file.
 """
 
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dorsalhash import evaluation, rand
-from dorsalhash.errors import DataError, DimensionError, MetricUndefinedError, ProtocolError, UndefinedScoreError
+from dorsalhash import evaluation, pipeline, rand
+from dorsalhash.errors import (
+    DataError,
+    DegenerateKeyError,
+    DimensionError,
+    MetricUndefinedError,
+    ProtocolError,
+    UndefinedScoreError,
+)
 from dorsalhash.evaluation import (
     MatchMatrix,
     MetricsReport,
@@ -445,6 +460,193 @@ class TestProtocol:
                                         ("a", "b", "a"), gallery_ids=("a", "b", "c")))
         assert s.genuine.tolist() == [0.1, 0.2, 0.5]
         assert s.impostor.tolist() == [0.6, 0.3, 0.7, 0.4, 0.8, 0.9]
+
+    @pytest.mark.parametrize("role", ["gallery", "probe"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_refused_before_any_basis(self, monkeypatch, role, bad):
+        gallery, probes = _feature_corpus(5, 2, seed=17)
+        if role == "gallery":
+            gallery["s3"] = np.where(np.arange(64) == 7, bad, gallery["s3"])
+        else:
+            probes["s3"][1] = np.full(64, bad)
+        built, forks = _count_calls(monkeypatch, pipeline, "basis_for_key"), _count_forks(monkeypatch)
+        _force_processes(monkeypatch, 2)
+        with pytest.raises(DataError, match=f"{role} features of subject 's3' are not finite"):
+            protocol_from_features(gallery, probes, 32, master_seed=18)
+        assert built == [] and forks == []
+
+
+def _force_processes(monkeypatch, n):
+    """Split every protocol into n processes: n usable CPUs and one subject
+    per process at least."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(pipeline, "MIN_SUBJECTS_PER_PROCESS", 1)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """A list that gains the result of each call of owner.name that returns
+    in this process (for os.fork, the pid of each child)."""
+    calls, real = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _count_forks(monkeypatch):
+    return _count_calls(monkeypatch, os, "fork")
+
+
+def _fail_for(monkeypatch, failing, slow=()):
+    """basis_for_key raises DegenerateKeyError for the subject ``failing``
+    and sleeps for a minute before the subjects in ``slow``."""
+    real = pipeline.basis_for_key
+
+    def patched(key, feature_dim):
+        if key.user_id == failing:
+            raise DegenerateKeyError(f"injected: key of {key.user_id!r} is rank-deficient")
+        if key.user_id in slow:
+            time.sleep(60)
+        return real(key, feature_dim)
+
+    monkeypatch.setattr(pipeline, "basis_for_key", patched)
+
+
+def _assert_no_child_process(pids):
+    """No child is left running or unreaped.  Another live child of the test
+    process (a spawn context's resource tracker) may make waitpid return
+    (0, 0), but none may have exited unreaped, and every pid forked here is
+    gone."""
+    assert multiprocessing.active_children() == []
+    try:
+        assert os.waitpid(-1, os.WNOHANG) == (0, 0)
+    except ChildProcessError:
+        pass
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def _outputs(run):
+    return (
+        run.matches.distances.tobytes(),
+        run.matches.probe_ids,
+        run.matches.gallery_ids,
+        run.scores.genuine.tobytes(),
+        run.scores.impostor.tobytes(),
+        json.dumps(run.report.to_dict(), sort_keys=True, separators=(",", ":")),
+    )
+
+
+class TestProtocolSplit:
+    """The protocol's subjects split into contiguous column blocks, one per
+    process; the split may change nothing but where the bases are built."""
+
+    # 7 subjects: blocks of 3 + 4 in two processes and 2 + 2 + 3 in three.
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_split_is_byte_identical_to_one_process(self, monkeypatch, processes):
+        gallery, probes = _feature_corpus(7, [1, 3, 0, 2, 5, 1, 4], seed=21, dim=128)
+        one = protocol_from_features(gallery, probes, 64, master_seed=22)
+        forks = _count_forks(monkeypatch)
+        _force_processes(monkeypatch, processes)
+        split = protocol_from_features(gallery, probes, 64, master_seed=22)
+        assert len(forks) == processes - 1
+        assert _outputs(split) == _outputs(one)
+        _assert_no_child_process(forks)
+
+    def test_process_count_follows_cpus_and_subjects(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
+        per = pipeline.MIN_SUBJECTS_PER_PROCESS
+        assert [pipeline._process_count(s) for s in (2, 2 * per - 1, 2 * per, 3 * per, 100 * per)] == [1, 1, 2, 3, 4]
+        monkeypatch.delattr(os, "fork")
+        assert pipeline._process_count(100 * per) == 1
+
+    def test_desk_protocol_stays_in_one_process(self):
+        assert pipeline.MIN_SUBJECTS_PER_PROCESS > 10
+        assert pipeline._process_count(20) == 1
+
+    def test_child_error_reraises_in_the_parent(self, monkeypatch):
+        gallery, probes = _feature_corpus(7, 2, seed=23)
+        forks = _count_forks(monkeypatch)
+        _force_processes(monkeypatch, 3)
+        _fail_for(monkeypatch, "s5")
+        with pytest.raises(DegenerateKeyError, match=r"^injected: key of 's5' is rank-deficient$"):
+            protocol_from_features(gallery, probes, 32, master_seed=24)
+        assert len(forks) == 2
+        _assert_no_child_process(forks)
+
+    def test_child_that_dies_without_a_result_raises(self, monkeypatch):
+        gallery, probes = _feature_corpus(7, 2, seed=23)
+        forks = _count_forks(monkeypatch)
+        _force_processes(monkeypatch, 2)
+        real = pipeline.basis_for_key
+        monkeypatch.setattr(pipeline, "basis_for_key",
+                            lambda key, dim: os._exit(3) if key.user_id == "s5" else real(key, dim))
+        with pytest.raises(RuntimeError, match=r"scoring columns 3\.\.6 ended without a result"):
+            protocol_from_features(gallery, probes, 32, master_seed=24)
+        _assert_no_child_process(forks)
+
+    def test_parent_error_kills_its_children(self, monkeypatch):
+        gallery, probes = _feature_corpus(7, 2, seed=23)
+        forks = _count_forks(monkeypatch)
+        _force_processes(monkeypatch, 2)
+        # The parent scores s0..s2 and fails at once; the child would sleep
+        # a minute before each of its subjects unless it is killed.
+        _fail_for(monkeypatch, "s1", slow={"s3", "s4", "s5", "s6"})
+        t0 = time.perf_counter()
+        with pytest.raises(DegenerateKeyError, match="'s1'"):
+            protocol_from_features(gallery, probes, 32, master_seed=24)
+        assert time.perf_counter() - t0 < 30
+        assert len(forks) == 1
+        _assert_no_child_process(forks)
+
+    def test_another_live_thread_keeps_one_process(self, monkeypatch):
+        gallery, probes = _feature_corpus(7, 2, seed=25)
+        one = protocol_from_features(gallery, probes, 32, master_seed=26)
+        forks = _count_forks(monkeypatch)
+        _force_processes(monkeypatch, 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            run = protocol_from_features(gallery, probes, 32, master_seed=26)
+        finally:
+            release.set()
+            other.join()
+        assert forks == []
+        assert _outputs(run) == _outputs(one)
+
+    def test_unflushed_stdout_line_is_written_once(self):
+        # stdout to a pipe is block-buffered, so the line is still in the
+        # buffer when the children fork.
+        script = textwrap.dedent("""
+            import os
+            import numpy as np
+            from dorsalhash import pipeline
+            forks = []
+            real_fork = os.fork
+            os.fork = lambda: forks.append(1) or real_fork()
+            pipeline._usable_cpus = lambda: 3
+            pipeline.MIN_SUBJECTS_PER_PROCESS = 1
+            rng = np.random.default_rng(0)
+            gallery = {f"s{s}": rng.standard_normal(32) for s in range(6)}
+            probes = {sid: [v + rng.standard_normal(32)] for sid, v in gallery.items()}
+            print("written before the protocol")
+            pipeline.protocol_from_features(gallery, probes, 32, master_seed=0)
+            print("forks", len(forks))
+        """)
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "written before the protocol\nforks 2\n"
+        assert proc.stderr == ""
 
 
 class TestStreamFeatures:

@@ -1,4 +1,5 @@
-"""scipy is loaded only by augment, for its elastic warp.
+"""scipy is loaded only by augment, for its elastic warp, and
+multiprocessing only by the protocol.
 
 Each check runs in a new interpreter, since the test process has usually
 imported scipy already.
@@ -36,7 +37,7 @@ def run_fresh(code: str) -> dict[str, list]:
     lines: dict[str, list] = {}
     for line in proc.stdout.splitlines():
         key, sep, value = line.partition(": ")
-        if sep and key in ("scipy", "digest"):
+        if sep and key in ("scipy", "digest", "multiprocessing"):
             lines.setdefault(key, []).append(json.loads(value))
     return lines
 
@@ -67,8 +68,10 @@ assert cli.main(["verify", *common, "--user", "u0", "--image", images[2], "--thr
 loaded()
 assert cli.main(["revoke", *common, "--user", "u0", "--images", *images[:2]]) == 0
 loaded()
+print("multiprocessing:", json.dumps("multiprocessing" in sys.modules))
 """)
     assert seen["scipy"] == [[]] * 6
+    assert seen["multiprocessing"] == [False]
 
 
 def test_elastic_augment_loads_scipy_on_first_use(tmp_path):
