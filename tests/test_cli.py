@@ -189,6 +189,39 @@ def test_enrollment_lifecycle(cli_env, tmp_path, capsys):
     assert rc == 0
 
 
+# BLAKE2b-128 of the stdout of PINNED_FLOW and of both store files it leaves
+# (index sidecars excluded), recorded when the vault still extracted
+# features itself.  Like the basis digests they depend on libm and BLAS.
+PINNED_FLOW_OUTPUTS = {
+    "stdout": "175411b7675d6b7240ae97933be9163e",
+    "keys.jsonl": "5b632e39e09ada9015e58455138f9541",
+    "templates.jsonl": "7bff99504779fc9600da0d5301008fcf",
+}
+# (exit code, argv head) of each call: enroll, verify, enroll again
+# (supersedes v1), revoke, verify the superseded v1, verify the active v3.
+PINNED_FLOW = [
+    (0, ["enroll", "--images", "img00", "img01"]),
+    (0, ["verify", "--image", "img02", "--threshold", "0.35"]),
+    (0, ["enroll", "--images", "img01", "img02"]),
+    (0, ["revoke", "--images", "img00", "img01"]),
+    (1, ["verify", "--image", "img02", "--threshold", "0.35", "--key-version", "1"]),
+    (0, ["verify", "--image", "img02", "--threshold", "0.35"]),
+]
+
+
+def test_enroll_verify_revoke_flow_is_pinned(streams_env, tmp_path, capsys):
+    store, subject = tmp_path / "store", streams_env / "major" / "s00"
+    codes = []
+    for code, (command, *rest) in PINNED_FLOW:
+        rest = [str(subject / f"{a}.pgm") if a.startswith("img") else a for a in rest]
+        codes.append(main([command, *rest, "--model", str(streams_env / "model.dfn"),
+                           "--store", str(store), "--user", "s00", "--seed", "0"]))
+    assert codes == [code for code, _ in PINNED_FLOW]
+    got = {"stdout": capsys.readouterr().out.encode()}
+    got.update({name: (store / name).read_bytes() for name in ("keys.jsonl", "templates.jsonl")})
+    assert {k: hashlib.blake2b(v, digest_size=16).hexdigest() for k, v in got.items()} == PINNED_FLOW_OUTPUTS
+
+
 def test_verify_unenrolled_user_fails(cli_env, tmp_path):
     store = tmp_path / "store"
     probe = str(cli_env["data"] / "s00" / "img00.pgm")
