@@ -300,10 +300,10 @@ def _load_images(model: FixedFilterNet, paths) -> list[np.ndarray]:
 
 def _cmd_enroll(settings: _Settings, args) -> int:
     model = FixedFilterNet.load(args.model)
-    images = _load_images(model, args.images)
+    features = model.extract_features(_load_images(model, args.images)).mean(axis=0)
     with _store_lock(args.store):
         vault = _vault(settings, args.store)
-        template = vault.enroll(args.user, images, model, modality=args.modality, bit_length=settings.bits)
+        template = vault.enroll_features(args.user, features, modality=args.modality, bit_length=settings.bits)
     print(
         f"enrolled {args.user}/{args.modality} v{template.key_version} "
         f"({template.bit_length} bits: {template.to_hex()})"
@@ -317,10 +317,9 @@ def _cmd_verify(settings: _Settings, args) -> int:
         raise cfgmod.ConfigError("verify needs --threshold (or a threshold config key)")
     model = FixedFilterNet.load(args.model)
     vault = _vault(settings, args.store)
-    image = _load_images(model, [args.image])[0]
+    features = model.extract_features(_load_images(model, [args.image]))[0]
     decision = vault.verify(
-        image, args.user, model, float(threshold),
-        modality=args.modality, key_version=getattr(args, "key_version", None),
+        features, args.user, threshold, modality=args.modality, key_version=args.key_version
     )
     verdict = "accept" if decision.accepted else "reject"
     print(
@@ -332,10 +331,10 @@ def _cmd_verify(settings: _Settings, args) -> int:
 
 def _cmd_revoke(settings: _Settings, args) -> int:
     model = FixedFilterNet.load(args.model)
-    images = _load_images(model, args.images)
+    features = model.extract_features(_load_images(model, args.images)).mean(axis=0)
     with _store_lock(args.store):
         vault = _vault(settings, args.store)
-        template = vault.revoke_and_reissue(args.user, images, model, modality=args.modality)
+        template = vault.revoke_and_reissue(args.user, features, modality=args.modality)
     print(f"reissued {args.user}/{args.modality} as v{template.key_version} ({template.bit_length} bits)")
     return EXIT_OK
 

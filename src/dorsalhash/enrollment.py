@@ -1,6 +1,15 @@
 """Enrollment lifecycle: key issuance, template stores, verification and
 revocation.
 
+The vault works on feature vectors and never sees an image or a model:
+``enroll_features`` and ``revoke_and_reissue`` take the mean feature vector
+of a user's images, ``verify`` takes one query vector, and the caller
+extracts them (the CLI runs its model).  A vector that is not finite raises
+``DataError`` naming the user, and so does a ``verify`` threshold outside
+[0, 1].  Every lifecycle answer -- the active enrollment, an addressed
+version, whether it is revoked -- comes from one read of the (user,
+modality) group of enroll and revoke records.
+
 Both stores are append-only JSON-lines files with a versioned per-record
 schema.  Template records hold only the protected bits and key lineage --
 never feature vectors or image data -- so the raw feature vector is not on
@@ -401,9 +410,6 @@ class TemplateVault:
 
     # -- key store ---------------------------------------------------------
 
-    def _key_records(self, user_id: str, modality: str) -> list[dict]:
-        return [r for r in self.keys.group(user_id, modality) if r["kind"] == "key"]
-
     def issue_key(
         self,
         user_id: str,
@@ -413,6 +419,7 @@ class TemplateVault:
     ) -> tuple[UserKey, ProjectionBasis]:
         """Mint the next key version for (user, modality) and persist its
         seed, dimensions and the digest of its realized basis."""
+        _check_modality(modality)
         key, basis = self._mint_key(user_id, modality, bit_length, feature_dim)
         self._append_key(modality, key, basis)
         return key, basis
@@ -422,9 +429,8 @@ class TemplateVault:
     ) -> tuple[UserKey, ProjectionBasis]:
         """The next key version for (user, modality) and its basis; writes
         nothing, so a key that fails validation leaves the stores as they were."""
-        _check_modality(modality)
-        prior = self._key_records(user_id, modality)
-        version = 1 + max((r["key_version"] for r in prior), default=0)
+        prior = self.keys.group(user_id, modality)
+        version = 1 + max((r["key_version"] for r in prior if r["kind"] == "key"), default=0)
         if self.master_seed is not None:
             seed = rand.derive_seed(self.master_seed, user_id, modality, version)
         else:
@@ -448,7 +454,8 @@ class TemplateVault:
     def load_basis(self, user_id: str, modality: str, key_version: int) -> tuple[UserKey, ProjectionBasis]:
         """The key and basis of one key record.  Schema 1 reads the inlined
         basis; schema 2 rebuilds it from the seed and checks its digest."""
-        recs = [r for r in self._key_records(user_id, modality) if r["key_version"] == key_version]
+        recs = [r for r in self.keys.group(user_id, modality)
+                if r["kind"] == "key" and r["key_version"] == key_version]
         if not recs:
             raise UnknownIdentityError(f"no key v{key_version} for {user_id!r}/{modality}")
         r = recs[-1]
@@ -468,45 +475,40 @@ class TemplateVault:
 
     # -- template store ----------------------------------------------------
 
-    def _enrollments(self, user_id: str, modality: str) -> list[dict]:
-        return [r for r in self.templates.group(user_id, modality) if r["kind"] == "enroll"]
-
-    def _revoked_versions(self, user_id: str, modality: str) -> set[int]:
-        return {r["key_version"] for r in self.templates.group(user_id, modality) if r["kind"] == "revoke"}
+    def _lineage(self, user_id: str, modality: str) -> tuple[list[dict], set[int]]:
+        """One read of the (user, modality) template group: its enroll
+        records in file order, and the key versions its revoke records
+        name.  Every lifecycle question is answered from these two."""
+        group = self.templates.group(user_id, modality)
+        enrolls = [r for r in group if r["kind"] == "enroll"]
+        return enrolls, {r["key_version"] for r in group if r["kind"] == "revoke"}
 
     def active_record(self, user_id: str, modality: str = "major") -> dict | None:
-        revoked = self._revoked_versions(user_id, modality)
-        live = [r for r in self._enrollments(user_id, modality) if r["key_version"] not in revoked]
-        if len(live) > 1:
-            raise DataError(f"store invariant broken: {len(live)} active records for {user_id!r}/{modality}")
-        return live[-1] if live else None
+        return _active(user_id, modality, *self._lineage(user_id, modality))
 
-    def _mark_revoked(self, user_id: str, modality: str, key_version: int, reason: str) -> None:
-        self.templates.append({
-            "kind": "revoke",
-            "user_id": user_id,
-            "modality": modality,
-            "key_version": key_version,
-            "reason": reason,
-            "created_at": self.clock(),
-        })
+    def _address(
+        self, user_id: str, modality: str, key_version: int | None = None, all_revoked: str = "are revoked"
+    ) -> dict:
+        """The enroll record a claim addresses: the active one, or the one
+        of ``key_version``.  An unknown user or version, or a revoked one,
+        raises; ``all_revoked`` ends the message for a user with no active
+        record."""
+        enrolls, revoked = self._lineage(user_id, modality)
+        if not enrolls:
+            raise UnknownIdentityError(f"no enrollment for {user_id!r}/{modality}")
+        if key_version is None:
+            record = _active(user_id, modality, enrolls, revoked)
+            if record is None:
+                raise RevokedCredentialError(f"all enrollments for {user_id!r}/{modality} {all_revoked}")
+            return record
+        matching = [r for r in enrolls if r["key_version"] == key_version]
+        if not matching:
+            raise UnknownIdentityError(f"no enrollment v{key_version} for {user_id!r}/{modality}")
+        if key_version in revoked:
+            raise RevokedCredentialError(f"enrollment v{key_version} for {user_id!r}/{modality} is revoked")
+        return matching[-1]
 
     # -- lifecycle ----------------------------------------------------------
-
-    def enroll(
-        self,
-        user_id: str,
-        images,
-        model,
-        modality: str = "major",
-        bit_length: int = 128,
-    ) -> CancelableTemplate:
-        """Multishot enrollment: mean of the per-image features, hashed
-        under a freshly issued key.  Any previously active enrollment for
-        (user, modality) is marked revoked (superseded)."""
-        _check_modality(modality)
-        features = _mean_features(user_id, images, model)
-        return self.enroll_features(user_id, features, modality=modality, bit_length=bit_length)
 
     def enroll_features(
         self,
@@ -515,28 +517,38 @@ class TemplateVault:
         modality: str = "major",
         bit_length: int = 128,
     ) -> CancelableTemplate:
-        return self._replace_active(user_id, mean_features, modality, bit_length, reason="superseded")
+        """Multishot enrollment: the mean feature vector of the user's
+        images, hashed under a freshly issued key.  Any previously active
+        enrollment for (user, modality) is marked revoked (superseded)."""
+        _check_modality(modality)
+        prior = self.active_record(user_id, modality)
+        return self._replace(user_id, mean_features, modality, bit_length, prior, reason="superseded")
 
-    def _replace_active(
+    def _replace(
         self,
         user_id: str,
         mean_features: np.ndarray,
         modality: str,
         bit_length: int,
+        prior: dict | None,
         reason: str,
     ) -> CancelableTemplate:
-        """Enroll under the next key version, marking the active enrollment
-        (if any) revoked for ``reason``.  Everything that can reject the
-        input runs before the first append, so a failed call leaves the
-        active enrollment in place."""
-        f = np.asarray(mean_features, dtype=np.float64)
-        if not np.isfinite(f).all():
-            raise DataError(f"features of {user_id!r} are not finite")
+        """Enroll under the next key version, marking ``prior`` (if any)
+        revoked for ``reason``.  Everything that can reject the input runs
+        before the first append, so a failed call leaves the active
+        enrollment in place."""
+        f = _finite_features(user_id, mean_features)
         key, basis = self._mint_key(user_id, modality, bit_length, f.shape[0])
         template = template_from_basis(f, basis)
-        prior = self.active_record(user_id, modality)
         if prior is not None:
-            self._mark_revoked(user_id, modality, prior["key_version"], reason=reason)
+            self.templates.append({
+                "kind": "revoke",
+                "user_id": user_id,
+                "modality": modality,
+                "key_version": prior["key_version"],
+                "reason": reason,
+                "created_at": self.clock(),
+            })
         self._append_key(modality, key, basis)
         self.templates.append({
             "kind": "enroll",
@@ -552,89 +564,72 @@ class TemplateVault:
 
     def verify(
         self,
-        query_image,
+        features: np.ndarray,
         claimed_user_id: str,
-        model,
         threshold: float,
         modality: str = "major",
         key_version: int | None = None,
     ) -> VerificationDecision:
-        """Score a query against the claimed user's stored template.
+        """Score a query feature vector against the claimed user's stored
+        template.
 
         The query is projected onto the stored basis of the addressed
-        record; acceptance means score <= threshold.  Addressing a revoked
-        record (or any record of a fully revoked user) raises.
+        record; acceptance means score <= threshold, and the threshold
+        must lie in [0, 1].  Addressing a revoked record (or any record of
+        a fully revoked user) raises.
         """
         _check_modality(modality)
-        enrollments = self._enrollments(claimed_user_id, modality)
-        if not enrollments:
-            raise UnknownIdentityError(f"no enrollment for {claimed_user_id!r}/{modality}")
-        revoked = self._revoked_versions(claimed_user_id, modality)
-        if key_version is None:
-            record = self.active_record(claimed_user_id, modality)
-            if record is None:
-                raise RevokedCredentialError(
-                    f"all enrollments for {claimed_user_id!r}/{modality} are revoked"
-                )
-        else:
-            matching = [r for r in enrollments if r["key_version"] == key_version]
-            if not matching:
-                raise UnknownIdentityError(f"no enrollment v{key_version} for {claimed_user_id!r}/{modality}")
-            if key_version in revoked:
-                raise RevokedCredentialError(
-                    f"enrollment v{key_version} for {claimed_user_id!r}/{modality} is revoked"
-                )
-            record = matching[-1]
-        features = model.forward(np.asarray(query_image, dtype=np.float64))[0]
+        threshold = float(threshold)
+        if not 0.0 <= threshold <= 1.0:
+            raise DataError(f"threshold must lie in [0, 1], got {threshold}")
+        record = self._address(claimed_user_id, modality, key_version)
         score = self.score_features(features, record)
         return VerificationDecision(
             user_id=claimed_user_id,
             modality=modality,
             key_version=record["key_version"],
             score=score,
-            threshold=float(threshold),
-            accepted=score <= float(threshold),
+            threshold=threshold,
+            accepted=score <= threshold,
         )
 
     def score_features(self, features: np.ndarray, record: dict) -> float:
         """Distance between a fresh feature vector and one stored record."""
+        f = _finite_features(record["user_id"], features)
         _, basis = self.load_basis(record["user_id"], record["modality"], record["key_version"])
         stored = CancelableTemplate.from_hex(
             record["bits_hex"], record["user_id"], record["key_version"], record["bit_length"]
         )
-        return template_distance(template_from_basis(features, basis).bits, stored.bits)
+        return template_distance(template_from_basis(f, basis).bits, stored.bits)
 
     def revoke_and_reissue(
-        self,
-        user_id: str,
-        images,
-        model,
-        modality: str = "major",
-        bit_length: int | None = None,
+        self, user_id: str, mean_features: np.ndarray, modality: str = "major"
     ) -> CancelableTemplate:
         """Invalidate the active enrollment and re-enroll under a new key
-        (next version, fresh seed).  The old record stays on file, marked
-        revoked.  Features, key and template are made before the revoke is
-        appended, so a reissue that fails leaves the old enrollment active."""
+        (next version, fresh seed, same bit length).  The old record stays
+        on file, marked revoked.  Key and template are made before the
+        revoke is appended, so a reissue that fails leaves the old
+        enrollment active."""
         _check_modality(modality)
-        record = self.active_record(user_id, modality)
-        if record is None:
-            if self._enrollments(user_id, modality):
-                raise RevokedCredentialError(f"all enrollments for {user_id!r}/{modality} already revoked")
-            raise UnknownIdentityError(f"no enrollment for {user_id!r}/{modality}")
-        bits = bit_length if bit_length is not None else record["bit_length"]
-        features = _mean_features(user_id, images, model)
-        return self._replace_active(user_id, features, modality, bits, reason="revoked")
+        prior = self._address(user_id, modality, all_revoked="already revoked")
+        return self._replace(user_id, mean_features, modality, prior["bit_length"], prior, reason="revoked")
+
+
+def _active(user_id: str, modality: str, enrolls: list[dict], revoked: set[int]) -> dict | None:
+    """The one enroll record of a lineage that no revoke names, if any."""
+    live = [r for r in enrolls if r["key_version"] not in revoked]
+    if len(live) > 1:
+        raise DataError(f"store invariant broken: {len(live)} active records for {user_id!r}/{modality}")
+    return live[-1] if live else None
+
+
+def _finite_features(user_id: str, features) -> np.ndarray:
+    f = np.asarray(features, dtype=np.float64)
+    if not np.isfinite(f).all():
+        raise DataError(f"features of {user_id!r} are not finite")
+    return f
 
 
 def _check_modality(modality: str) -> None:
     if modality not in MODALITIES:
         raise DataError(f"modality must be one of {MODALITIES}, got {modality!r}")
-
-
-def _mean_features(user_id: str, images, model) -> np.ndarray:
-    """Mean feature vector of one user's enrollment images."""
-    imgs = list(images)
-    if not imgs:
-        raise DataError(f"enrollment for {user_id!r} needs at least one image")
-    return model.extract_features(imgs).mean(axis=0)

@@ -433,13 +433,13 @@ def _parse_header(path, header_bytes: bytes) -> tuple[NetworkConfig, dict[str, t
 # -- training ---------------------------------------------------------------
 
 
-def _loss_and_grads(model: FixedFilterNet, image: np.ndarray, label: int, maps: list[np.ndarray] | None = None):
+def _loss_and_grads(model: FixedFilterNet, image: np.ndarray, label: int, maps: list[np.ndarray]):
     """Cross-entropy loss, correctness flag and gradients for one sample.
 
     ``maps`` is a model._response_buffer() to trace into; the gradients do
     not refer to it, so one buffer serves every sample.
     """
-    t = model._trace(image, model._response_buffer() if maps is None else maps)
+    t = model._trace(image, maps)
     z3 = t["z3"]
     logz = z3 - (np.max(z3) + np.log(np.exp(z3 - np.max(z3)).sum()))
     loss = -logz[label]
@@ -500,8 +500,6 @@ def train(
     if (counts < 1).any():
         missing = int(np.argmin(counts))
         raise DataError(f"class {missing} has no training samples")
-    if len(set(labs)) < 2:
-        raise DataError("training needs at least 2 distinct classes")
 
     opt = ops.SgdMomentum(lr=config.lr, momentum=config.momentum)
     maps = model._response_buffer()

@@ -158,7 +158,7 @@ def test_gate_revocation_kills_old_credentials(desk, tmp_path):
     old_templates = {}
     for sid in sorted(corpus):
         old_templates[sid] = vault.enroll_features(sid, desk["gallery_feats"][sid])
-        vault.revoke_and_reissue(sid, corpus[sid][:GALLERY], model)
+        vault.revoke_and_reissue(sid, model.extract_features(corpus[sid][:GALLERY]).mean(axis=0))
 
     genuine, stale = [], []
     for sid in sorted(corpus):
@@ -297,7 +297,8 @@ def test_gate_extractor_structure():
         img = np.random.default_rng(img_seed).uniform(0.05, 0.95, (16, 32))
         label = img_seed % 3
         params = probe_net.params()
-        _, _, grads = _loss_and_grads(probe_net, img, label)
+        maps = probe_net._response_buffer()
+        _, _, grads = _loss_and_grads(probe_net, img, label, maps)
         picker = np.random.default_rng(1234)
         for name, p in params.items():
             flat = p.ravel()
@@ -308,10 +309,10 @@ def test_gate_extractor_structure():
                 orig = flat[i]
                 flat[i] = orig + 1e-6
                 probe_net.set_params(params)
-                lp, _, _ = _loss_and_grads(probe_net, img, label)
+                lp, _, _ = _loss_and_grads(probe_net, img, label, maps)
                 flat[i] = orig - 1e-6
                 probe_net.set_params(params)
-                lm, _, _ = _loss_and_grads(probe_net, img, label)
+                lm, _, _ = _loss_and_grads(probe_net, img, label, maps)
                 flat[i] = orig
                 probe_net.set_params(params)
                 fd[j] = (lp - lm) / 2e-6

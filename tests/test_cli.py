@@ -222,6 +222,29 @@ def test_enroll_verify_revoke_flow_is_pinned(streams_env, tmp_path, capsys):
     assert {k: hashlib.blake2b(v, digest_size=16).hexdigest() for k, v in got.items()} == PINNED_FLOW_OUTPUTS
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "1.5", "-0.5"])
+def test_verify_refuses_a_threshold_outside_the_unit_interval(cli_env, tmp_path, capsys, threshold, source):
+    # Another subject's image: an infinite threshold would accept it.
+    store = tmp_path / "store"
+    imgs = [str(cli_env["data"] / "s00" / f"img{i:02d}.pgm") for i in range(2)]
+    assert main(["enroll", "--model", str(cli_env["model"]), "--store", str(store),
+                 "--user", "s00", "--images", *imgs, *common(cli_env)]) == 0
+    capsys.readouterr()
+    if source == "flag":
+        extra = [f"--threshold={threshold}", *common(cli_env)]
+    else:
+        cfg = tmp_path / "threshold.cfg"
+        cfg.write_text(CFG_TEXT + f"threshold={threshold}\n", encoding="utf-8")
+        extra = ["--config", str(cfg), "--seed", "0"]
+    rc = main(["verify", "--model", str(cli_env["model"]), "--store", str(store), "--user", "s00",
+               "--image", str(cli_env["data"] / "s01" / "img02.pgm"), *extra])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: threshold must lie in [0, 1], got {float(threshold)}\n"
+
+
 def test_verify_unenrolled_user_fails(cli_env, tmp_path):
     store = tmp_path / "store"
     probe = str(cli_env["data"] / "s00" / "img00.pgm")

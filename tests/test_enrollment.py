@@ -27,6 +27,12 @@ def _dump(records) -> str:
     return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
 
 
+def feats(net, *images):
+    """Mean feature vector of images, as the CLI extracts it to enroll,
+    reissue (the mean of several) or verify (one image)."""
+    return net.extract_features(images).mean(axis=0)
+
+
 def _edit_key_record(path, **fields):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     records[-1].update(fields)
@@ -79,8 +85,8 @@ class TestDecision:
 
 class TestLifecycle:
     def test_enroll_then_verify_self_is_zero(self, vault, tiny_net, image):
-        vault.enroll("alice", [image], tiny_net, bit_length=32)
-        decision = vault.verify(image, "alice", tiny_net, threshold=0.2)
+        vault.enroll_features("alice", feats(tiny_net, image), bit_length=32)
+        decision = vault.verify(feats(tiny_net, image), "alice", threshold=0.2)
         assert decision.score == 0.0
         assert decision.accepted
         assert decision.key_version == 1
@@ -88,49 +94,50 @@ class TestLifecycle:
     def test_verify_other_user_scores_high(self, vault, calibrated_net, image):
         rng = np.random.default_rng(12)
         other = rng.uniform(0.1, 0.9, image.shape)
-        vault.enroll("alice", [image], calibrated_net, bit_length=32)
-        vault.enroll("bob", [other], calibrated_net, bit_length=32)
-        own = vault.verify(image, "alice", calibrated_net, threshold=0.2)
-        cross = vault.verify(other, "alice", calibrated_net, threshold=0.2)
+        vault.enroll_features("alice", feats(calibrated_net, image), bit_length=32)
+        vault.enroll_features("bob", feats(calibrated_net, other), bit_length=32)
+        own = vault.verify(feats(calibrated_net, image), "alice", threshold=0.2)
+        cross = vault.verify(feats(calibrated_net, other), "alice", threshold=0.2)
         assert own.score < cross.score
         assert not cross.accepted
 
     def test_unknown_user_rejected(self, vault, tiny_net, image):
         with pytest.raises(UnknownIdentityError):
-            vault.verify(image, "nobody", tiny_net, threshold=0.5)
+            vault.verify(feats(tiny_net, image), "nobody", threshold=0.5)
 
     def test_unknown_modality_rejected(self, vault, tiny_net, image):
         with pytest.raises(DataError):
-            vault.enroll("alice", [image], tiny_net, modality="iris")
+            vault.enroll_features("alice", feats(tiny_net, image), modality="iris")
 
     def test_enroll_needs_images(self, vault, tiny_net):
-        with pytest.raises(DataError):
-            vault.enroll("alice", [], tiny_net)
+        with pytest.raises(DataError, match="empty image list"):
+            vault.enroll_features("alice", feats(tiny_net))
+        assert len(vault.keys) == len(vault.templates) == 0
 
     def test_reenroll_bumps_version_and_supersedes(self, vault, tiny_net, image):
-        t1 = vault.enroll("alice", [image], tiny_net, bit_length=32)
-        t2 = vault.enroll("alice", [image], tiny_net, bit_length=32)
+        t1 = vault.enroll_features("alice", feats(tiny_net, image), bit_length=32)
+        t2 = vault.enroll_features("alice", feats(tiny_net, image), bit_length=32)
         assert (t1.key_version, t2.key_version) == (1, 2)
         active = vault.active_record("alice")
         assert active["key_version"] == 2
         with pytest.raises(RevokedCredentialError):
-            vault.verify(image, "alice", tiny_net, threshold=0.5, key_version=1)
+            vault.verify(feats(tiny_net, image), "alice", threshold=0.5, key_version=1)
 
     def test_failed_reenroll_keeps_the_active_enrollment(self, vault, tiny_net, image):
         other = np.random.default_rng(12).uniform(0.1, 0.9, image.shape)
-        vault.enroll("alice", [image], tiny_net, bit_length=64)
-        before = vault.verify(other, "alice", tiny_net, threshold=0.5)
+        vault.enroll_features("alice", feats(tiny_net, image), bit_length=64)
+        before = vault.verify(feats(tiny_net, other), "alice", threshold=0.5)
         stores = (vault.keys.path.read_bytes(), vault.templates.path.read_bytes())
         with pytest.raises(BadKeyError):
             vault.enroll_features("alice", np.ones(32), bit_length=64)
         assert (vault.keys.path.read_bytes(), vault.templates.path.read_bytes()) == stores
         reopened = TemplateVault(vault.keys.path, vault.templates.path, master_seed=42)
         assert reopened.active_record("alice")["key_version"] == 1
-        assert reopened.verify(other, "alice", tiny_net, threshold=0.5) == before
+        assert reopened.verify(feats(tiny_net, other), "alice", threshold=0.5) == before
 
     @pytest.mark.parametrize("bad", ["all_nan", "one_inf"])
     def test_non_finite_features_refused_before_any_append(self, vault, tiny_net, image, bad):
-        vault.enroll("alice", [image], tiny_net, bit_length=64)
+        vault.enroll_features("alice", feats(tiny_net, image), bit_length=64)
         stores = (vault.keys.path.read_bytes(), vault.templates.path.read_bytes())
         features = np.full(256, np.nan) if bad == "all_nan" else np.where(np.arange(256) == 9, np.inf, 0.5)
         for user in ("u", "alice"):
@@ -141,56 +148,75 @@ class TestLifecycle:
         assert reopened.active_record("u") is None
         assert reopened.active_record("alice")["key_version"] == 1
 
+    @pytest.mark.parametrize("bad", ["all_nan", "one_inf", "one_minus_inf"])
+    def test_non_finite_query_features_refused(self, vault, tiny_net, image, bad):
+        vault.enroll_features("alice", feats(tiny_net, image), bit_length=64)
+        query = np.full(tiny_net.feature_dim, np.nan) if bad == "all_nan" else feats(tiny_net, image)
+        query[9] = {"all_nan": np.nan, "one_inf": np.inf, "one_minus_inf": -np.inf}[bad]
+        with pytest.raises(DataError, match="features of 'alice' are not finite"):
+            vault.score_features(query, vault.active_record("alice"))
+        with pytest.raises(DataError, match="features of 'alice' are not finite"):
+            vault.verify(query, "alice", threshold=0.5)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, -0.01, 1.01])
+    def test_threshold_outside_the_unit_interval_refused(self, vault, tiny_net, image, threshold):
+        vault.enroll_features("alice", feats(tiny_net, image), bit_length=64)
+        other = feats(tiny_net, np.random.default_rng(12).uniform(0.1, 0.9, image.shape))
+        with pytest.raises(DataError, match="threshold must lie in \\[0, 1\\]"):
+            vault.verify(other, "alice", threshold=threshold)
+        assert not vault.verify(other, "alice", threshold=0.0).accepted
+        assert vault.verify(other, "alice", threshold=1.0).accepted
+
     def test_failed_reissue_keeps_the_active_enrollment(self, vault, tiny_net, image):
         other = np.random.default_rng(12).uniform(0.1, 0.9, image.shape)
-        vault.enroll("alice", [image], tiny_net, bit_length=64)
-        before = vault.verify(other, "alice", tiny_net, threshold=0.5)
+        vault.enroll_features("alice", feats(tiny_net, image), bit_length=64)
+        before = vault.verify(feats(tiny_net, other), "alice", threshold=0.5)
         stores = (vault.keys.path.read_bytes(), vault.templates.path.read_bytes())
-        with pytest.raises(DataError, match="at least one image"):
-            vault.revoke_and_reissue("alice", [], tiny_net)
+        with pytest.raises(DataError, match="features of 'alice' are not finite"):
+            vault.revoke_and_reissue("alice", np.full(tiny_net.feature_dim, np.nan))
         assert (vault.keys.path.read_bytes(), vault.templates.path.read_bytes()) == stores
         reopened = TemplateVault(vault.keys.path, vault.templates.path, master_seed=42)
         assert reopened.active_record("alice")["key_version"] == 1
-        assert reopened.verify(other, "alice", tiny_net, threshold=0.5) == before
+        assert reopened.verify(feats(tiny_net, other), "alice", threshold=0.5) == before
 
     def test_revoke_and_reissue(self, vault, tiny_net, image):
-        vault.enroll("alice", [image], tiny_net, bit_length=32)
-        new = vault.revoke_and_reissue("alice", [image], tiny_net)
+        vault.enroll_features("alice", feats(tiny_net, image), bit_length=32)
+        new = vault.revoke_and_reissue("alice", feats(tiny_net, image))
         assert new.key_version == 2
         with pytest.raises(RevokedCredentialError):
-            vault.verify(image, "alice", tiny_net, threshold=0.5, key_version=1)
-        ok = vault.verify(image, "alice", tiny_net, threshold=0.2)
+            vault.verify(feats(tiny_net, image), "alice", threshold=0.5, key_version=1)
+        ok = vault.verify(feats(tiny_net, image), "alice", threshold=0.2)
         assert ok.key_version == 2 and ok.score == 0.0
 
     def test_revoke_unknown_user_rejected(self, vault, tiny_net, image):
         with pytest.raises(UnknownIdentityError):
-            vault.revoke_and_reissue("ghost", [image], tiny_net)
+            vault.revoke_and_reissue("ghost", feats(tiny_net, image))
 
     def test_new_key_changes_template_bits(self, vault, tiny_net, image):
-        t1 = vault.enroll("alice", [image], tiny_net, bit_length=64)
-        t2 = vault.revoke_and_reissue("alice", [image], tiny_net)
+        t1 = vault.enroll_features("alice", feats(tiny_net, image), bit_length=64)
+        t2 = vault.revoke_and_reissue("alice", feats(tiny_net, image))
         assert t1.bit_length == t2.bit_length == 64
         assert not np.array_equal(t1.bits, t2.bits)
 
     def test_verify_missing_version_rejected(self, vault, tiny_net, image):
-        vault.enroll("alice", [image], tiny_net)
+        vault.enroll_features("alice", feats(tiny_net, image))
         with pytest.raises(UnknownIdentityError):
-            vault.verify(image, "alice", tiny_net, threshold=0.5, key_version=7)
+            vault.verify(feats(tiny_net, image), "alice", threshold=0.5, key_version=7)
 
 
 class TestStore:
     def test_append_only_under_lifecycle(self, vault, tiny_net, image, tmp_path):
         path = vault.templates.path
-        vault.enroll("alice", [image], tiny_net, bit_length=32)
+        vault.enroll_features("alice", feats(tiny_net, image), bit_length=32)
         first = path.read_bytes()
-        vault.revoke_and_reissue("alice", [image], tiny_net)
+        vault.revoke_and_reissue("alice", feats(tiny_net, image))
         second = path.read_bytes()
         assert second.startswith(first)
         assert len(second) > len(first)
 
     def test_template_store_holds_no_biometrics(self, vault, tiny_net, image):
-        vault.enroll("alice", [image], tiny_net, bit_length=32)
-        vault.revoke_and_reissue("alice", [image], tiny_net)
+        vault.enroll_features("alice", feats(tiny_net, image), bit_length=32)
+        vault.revoke_and_reissue("alice", feats(tiny_net, image))
         allowed = {
             "kind", "user_id", "modality", "key_version", "bit_length",
             "bits_hex", "basis_ref", "created_at", "schema", "reason",
@@ -202,14 +228,14 @@ class TestStore:
                 assert len(rec["bits_hex"]) == rec["bit_length"] // 4
 
     def test_reopen_uses_stored_basis(self, vault, tiny_net, image, tmp_path):
-        vault.enroll("alice", [image], tiny_net, bit_length=32)
+        vault.enroll_features("alice", feats(tiny_net, image), bit_length=32)
         # Different master seed on reopen: verification must still match,
         # because the basis is rebuilt from the seed in the key record, not
         # derived again from the master seed.
         reopened = TemplateVault(
             vault.keys.path, vault.templates.path, master_seed=999,
         )
-        decision = reopened.verify(image, "alice", tiny_net, threshold=0.2)
+        decision = reopened.verify(feats(tiny_net, image), "alice", threshold=0.2)
         assert decision.score == 0.0
 
     def test_deterministic_stores_across_runs(self, tiny_net, image, tmp_path):
@@ -217,8 +243,8 @@ class TestStore:
         for sub in ("a", "b"):
             d = tmp_path / sub
             v = TemplateVault(d / "k.jsonl", d / "t.jsonl", master_seed=7)
-            v.enroll("alice", [image], tiny_net, bit_length=32)
-            v.revoke_and_reissue("alice", [image], tiny_net)
+            v.enroll_features("alice", feats(tiny_net, image), bit_length=32)
+            v.revoke_and_reissue("alice", feats(tiny_net, image))
             blobs.append((v.keys.path.read_bytes(), v.templates.path.read_bytes()))
         assert blobs[0] == blobs[1]
 
@@ -245,7 +271,7 @@ class TestStore:
         ("templates", "modality", ["major"]),
     ])
     def test_field_of_wrong_type_rejected(self, vault, tiny_net, image, store, field, value):
-        vault.enroll("alice", [image], tiny_net, bit_length=32)
+        vault.enroll_features("alice", feats(tiny_net, image), bit_length=32)
         path = getattr(vault, store).path
         record = json.loads(path.read_text())
         path.write_text(json.dumps(dict(record, **{field: value})) + "\n")
@@ -254,7 +280,7 @@ class TestStore:
 
     @pytest.mark.parametrize("bits_hex", ["zz" * 4, "ab cd ef", "0x000000", "0" * 7, "0" * 10, ""])
     def test_bits_hex_that_does_not_spell_its_bits_rejected(self, vault, tiny_net, image, bits_hex):
-        vault.enroll("alice", [image], tiny_net, bit_length=32)
+        vault.enroll_features("alice", feats(tiny_net, image), bit_length=32)
         path = vault.templates.path
         record = json.loads(path.read_text())
         path.write_text(json.dumps(dict(record, bits_hex=bits_hex)) + "\n")
@@ -262,36 +288,36 @@ class TestStore:
             TemplateVault(vault.keys.path, vault.templates.path)
 
     def test_upper_case_bits_hex_still_verifies(self, vault, tiny_net, image):
-        vault.enroll("alice", [image], tiny_net, bit_length=32)
+        vault.enroll_features("alice", feats(tiny_net, image), bit_length=32)
         path = vault.templates.path
         record = json.loads(path.read_text())
         path.write_text(json.dumps(dict(record, bits_hex=record["bits_hex"].upper())) + "\n")
         reopened = TemplateVault(vault.keys.path, vault.templates.path)
-        assert reopened.verify(image, "alice", tiny_net, threshold=0.2).score == 0.0
+        assert reopened.verify(feats(tiny_net, image), "alice", threshold=0.2).score == 0.0
 
     def test_torn_last_line_is_dropped_then_cut_off(self, vault, tiny_net, image):
-        vault.enroll("alice", [image], tiny_net, bit_length=32)
+        vault.enroll_features("alice", feats(tiny_net, image), bit_length=32)
         before = {s.path: s.path.read_bytes() for s in (vault.keys, vault.templates)}
         for path in before:
             with open(path, "ab") as fh:
                 fh.write(b'{"kind":"enroll","user_id":"bo')
         reopened = TemplateVault(vault.keys.path, vault.templates.path, master_seed=42)
         assert (len(reopened.keys), len(reopened.templates)) == (1, 1)
-        assert reopened.verify(image, "alice", tiny_net, threshold=0.2).score == 0.0
-        reopened.enroll("bob", [image], tiny_net, bit_length=32)
+        assert reopened.verify(feats(tiny_net, image), "alice", threshold=0.2).score == 0.0
+        reopened.enroll_features("bob", feats(tiny_net, image), bit_length=32)
         for path, prefix in before.items():
             data = path.read_bytes()
             assert data.startswith(prefix)
             assert [json.loads(line)["user_id"] for line in data.splitlines()] == ["alice", "bob"]
         again = TemplateVault(vault.keys.path, vault.templates.path)
-        assert again.verify(image, "bob", tiny_net, threshold=0.2).score == 0.0
+        assert again.verify(feats(tiny_net, image), "bob", threshold=0.2).score == 0.0
 
     def test_torn_only_line_leaves_an_empty_store(self, tmp_path, tiny_net, image):
         keys, templates = tmp_path / "k.jsonl", tmp_path / "t.jsonl"
         keys.write_bytes(b'{"schema":2,"ki')
         v = TemplateVault(keys, templates, master_seed=1)
         assert len(v.keys) == 0
-        v.enroll("alice", [image], tiny_net, bit_length=32)
+        v.enroll_features("alice", feats(tiny_net, image), bit_length=32)
         assert [json.loads(line)["user_id"] for line in keys.read_bytes().splitlines()] == ["alice"]
 
     def test_corrupt_line_before_torn_tail_still_rejected(self, tmp_path):
@@ -400,7 +426,7 @@ def indexed(tmp_path, tiny_net, image):
     v = TemplateVault(tmp_path / "keys.jsonl", tmp_path / "templates.jsonl", master_seed=5)
     for user, modality in [("alice", "major"), ("bob", "major"), ("carol", "minor"), ("alice", "major")]:
         v.enroll_features(user, rng.standard_normal(dim), modality=modality, bit_length=32)
-    v.revoke_and_reissue("bob", [image], tiny_net)
+    v.revoke_and_reissue("bob", feats(tiny_net, image))
     assert not _sidecar(v.keys.path).exists()  # appends never write it
     v = TemplateVault(v.keys.path, v.templates.path, master_seed=5)
     assert _sidecar(v.keys.path).exists() and _sidecar(v.templates.path).exists()
@@ -412,9 +438,9 @@ def _answers(keys, templates, net, image):
     vault = TemplateVault(keys, templates, master_seed=5)
     out = [len(vault.keys), len(vault.templates)]
     for user, modality in INDEXED_PAIRS:
-        out += [vault.active_record(user, modality), vault._key_records(user, modality)]
+        out += [vault.active_record(user, modality), vault.keys.group(user, modality)]
         try:
-            out.append(vault.verify(image, user, net, threshold=0.5, modality=modality))
+            out.append(vault.verify(feats(net, image), user, threshold=0.5, modality=modality))
         except (UnknownIdentityError, RevokedCredentialError) as exc:
             out.append(type(exc))
     return out
@@ -512,8 +538,8 @@ class TestDerivedBasis:
         assert np.array_equal(loaded.matrix, basis.matrix)
 
     def test_key_store_holds_no_basis_or_features(self, vault, tiny_net, image):
-        vault.enroll("alice", [image], tiny_net, bit_length=32)
-        vault.revoke_and_reissue("alice", [image], tiny_net)
+        vault.enroll_features("alice", feats(tiny_net, image), bit_length=32)
+        vault.revoke_and_reissue("alice", feats(tiny_net, image))
         allowed = {
             "kind", "user_id", "modality", "key_version", "seed", "bit_length",
             "feature_dim", "basis_blake2b", "created_at", "schema",
@@ -525,13 +551,13 @@ class TestDerivedBasis:
 
     @pytest.mark.parametrize("field, value", [("seed", 12345), ("basis_blake2b", "00" * 32)])
     def test_edited_key_record_fails_closed(self, vault, tiny_net, image, field, value):
-        vault.enroll("alice", [image], tiny_net, bit_length=32)
+        vault.enroll_features("alice", feats(tiny_net, image), bit_length=32)
         _edit_key_record(vault.keys.path, **{field: value})
         reopened = TemplateVault(vault.keys.path, vault.templates.path)
         with pytest.raises(DataError):
             reopened.load_basis("alice", "major", 1)
         with pytest.raises(DataError):
-            reopened.verify(image, "alice", tiny_net, threshold=0.2)
+            reopened.verify(feats(tiny_net, image), "alice", threshold=0.2)
 
     @pytest.mark.parametrize("basis_b64, why", [
         ("QUJDA", "not base64"),
@@ -574,14 +600,14 @@ class TestDerivedBasis:
             "schema": 1,
         }]))
         vault = TemplateVault(keys, templates, master_seed=3)
-        assert vault.verify(image, "alice", tiny_net, threshold=0.2).score == 0.0
+        assert vault.verify(feats(tiny_net, image), "alice", threshold=0.2).score == 0.0
 
         other = np.random.default_rng(12).uniform(0.1, 0.9, image.shape)
-        vault.enroll("bob", [other], tiny_net, bit_length=32)
+        vault.enroll_features("bob", feats(tiny_net, other), bit_length=32)
         mixed = TemplateVault(keys, templates)
         assert [json.loads(line)["schema"] for line in keys.read_text().splitlines()] == [1, 2]
-        assert mixed.verify(image, "alice", tiny_net, threshold=0.2).score == 0.0
-        assert mixed.verify(other, "bob", tiny_net, threshold=0.2).score == 0.0
+        assert mixed.verify(feats(tiny_net, image), "alice", threshold=0.2).score == 0.0
+        assert mixed.verify(feats(tiny_net, other), "bob", threshold=0.2).score == 0.0
 
 
 class TestFusion:

@@ -136,7 +136,8 @@ def test_ternary_bank_digests_are_pinned(lbc_seed):
 
 def _fd_group_errors(net, img, label, eps, coords_per_group=8, pick_seed=1234):
     params = net.params()
-    _, _, grads = _loss_and_grads(net, img, label)
+    maps = net._response_buffer()
+    _, _, grads = _loss_and_grads(net, img, label, maps)
     picker = np.random.default_rng(pick_seed)
     worst = {}
     for name, p in params.items():
@@ -148,10 +149,10 @@ def _fd_group_errors(net, img, label, eps, coords_per_group=8, pick_seed=1234):
             orig = flat[i]
             flat[i] = orig + eps
             net.set_params(params)
-            lp, _, _ = _loss_and_grads(net, img, label)
+            lp, _, _ = _loss_and_grads(net, img, label, maps)
             flat[i] = orig - eps
             net.set_params(params)
-            lm, _, _ = _loss_and_grads(net, img, label)
+            lm, _, _ = _loss_and_grads(net, img, label, maps)
             flat[i] = orig
             net.set_params(params)
             fd[j] = (lp - lm) / (2 * eps)
@@ -220,7 +221,7 @@ def test_loss_and_grads_through_a_reused_buffer_match_the_public_ops(tiny_config
         assert set(grads) == set(ref_grads) == set(net.params())
         for name in grads:
             assert np.array_equal(grads[name], ref_grads[name]), name
-        fresh_loss, _, fresh = _loss_and_grads(net, img, label)
+        fresh_loss, _, fresh = _loss_and_grads(net, img, label, net._response_buffer())
         assert fresh_loss == loss
         for name in grads:
             assert np.array_equal(fresh[name], grads[name]), name
