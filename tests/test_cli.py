@@ -154,6 +154,36 @@ def test_extract_dumps_features_for_every_image(cli_env, tmp_path):
     assert all(len(e["features"]) == 128 for e in blob["images"])
 
 
+# BLAKE2b-128 of what a seeded train run writes and prints, and of the
+# features extract then dumps with its model, recorded when the trainable
+# parameters were still held as separate arrays.  Two epochs at 32x64 run
+# calibrate_dense and the 1.0 gradient clip.  Like the basis digests they
+# depend on libm and BLAS.
+PINNED_TRAIN_OUTPUTS = {
+    "model.dfn": "0e2372789b881bce2d7b00a908f2d150",
+    "train stdout": "cff9d128534b2c2866d624f411ebd5dc",
+    "features.json": "beb3acb3aee58218606269469124827f",
+}
+
+
+def test_train_and_extract_outputs_are_pinned(tmp_path, capsys, monkeypatch):
+    # Relative paths keep the printed and dumped paths free of tmp_path.
+    monkeypatch.chdir(tmp_path)
+    Path("settings.cfg").write_text(CFG_TEXT, encoding="utf-8")
+    flags = ["--config", "settings.cfg", "--seed", "0"]
+    assert main(["synth", "--subjects", "3", "--samples", "4", "--noise", "0.05",
+                 "--out", "corpus", *flags]) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", "corpus", "--out", "model.dfn", "--epochs", "2",
+                 "--gallery-count", "2", *flags]) == 0
+    got = {"train stdout": capsys.readouterr().out.encode()}
+    assert main(["extract", "--data", "corpus", "--model", "model.dfn",
+                 "--out", "features.json", *flags]) == 0
+    got.update({name: Path(name).read_bytes() for name in ("model.dfn", "features.json")})
+    assert {k: hashlib.blake2b(v, digest_size=16).hexdigest() for k, v in got.items()} \
+        == PINNED_TRAIN_OUTPUTS
+
+
 # -- enroll / verify / revoke lifecycle -------------------------------------------
 
 def test_enrollment_lifecycle(cli_env, tmp_path, capsys):
