@@ -537,7 +537,7 @@ class TemplateVault:
         revoked for ``reason``.  Everything that can reject the input runs
         before the first append, so a failed call leaves the active
         enrollment in place."""
-        f = _finite_features(user_id, mean_features)
+        f = _feature_vector(user_id, mean_features)
         key, basis = self._mint_key(user_id, modality, bit_length, f.shape[0])
         template = template_from_basis(f, basis)
         if prior is not None:
@@ -595,7 +595,7 @@ class TemplateVault:
 
     def score_features(self, features: np.ndarray, record: dict) -> float:
         """Distance between a fresh feature vector and one stored record."""
-        f = _finite_features(record["user_id"], features)
+        f = _feature_vector(record["user_id"], features)
         _, basis = self.load_basis(record["user_id"], record["modality"], record["key_version"])
         stored = CancelableTemplate.from_hex(
             record["bits_hex"], record["user_id"], record["key_version"], record["bit_length"]
@@ -623,8 +623,10 @@ def _active(user_id: str, modality: str, enrolls: list[dict], revoked: set[int])
     return live[-1] if live else None
 
 
-def _finite_features(user_id: str, features) -> np.ndarray:
+def _feature_vector(user_id: str, features) -> np.ndarray:
     f = np.asarray(features, dtype=np.float64)
+    if f.ndim != 1:
+        raise DataError(f"features of {user_id!r} must be one vector, got shape {f.shape}")
     if not np.isfinite(f).all():
         raise DataError(f"features of {user_id!r} are not finite")
     return f

@@ -7,12 +7,21 @@ trainable 1x1 combination that collapses the bank's channels back to one
 map, so the only trainable parameters are the five combination vectors and
 the dense layers; the banks themselves never receive gradient.
 
+The trainable parameters live in one float64 vector, ``theta``, laid out as
+a model file stores them: combine1-5, then the weights and biases of
+fc1-fc3.  Each parameter is a named view of it, and the gradient and the
+optimizer's velocity are vectors of the same layout, so a training step is
+arithmetic on whole vectors.  A step rebinds ``theta`` rather than writing
+into it, which lets a model loaded as read-only views of its file train as a
+built one does.  Loading refuses a file that holds any non-finite value.
+
 The penultimate dense activation is the feature vector consumed by the
 hashing side of the package.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -43,6 +52,7 @@ MODEL_MAGIC = b"DHFN"
 MODEL_VERSION = 1
 
 LBC_COUNTS = (64, 128)  # stages 4 and 5
+BANK_COUNTS = (*(RING_SIZE * len(LAYER_GAPS[i]) for i in (1, 2, 3)), *LBC_COUNTS)
 
 # Config keys of options that no longer exist.  Model files written before
 # their removal carry them set to false, and still load; a file with either
@@ -93,15 +103,16 @@ class TrainConfig:
     momentum: float = 0.9
     batch_size: int = 32
     shuffle_seed: int = 0
-    # Optional global-norm gradient clip.  A whitened first dense layer
-    # (calibrate_dense) amplifies gradients reaching the small 1x1 combine
-    # weights; clipping keeps those early steps from overshooting.
-    clip_norm: float | None = None
+    # Global-norm gradient clip; the infinite default never binds.  A
+    # whitened first dense layer (calibrate_dense) amplifies gradients
+    # reaching the small 1x1 combine weights; clipping keeps those early
+    # steps from overshooting.
+    clip_norm: float = math.inf
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise TrainingError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.clip_norm is not None and not self.clip_norm > 0.0:
+        if not self.clip_norm > 0.0:
             raise TrainingError(f"clip_norm must be positive, got {self.clip_norm}")
 
 
@@ -109,7 +120,8 @@ class TrainConfig:
 class EpochStats:
     """One epoch of training.  grad_norm is the mean global gradient norm
     of the epoch's steps, taken before clipping; clipped_frac is the
-    fraction of those steps that clipping shrank (0 without clip_norm)."""
+    fraction of those steps that clipping shrank (0 under the default
+    infinite clip_norm)."""
 
     epoch: int
     loss: float
@@ -118,34 +130,48 @@ class EpochStats:
     clipped_frac: float
 
 
-def _init_dense(out_dim: int, in_dim: int, seed: int, gain: float = 4.0) -> ops.DenseLayer:
-    # Scaled uniform init, bound gain*sqrt(6 / (fan_in + fan_out)), zero
-    # biases.  The default gain of 4 per layer counters the contrast
-    # attenuation of the fixed difference banks (roughly one decade per
-    # stage), so unit-contrast inputs reach logits large enough for SGD to
-    # make progress; a calibrated model (see calibrate_dense) uses gain 1
-    # because whitening already restores unit scale.
-    limit = gain * np.sqrt(6.0 / (in_dim + out_dim))
-    u = rand.uniforms(seed, rand.PURPOSE_DENSE_INIT, out_dim * in_dim)
-    w = (2.0 * u - 1.0).reshape(out_dim, in_dim) * limit
-    return ops.DenseLayer(weights=w, biases=np.zeros(out_dim))
+def _init_dense(views: dict[str, np.ndarray], lbc_seed: int, gain: float = 4.0) -> None:
+    # Scaled uniform init of the fc1-fc3 weight views, bound
+    # gain*sqrt(6 / (fan_in + fan_out)); biases are left as they are.  The
+    # default gain of 4 per layer counters the contrast attenuation of the
+    # fixed difference banks (roughly one decade per stage), so unit-contrast
+    # inputs reach logits large enough for SGD to make progress; a
+    # calibrated model (see calibrate_dense) uses gain 1 because whitening
+    # already restores unit scale.  Each step runs in place in the view, so
+    # the only temporary is the uniform draw.
+    for i in (1, 2, 3):
+        w = views[f"fc{i}.w"]
+        u = rand.uniforms(rand.derive_seed(lbc_seed, "dense", i), rand.PURPOSE_DENSE_INIT, w.size)
+        np.multiply(u.reshape(w.shape), 2.0, out=w)
+        w -= 1.0
+        w *= gain * np.sqrt(6.0 / sum(w.shape))
 
 
 class FixedFilterNet:
-    """The feature extractor plus its training-time classification head."""
+    """The feature extractor plus its training-time classification head.
 
-    def __init__(self, config: NetworkConfig, banks, combine, fc1, fc2, fc3):
+    ``views`` maps each trainable parameter's name to its view of
+    ``theta``; assigning ``theta`` re-derives them.
+    """
+
+    def __init__(self, config: NetworkConfig, banks: list[np.ndarray], theta: np.ndarray):
         self.config = config
-        self.banks = [np.asarray(b, dtype=np.float64) for b in banks]
-        self.combine = [np.asarray(w, dtype=np.float64) for w in combine]
-        if len(self.banks) != 5 or len(self.combine) != 5:
-            raise DimensionError("expected 5 banks and 5 combination vectors")
-        for i, (b, w) in enumerate(zip(self.banks, self.combine), start=1):
-            if b.shape[0] != w.shape[0]:
-                raise DimensionError(f"stage {i}: bank {b.shape} vs combine weights {w.shape}")
-        self.fc1 = fc1
-        self.fc2 = fc2
-        self.fc3 = fc3
+        self.banks = banks
+        self.theta = theta
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self._theta
+
+    @theta.setter
+    def theta(self, theta: np.ndarray) -> None:
+        self.views = self.split(theta)
+        self._theta = theta
+
+    def split(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views of a vector laid out as theta (a parameter vector or
+        a gradient)."""
+        return _segments(vector, _theta_shapes(self.config))
 
     # -- construction -----------------------------------------------------
 
@@ -158,11 +184,11 @@ class FixedFilterNet:
             make_lbc_filters(LBC_COUNTS[0], rand.derive_seed(config.lbc_seed, "lbc", 4)),
             make_lbc_filters(LBC_COUNTS[1], rand.derive_seed(config.lbc_seed, "lbc", 5)),
         ]
-        combine = [np.full(b.shape[0], 1.0 / b.shape[0]) for b in banks]
-        fc1 = _init_dense(config.fc1_dim, config.flat_dim, rand.derive_seed(config.lbc_seed, "dense", 1))
-        fc2 = _init_dense(config.fc2_dim, config.fc1_dim, rand.derive_seed(config.lbc_seed, "dense", 2))
-        fc3 = _init_dense(config.num_classes, config.fc2_dim, rand.derive_seed(config.lbc_seed, "dense", 3))
-        return cls(config, banks, combine, fc1, fc2, fc3)
+        model = cls(config, banks, np.zeros(_size(_theta_shapes(config))))
+        for i, k in enumerate(BANK_COUNTS, start=1):
+            model.views[f"combine{i}"][:] = 1.0 / k
+        _init_dense(model.views, config.lbc_seed)
+        return model
 
     @property
     def feature_dim(self) -> int:
@@ -189,14 +215,16 @@ class FixedFilterNet:
         flats = np.stack([self._trace(im)["v"] for im in imgs])
         mu = flats.mean(axis=0)
         sd = flats.std(axis=0) + 1e-12
-        cfg = self.config
-        w1 = _init_dense(cfg.fc1_dim, cfg.flat_dim,
-                         rand.derive_seed(cfg.lbc_seed, "dense", 1), gain=1.0).weights / sd
-        self.fc1 = ops.DenseLayer(weights=w1, biases=-(w1 @ mu))
-        self.fc2 = _init_dense(cfg.fc2_dim, cfg.fc1_dim,
-                               rand.derive_seed(cfg.lbc_seed, "dense", 2), gain=1.0)
-        self.fc3 = _init_dense(cfg.num_classes, cfg.fc2_dim,
-                               rand.derive_seed(cfg.lbc_seed, "dense", 3), gain=1.0)
+        # A fresh vector with the same combines.  It is bound before its
+        # dense views are filled, so the old vector is released first and
+        # the two are never held alongside the initializer's draws.
+        theta = np.zeros_like(self.theta)
+        theta[:sum(BANK_COUNTS)] = self.theta[:sum(BANK_COUNTS)]
+        self.theta = theta
+        _init_dense(self.views, self.config.lbc_seed, gain=1.0)
+        w1 = self.views["fc1.w"]
+        w1 /= sd
+        np.negative(w1 @ mu, out=self.views["fc1.b"])
 
     # -- forward ----------------------------------------------------------
 
@@ -214,10 +242,8 @@ class FixedFilterNet:
         image, as (K, H, W) views of one block, for _trace(image, maps)."""
         h, w = self.config.input_height, self.config.input_width
         dims = [(h, w)] * 4 + [(h // 2, w // 2)]  # stage 5 runs after one pooling
-        shapes = [(bank.shape[0], hh, ww) for bank, (hh, ww) in zip(self.banks, dims)]
-        sizes = [k * hh * ww for k, hh, ww in shapes]
-        chunks = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
-        return [chunk.reshape(shape) for chunk, shape in zip(chunks, shapes)]
+        shapes = {s: (k, hh, ww) for s, (k, (hh, ww)) in enumerate(zip(BANK_COUNTS, dims))}
+        return list(_segments(np.empty(_size(shapes)), shapes).values())
 
     def _trace(self, image: np.ndarray, maps: list[np.ndarray] | None = None) -> dict:
         """Forward pass keeping the intermediates that backprop needs.
@@ -240,18 +266,19 @@ class FixedFilterNet:
             if len(maps) != 5:
                 raise DimensionError(f"need 5 stage response arrays, got {len(maps)}")
             keep = t["b"] = maps
+        p = self.views
         for s in range(5):
-            c = ops.conv_stage(t["x"][-1], self.banks[s], self.combine[s], keep=keep[s])
+            c = ops.conv_stage(t["x"][-1], self.banks[s], p[f"combine{s + 1}"], keep=keep[s])
             t["c"].append(c)
             t["x"].append(ops.maxpool2(c) if s >= 3 else c)
         v = t["x"][-1].ravel()
-        z1 = self.fc1.weights @ v + self.fc1.biases
+        z1 = p["fc1.w"] @ v + p["fc1.b"]
         h1 = ops.relu(z1)
         # FC2 output is the feature vector and stays linear: downstream
         # bio-hashing thresholds projections at zero, which needs signed,
         # roughly centered features rather than rectified ones.
-        f = self.fc2.weights @ h1 + self.fc2.biases
-        z3 = self.fc3.weights @ f + self.fc3.biases
+        f = p["fc2.w"] @ h1 + p["fc2.b"]
+        z3 = p["fc3.w"] @ f + p["fc3.b"]
         t.update(v=v, z1=z1, h1=h1, f=f, z3=z3)
         return t
 
@@ -267,41 +294,18 @@ class FixedFilterNet:
             raise DataError("extract_features got an empty image list")
         return np.stack(feats)
 
-    # -- parameters -------------------------------------------------------
-
-    def params(self) -> dict[str, np.ndarray]:
-        p = {f"combine{i + 1}": self.combine[i] for i in range(5)}
-        for name, layer in (("fc1", self.fc1), ("fc2", self.fc2), ("fc3", self.fc3)):
-            p[f"{name}.w"] = layer.weights
-            p[f"{name}.b"] = layer.biases
-        return p
-
-    def set_params(self, p: dict[str, np.ndarray]) -> None:
-        self.combine = [np.asarray(p[f"combine{i + 1}"], dtype=np.float64) for i in range(5)]
-        self.fc1 = ops.DenseLayer(p["fc1.w"], p["fc1.b"])
-        self.fc2 = ops.DenseLayer(p["fc2.w"], p["fc2.b"])
-        self.fc3 = ops.DenseLayer(p["fc3.w"], p["fc3.b"])
-
     # -- persistence ------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write a versioned container: config, materialized banks, weights.
+        """Write a versioned container: config, materialized banks, theta.
 
         The byte layout is fixed (JSON header with sorted keys, float64
         little-endian payload, CRC32 trailer) so identical models always
         serialize to identical bytes.
         """
-        arrays: list[tuple[str, np.ndarray]] = []
-        for i, b in enumerate(self.banks, start=1):
-            arrays.append((f"bank{i}", b))
-        for i, w in enumerate(self.combine, start=1):
-            arrays.append((f"combine{i}", w))
-        for name, layer in (("fc1", self.fc1), ("fc2", self.fc2), ("fc3", self.fc3)):
-            arrays.append((f"{name}.w", layer.weights))
-            arrays.append((f"{name}.b", layer.biases))
         header = {
             "config": asdict(self.config),
-            "arrays": [[name, list(a.shape)] for name, a in arrays],
+            "arrays": [[name, list(shape)] for name, shape in _array_shapes(self.config).items()],
         }
         header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
         crc = zlib.crc32(header_bytes)
@@ -311,7 +315,7 @@ class FixedFilterNet:
             fh.write(header_bytes)
             # Each array's little-endian buffer goes to the file as it is
             # (a copy only where an array is not already contiguous <f8).
-            for _, a in arrays:
+            for a in (*self.banks, self.theta):
                 buf = np.ascontiguousarray(a, dtype="<f8")
                 fh.write(buf)
                 crc = zlib.crc32(buf, crc)
@@ -323,11 +327,10 @@ class FixedFilterNet:
 
         The payload is read once, straight into one 8-byte-aligned float64
         buffer that the CRC32 then covers together with the header.  The
-        buffer is marked read-only and every bank, combination vector and
-        dense layer is a view into it.  Training never writes into its
-        parameters (the optimizer returns new arrays), so loaded models
-        train as built ones do.  Any malformed file raises ModelFormatError
-        naming the path.
+        buffer is marked read-only; every bank is a view into it and theta
+        is its tail.  Training rebinds theta rather than writing into it, so
+        loaded models train as built ones do.  Any malformed file, or one
+        holding a non-finite value, raises ModelFormatError naming the path.
         """
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -351,33 +354,24 @@ class FixedFilterNet:
         if zlib.crc32(payload, zlib.crc32(header_bytes)) != struct.unpack("<I", trailer)[0]:
             raise ModelFormatError(f"{path}: checksum mismatch, file is corrupt")
         payload.flags.writeable = False
-        config, layout = _parse_header(path, header_bytes)
-        declared = sum(math.prod(shape) for shape in layout.values())
+        config = _parse_header(path, header_bytes)
+        layout = _array_shapes(config)
+        declared = _size(layout)
         if declared != payload.size:
             raise ModelFormatError(
                 f"{path}: header declares {8 * declared} payload bytes, file holds {payload_len}"
             )
-        loaded: dict[str, np.ndarray] = {}
-        offset = 0
-        for name, shape in layout.items():
-            n = math.prod(shape)
-            loaded[name] = payload[offset:offset + n].reshape(shape)
-            offset += n
-        return cls(
-            config,
-            [loaded[f"bank{i}"] for i in range(1, 6)],
-            [loaded[f"combine{i}"] for i in range(1, 6)],
-            ops.DenseLayer(loaded["fc1.w"], loaded["fc1.b"]),
-            ops.DenseLayer(loaded["fc2.w"], loaded["fc2.b"]),
-            ops.DenseLayer(loaded["fc3.w"], loaded["fc3.b"]),
-        )
+        arrays = _segments(payload, layout)
+        bad = [name for name, a in arrays.items() if not np.isfinite(a).all()]
+        if bad:
+            raise ModelFormatError(f"{path}: non-finite values in {', '.join(bad)}")
+        banks = [arrays[f"bank{i}"] for i in range(1, 6)]
+        return cls(config, banks, payload[sum(b.size for b in banks):])
 
 
-def _array_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of every array a model of this config saves, in save order."""
-    counts = [RING_SIZE * len(LAYER_GAPS[i]) for i in (1, 2, 3)] + list(LBC_COUNTS)
-    shapes = {f"bank{i}": (k, KERNEL_HEIGHT, KERNEL_WIDTH) for i, k in enumerate(counts, start=1)}
-    shapes.update({f"combine{i}": (k,) for i, k in enumerate(counts, start=1)})
+def _theta_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every trainable parameter, in its order within theta."""
+    shapes = {f"combine{i}": (k,) for i, k in enumerate(BANK_COUNTS, start=1)}
     for name, out_dim, in_dim in (
         ("fc1", config.fc1_dim, config.flat_dim),
         ("fc2", config.fc2_dim, config.fc1_dim),
@@ -388,9 +382,32 @@ def _array_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _parse_header(path, header_bytes: bytes) -> tuple[NetworkConfig, dict[str, tuple[int, ...]]]:
-    """The config and the {name: shape} layout of a model header, checked
-    against each other: exactly the arrays save() writes, each of the shape
+def _array_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every array a model of this config saves, in save order:
+    the banks, then theta's parameters."""
+    banks = {f"bank{i}": (k, KERNEL_HEIGHT, KERNEL_WIDTH) for i, k in enumerate(BANK_COUNTS, start=1)}
+    return {**banks, **_theta_shapes(config)}
+
+
+def _size(shapes: dict[str, tuple[int, ...]]) -> int:
+    return sum(math.prod(shape) for shape in shapes.values())
+
+
+def _segments(vector: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Named views of consecutive segments of a 1-D vector, in shapes order."""
+    if vector.shape != (_size(shapes),):
+        raise DimensionError(f"vector of shape {vector.shape} does not fit layout {list(shapes)}")
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        n = math.prod(shape)
+        views[name] = vector[offset:offset + n].reshape(shape)
+        offset += n
+    return views
+
+
+def _parse_header(path, header_bytes: bytes) -> NetworkConfig:
+    """The config of a model header, checked against the header's array
+    list: exactly the arrays save() writes, in its order, each of the shape
     the config implies."""
     try:
         header = json.loads(header_bytes.decode("utf-8"))
@@ -410,36 +427,33 @@ def _parse_header(path, header_bytes: bytes) -> tuple[NetworkConfig, dict[str, t
         config = NetworkConfig(**settings)
     except (TypeError, ConfigError) as exc:
         raise ModelFormatError(f"{path}: invalid model config ({exc})") from exc
-    want = _array_shapes(config)
-    layout: dict[str, tuple[int, ...]] = {}
-    for entry in header["arrays"]:
-        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-                and isinstance(entry[1], list)):
-            raise ModelFormatError(f"{path}: malformed array entry {entry!r}")
-        name, shape = entry[0], tuple(entry[1])
-        if name not in want or name in layout:
-            raise ModelFormatError(f"{path}: unexpected or repeated array {name!r}")
-        if shape != want[name]:
-            raise ModelFormatError(
-                f"{path}: array {name!r} has shape {list(shape)}, its config implies {list(want[name])}"
-            )
-        layout[name] = want[name]
-    missing = [name for name in want if name not in layout]
-    if missing:
-        raise ModelFormatError(f"{path}: header lacks arrays {', '.join(missing)}")
-    return config, layout
+    want = [[name, list(shape)] for name, shape in _array_shapes(config).items()]
+    for i, (got, need) in enumerate(itertools.zip_longest(header["arrays"], want)):
+        if got != need:
+            raise ModelFormatError(f"{path}: header array {i} is {got}, its config implies {need}")
+    return config
 
 
 # -- training ---------------------------------------------------------------
 
 
-def _loss_and_grads(model: FixedFilterNet, image: np.ndarray, label: int, maps: list[np.ndarray]):
-    """Cross-entropy loss, correctness flag and gradients for one sample.
+# The gradient segments in the order the backward pass reaches them.  The
+# global norm sums their squares in this order; a sum over the whole vector
+# would round differently and move every clip factor.
+_BACKPROP_ORDER = (*(f"fc{i}.{p}" for i in (3, 2, 1) for p in "wb"),
+                   *(f"combine{s}" for s in (5, 4, 3, 2, 1)))
 
-    ``maps`` is a model._response_buffer() to trace into; the gradients do
+
+def _loss_and_grads(model: FixedFilterNet, image: np.ndarray, label: int,
+                    maps: list[np.ndarray], grad: np.ndarray) -> tuple[float, int]:
+    """Cross-entropy loss and correctness flag of one sample; its gradient
+    is written into ``grad``, a vector laid out as model.theta.
+
+    ``maps`` is a model._response_buffer() to trace into; the gradient does
     not refer to it, so one buffer serves every sample.
     """
     t = model._trace(image, maps)
+    p, g = model.views, model.split(grad)
     z3 = t["z3"]
     logz = z3 - (np.max(z3) + np.log(np.exp(z3 - np.max(z3)).sum()))
     loss = -logz[label]
@@ -447,31 +461,28 @@ def _loss_and_grads(model: FixedFilterNet, image: np.ndarray, label: int, maps: 
 
     dz3 = np.exp(logz)
     dz3[label] -= 1.0
-    grads: dict[str, np.ndarray] = {}
-    grads["fc3.w"] = np.outer(dz3, t["f"])
-    grads["fc3.b"] = dz3
-    df = model.fc3.weights.T @ dz3
-    grads["fc2.w"] = np.outer(df, t["h1"])
-    grads["fc2.b"] = df
-    dh1 = model.fc2.weights.T @ df
-    dz1 = ops.relu_grad(t["z1"], dh1)
-    grads["fc1.w"] = np.outer(dz1, t["v"])
-    grads["fc1.b"] = dz1
-    dv = model.fc1.weights.T @ dz1
+    np.outer(dz3, t["f"], out=g["fc3.w"])
+    g["fc3.b"][:] = dz3
+    df = p["fc3.w"].T @ dz3
+    np.outer(df, t["h1"], out=g["fc2.w"])
+    g["fc2.b"][:] = df
+    dz1 = ops.relu_grad(t["z1"], p["fc2.w"].T @ df)
+    np.outer(dz1, t["v"], out=g["fc1.w"])
+    g["fc1.b"][:] = dz1
+    dv = p["fc1.w"].T @ dz1
 
     h4 = model.config.input_height // 4
     w4 = model.config.input_width // 4
     dx = dv.reshape(h4, w4)
     for s in (4, 3, 2, 1):
         dc = ops.maxpool2_grad(t["c"][s], dx) if s >= 3 else dx
-        d_w, dd = ops.combine1x1_grads(t["b"][s], model.combine[s], dc)
-        grads[f"combine{s + 1}"] = d_w
+        g[f"combine{s + 1}"][:], dd = ops.combine1x1_grads(t["b"][s], p[f"combine{s + 1}"], dc)
         dx = ops.conv2d_input_grad(dd, model.banks[s], t["x"][s].shape)
     # The image is not trained, so stage 1 needs only its weight gradient,
     # the same product combine1x1_grads forms.
     b1 = t["b"][0]
-    grads["combine1"] = b1.reshape(b1.shape[0], -1) @ dx.ravel()
-    return loss, correct, grads
+    g["combine1"][:] = b1.reshape(b1.shape[0], -1) @ dx.ravel()
+    return loss, correct
 
 
 def train(
@@ -481,7 +492,8 @@ def train(
     epochs: int,
     config: TrainConfig = TrainConfig(),
 ) -> list[EpochStats]:
-    """Fit the trainable parameters in place; returns per-epoch stats.
+    """Fit the trainable parameters, rebinding model.theta once per batch;
+    returns per-epoch stats.
 
     The fixed banks are never touched.  With ``epochs == 0`` the model is
     returned unchanged and the log is empty.
@@ -503,6 +515,10 @@ def train(
 
     opt = ops.SgdMomentum(lr=config.lr, momentum=config.momentum)
     maps = model._response_buffer()
+    # The batch gradient, and room for each later sample's gradient.
+    batch_grad = np.empty_like(model.theta)
+    sample_grad = np.empty_like(model.theta)
+    segments = model.split(batch_grad)
     history: list[EpochStats] = []
     n = len(imgs)
     for epoch in range(epochs):
@@ -515,30 +531,22 @@ def train(
         clipped = 0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            acc_grads: dict[str, np.ndarray] | None = None
-            for idx in batch:
-                loss, correct, grads = _loss_and_grads(model, imgs[idx], labs[idx], maps)
+            for j, idx in enumerate(batch):
+                loss, correct = _loss_and_grads(model, imgs[idx], labs[idx], maps,
+                                                sample_grad if j else batch_grad)
                 if not np.isfinite(loss):
                     raise TrainingError(f"non-finite loss at epoch {epoch}, sample {int(idx)}")
                 total_loss += float(loss)
                 total_correct += correct
-                if acc_grads is None:
-                    acc_grads = grads
-                else:
-                    for k in acc_grads:
-                        acc_grads[k] += grads[k]
-            assert acc_grads is not None
-            scale = 1.0 / len(batch)
-            for k in acc_grads:
-                acc_grads[k] *= scale
-            norm = np.sqrt(sum(float((g ** 2).sum()) for g in acc_grads.values()))
+                if j:
+                    batch_grad += sample_grad
+            batch_grad *= 1.0 / len(batch)
+            norm = np.sqrt(sum(float((segments[k] ** 2).sum()) for k in _BACKPROP_ORDER))
             norms.append(float(norm))
-            if config.clip_norm is not None and norm > config.clip_norm:
+            if norm > config.clip_norm:
                 clipped += 1
-                shrink = config.clip_norm / norm
-                for k in acc_grads:
-                    acc_grads[k] *= shrink
-            model.set_params(opt.step(model.params(), acc_grads))
+                batch_grad *= config.clip_norm / norm
+            model.theta = opt.step(model.theta, batch_grad)
         history.append(EpochStats(
             epoch=epoch,
             loss=total_loss / n,

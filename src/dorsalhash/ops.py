@@ -30,8 +30,6 @@ caller's array, the way conv2d would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, TrainingError
@@ -51,7 +49,6 @@ __all__ = [
     "combine1x1_grads",
     "maxpool2",
     "maxpool2_grad",
-    "DenseLayer",
     "softmax",
     "SgdMomentum",
 ]
@@ -286,28 +283,6 @@ def maxpool2_grad(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return out.reshape(h // 2, w // 2, 2, 2).transpose(0, 2, 1, 3).reshape(h, w)
 
 
-@dataclass
-class DenseLayer:
-    """Fully connected layer parameters: out = weights @ x + biases."""
-
-    weights: np.ndarray  # (out_dim, in_dim)
-    biases: np.ndarray   # (out_dim,)
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.biases = np.asarray(self.biases, dtype=np.float64)
-        if self.weights.ndim != 2 or self.biases.ndim != 1:
-            raise DimensionError(
-                f"dense layer needs 2-D weights and 1-D biases, got {self.weights.shape} / {self.biases.shape}"
-            )
-        if self.weights.shape[0] != self.biases.shape[0]:
-            raise DimensionError(
-                f"weights {self.weights.shape} incompatible with biases {self.biases.shape}"
-            )
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
-            raise DimensionError("dense layer parameters must be finite")
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - np.max(z)
     e = np.exp(shifted)
@@ -315,10 +290,11 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 class SgdMomentum:
-    """Momentum SGD: v <- momentum*v - lr*grad; param <- param + v.
+    """Momentum SGD on a parameter vector: v <- momentum*v - lr*grad;
+    theta <- theta + v.
 
-    Velocities are kept per parameter name and start at zero, so with
-    momentum 0 the update reduces to plain gradient descent.
+    The velocity starts at zero, so with momentum 0 the update reduces to
+    plain gradient descent.
     """
 
     def __init__(self, lr: float, momentum: float = 0.9):
@@ -328,23 +304,15 @@ class SgdMomentum:
             raise TrainingError(f"momentum must lie in [0, 1), got {momentum}")
         self.lr = float(lr)
         self.momentum = float(momentum)
-        self.velocities: dict[str, np.ndarray] = {}
+        self.velocity: np.ndarray | None = None
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Return updated copies of params; internal velocity state advances."""
-        updated: dict[str, np.ndarray] = {}
-        for name, p in params.items():
-            if name not in grads:
-                raise TrainingError(f"missing gradient for parameter {name!r}")
-            g = np.asarray(grads[name], dtype=np.float64)
-            if g.shape != np.shape(p):
-                raise TrainingError(f"gradient shape {g.shape} mismatches parameter {name!r} {np.shape(p)}")
-            if not np.isfinite(g).all():
-                raise TrainingError(f"non-finite gradient for parameter {name!r}")
-            v = self.velocities.get(name)
-            if v is None:
-                v = np.zeros_like(np.asarray(p, dtype=np.float64))
-            v = self.momentum * v - self.lr * g
-            self.velocities[name] = v
-            updated[name] = np.asarray(p, dtype=np.float64) + v
-        return updated
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Return the updated parameters as a new vector; the velocity
+        advances."""
+        if grad.shape != theta.shape:
+            raise TrainingError(f"gradient shape {grad.shape} mismatches parameters {theta.shape}")
+        if not np.isfinite(grad).all():
+            raise TrainingError("non-finite gradient")
+        v = np.zeros_like(theta) if self.velocity is None else self.velocity
+        self.velocity = self.momentum * v - self.lr * grad
+        return theta + self.velocity

@@ -296,11 +296,13 @@ def test_gate_extractor_structure():
         probe_net = FixedFilterNet.build(cfg)
         img = np.random.default_rng(img_seed).uniform(0.05, 0.95, (16, 32))
         label = img_seed % 3
-        params = probe_net.params()
+        theta = probe_net.theta.copy()
         maps = probe_net._response_buffer()
-        _, _, grads = _loss_and_grads(probe_net, img, label, maps)
+        grad, scratch = np.empty_like(theta), np.empty_like(theta)
+        _loss_and_grads(probe_net, img, label, maps, grad)
+        grads = probe_net.split(grad)
         picker = np.random.default_rng(1234)
-        for name, p in params.items():
+        for name, p in probe_net.split(theta).items():
             flat = p.ravel()
             idx = picker.choice(flat.size, size=min(8, flat.size), replace=False)
             analytic = grads[name].ravel()[idx]
@@ -308,13 +310,12 @@ def test_gate_extractor_structure():
             for j, i in enumerate(idx):
                 orig = flat[i]
                 flat[i] = orig + 1e-6
-                probe_net.set_params(params)
-                lp, _, _ = _loss_and_grads(probe_net, img, label, maps)
+                probe_net.theta = theta
+                lp, _ = _loss_and_grads(probe_net, img, label, maps, scratch)
                 flat[i] = orig - 1e-6
-                probe_net.set_params(params)
-                lm, _, _ = _loss_and_grads(probe_net, img, label, maps)
+                probe_net.theta = theta
+                lm, _ = _loss_and_grads(probe_net, img, label, maps, scratch)
                 flat[i] = orig
-                probe_net.set_params(params)
                 fd[j] = (lp - lm) / 2e-6
             denom = max(np.linalg.norm(analytic), np.linalg.norm(fd), 1e-12)
             err = np.linalg.norm(analytic - fd) / denom

@@ -378,6 +378,25 @@ def test_verify_with_a_model_header_that_lacks_an_array_fails(cli_env, tmp_path,
     assert str(model) in err and "bank3" in err
 
 
+def test_extract_with_a_non_finite_model_value_fails(cli_env, tmp_path, capsys):
+    # A NaN in combine2 under a valid CRC once loaded, and extract then
+    # wrote bare NaN tokens, which are not JSON.
+    blob = cli_env["model"].read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    at = 16 + header_len + 8 * ((12 + 24 + 36 + 64 + 128) * 15 + 12 + 1)  # combine2[1]
+    body = blob[16:at] + struct.pack("<d", float("nan")) + blob[at + 8:-4]
+    model = tmp_path / "model.dfn"
+    model.write_bytes(blob[:16] + body + struct.pack("<I", zlib.crc32(body)))
+    out = tmp_path / "features.json"
+    rc = main(["extract", "--data", str(cli_env["data"]), "--model", str(model),
+               "--out", str(out), *common(cli_env)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(model) in err and "combine2" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["verify", "enroll"])
 def test_zero_size_image_fails_cleanly(cli_env, tmp_path, capsys, command):
     store = tmp_path / "store"

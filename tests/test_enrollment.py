@@ -148,6 +148,23 @@ class TestLifecycle:
         assert reopened.active_record("u") is None
         assert reopened.active_record("alice")["key_version"] == 1
 
+    @pytest.mark.parametrize("shape", [(2, 256), (1, 256), (), (256, 1)])
+    def test_features_that_are_not_one_vector_refused_before_any_append(self, vault, tiny_net, image, shape):
+        vault.enroll_features("alice", feats(tiny_net, image), bit_length=64)
+        stores = (vault.keys.path.read_bytes(), vault.templates.path.read_bytes())
+        bad = np.full(shape, 0.5)
+        for user in ("u", "alice"):
+            with pytest.raises(DataError, match=f"features of '{user}' must be one vector"):
+                vault.enroll_features(user, bad, bit_length=64)
+        with pytest.raises(DataError, match="features of 'alice' must be one vector"):
+            vault.revoke_and_reissue("alice", bad)
+        with pytest.raises(DataError, match="features of 'alice' must be one vector"):
+            vault.verify(bad, "alice", threshold=0.5)
+        assert (vault.keys.path.read_bytes(), vault.templates.path.read_bytes()) == stores
+        reopened = TemplateVault(vault.keys.path, vault.templates.path, master_seed=42)
+        assert reopened.active_record("u") is None
+        assert reopened.active_record("alice")["key_version"] == 1
+
     @pytest.mark.parametrize("bad", ["all_nan", "one_inf", "one_minus_inf"])
     def test_non_finite_query_features_refused(self, vault, tiny_net, image, bad):
         vault.enroll_features("alice", feats(tiny_net, image), bit_length=64)

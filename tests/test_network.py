@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import struct
 import zlib
@@ -56,8 +57,11 @@ def test_bank_sizes_and_trainable_parameter_split(tiny_net):
     assert sizes == [12, 24, 36, 64, 128]
     fixed_cells = sum(b.size for b in tiny_net.banks)
     assert fixed_cells == (12 + 24 + 36 + 64 + 128) * 15
-    combine_scalars = sum(w.size for w in tiny_net.combine)
+    combine_scalars = sum(tiny_net.views[f"combine{i}"].size for i in range(1, 6))
     assert combine_scalars == 12 + 24 + 36 + 64 + 128
+    # Every trainable parameter is a view of theta, in save order.
+    assert tiny_net.theta.size == sum(v.size for v in tiny_net.views.values())
+    assert all(v.base is tiny_net.theta for v in tiny_net.views.values())
     # The convolutional side trains only the per-channel mixing vectors,
     # far fewer scalars than sit frozen in the banks.
     assert combine_scalars < fixed_cells
@@ -111,8 +115,18 @@ def test_same_seed_builds_identical_nets(tiny_config):
     b = FixedFilterNet.build(tiny_config)
     for x, y in zip(a.banks, b.banks):
         assert np.array_equal(x, y)
-    for n in ("fc1", "fc2", "fc3"):
-        assert np.array_equal(getattr(a, n).weights, getattr(b, n).weights)
+    assert np.array_equal(a.theta, b.theta)
+
+
+def test_theta_rebinding_rederives_the_views(tiny_config):
+    net = FixedFilterNet.build(tiny_config)
+    theta = net.theta + 1.0
+    net.theta = theta
+    assert all(v.base is theta for v in net.views.values())
+    assert np.array_equal(net.views["combine1"], theta[:12])
+    assert np.array_equal(net.views["fc3.b"], theta[-tiny_config.num_classes:])
+    with pytest.raises(DimensionError):
+        net.theta = theta[:-1]
 
 
 # BLAKE2b-128 of the two ternary banks (stages 4 and 5) as little-endian
@@ -135,29 +149,31 @@ def test_ternary_bank_digests_are_pinned(lbc_seed):
 # -- gradients ----------------------------------------------------------------
 
 def _fd_group_errors(net, img, label, eps, coords_per_group=8, pick_seed=1234):
-    params = net.params()
+    saved = net.theta
     maps = net._response_buffer()
-    _, _, grads = _loss_and_grads(net, img, label, maps)
+    grad, scratch = np.empty_like(saved), np.empty_like(saved)
+    _loss_and_grads(net, img, label, maps, grad)
+    theta = saved.copy()
     picker = np.random.default_rng(pick_seed)
     worst = {}
-    for name, p in params.items():
+    for name, p in net.split(theta).items():
         flat = p.ravel()
         idx = picker.choice(flat.size, size=min(coords_per_group, flat.size), replace=False)
-        analytic = grads[name].ravel()[idx]
+        analytic = net.split(grad)[name].ravel()[idx]
         fd = np.empty_like(analytic)
         for j, i in enumerate(idx):
             orig = flat[i]
             flat[i] = orig + eps
-            net.set_params(params)
-            lp, _, _ = _loss_and_grads(net, img, label, maps)
+            net.theta = theta
+            lp, _ = _loss_and_grads(net, img, label, maps, scratch)
             flat[i] = orig - eps
-            net.set_params(params)
-            lm, _, _ = _loss_and_grads(net, img, label, maps)
+            net.theta = theta
+            lm, _ = _loss_and_grads(net, img, label, maps, scratch)
             flat[i] = orig
-            net.set_params(params)
             fd[j] = (lp - lm) / (2 * eps)
         denom = max(np.linalg.norm(analytic), np.linalg.norm(fd), 1e-12)
         worst[name] = np.linalg.norm(analytic - fd) / denom
+    net.theta = saved
     return worst
 
 
@@ -179,30 +195,31 @@ def reference_loss_and_grads(net, image, label):
     """Loss, correctness and gradients of one sample from the public ops
     alone: every stage's whole (K, H, W) response through conv2d, relu and
     combine1x1, then the same backward as the trainer."""
+    p = net.views
     xs, rectified, combined = [image], [], []
     for s in range(5):
         b = ops.relu(ops.conv2d(xs[-1], net.banks[s]))
-        c = ops.combine1x1(b, net.combine[s])
+        c = ops.combine1x1(b, p[f"combine{s + 1}"])
         rectified.append(b)
         combined.append(c)
         xs.append(ops.maxpool2(c) if s >= 3 else c)
     v = xs[-1].ravel()
-    z1 = net.fc1.weights @ v + net.fc1.biases
+    z1 = p["fc1.w"] @ v + p["fc1.b"]
     h1 = ops.relu(z1)
-    f = net.fc2.weights @ h1 + net.fc2.biases
-    z3 = net.fc3.weights @ f + net.fc3.biases
+    f = p["fc2.w"] @ h1 + p["fc2.b"]
+    z3 = p["fc3.w"] @ f + p["fc3.b"]
     logz = z3 - (np.max(z3) + np.log(np.exp(z3 - np.max(z3)).sum()))
     dz3 = np.exp(logz)
     dz3[label] -= 1.0
     grads = {"fc3.w": np.outer(dz3, f), "fc3.b": dz3}
-    df = net.fc3.weights.T @ dz3
+    df = p["fc3.w"].T @ dz3
     grads.update({"fc2.w": np.outer(df, h1), "fc2.b": df})
-    dz1 = ops.relu_grad(z1, net.fc2.weights.T @ df)
+    dz1 = ops.relu_grad(z1, p["fc2.w"].T @ df)
     grads.update({"fc1.w": np.outer(dz1, v), "fc1.b": dz1})
-    dx = (net.fc1.weights.T @ dz1).reshape(xs[-1].shape)
+    dx = (p["fc1.w"].T @ dz1).reshape(xs[-1].shape)
     for s in (4, 3, 2, 1, 0):
         dc = ops.maxpool2_grad(combined[s], dx) if s >= 3 else dx
-        grads[f"combine{s + 1}"], dd = ops.combine1x1_grads(rectified[s], net.combine[s], dc)
+        grads[f"combine{s + 1}"], dd = ops.combine1x1_grads(rectified[s], p[f"combine{s + 1}"], dc)
         if s:
             dx = ops.conv2d_input_grad(dd, net.banks[s], xs[s].shape)
     return -logz[label], int(np.argmax(z3) == label), grads
@@ -213,18 +230,22 @@ def test_loss_and_grads_through_a_reused_buffer_match_the_public_ops(tiny_config
     rng = np.random.default_rng(12)
     net.calibrate_dense([rng.uniform(0, 1, (16, 32)) for _ in range(4)])
     maps = net._response_buffer()
+    grad = np.empty_like(net.theta)
     for label in (0, 1, 2, 1):
         img = rng.uniform(0, 1, (16, 32))
-        loss, correct, grads = _loss_and_grads(net, img, label, maps)
+        # NaN everywhere first: every entry of the gradient must be written.
+        grad.fill(np.nan)
+        loss, correct = _loss_and_grads(net, img, label, maps, grad)
+        grads = net.split(grad)
         ref_loss, ref_correct, ref_grads = reference_loss_and_grads(net, img, label)
         assert loss == ref_loss and correct == ref_correct
-        assert set(grads) == set(ref_grads) == set(net.params())
+        assert set(grads) == set(ref_grads) == set(net.views)
         for name in grads:
             assert np.array_equal(grads[name], ref_grads[name]), name
-        fresh_loss, _, fresh = _loss_and_grads(net, img, label, net._response_buffer())
+        fresh = np.full_like(grad, np.nan)
+        fresh_loss, _ = _loss_and_grads(net, img, label, net._response_buffer(), fresh)
         assert fresh_loss == loss
-        for name in grads:
-            assert np.array_equal(fresh[name], grads[name]), name
+        assert np.array_equal(fresh, grad)
 
 
 def test_trace_without_a_buffer_keeps_no_bank_response(tiny_net):
@@ -278,9 +299,14 @@ def test_training_never_touches_banks(tiny_config):
     rng = np.random.default_rng(3)
     images = [rng.uniform(0, 1, (16, 32)) for _ in range(6)]
     labels = [0, 0, 1, 1, 2, 2]
+    theta = net.theta
+    theta_before = theta.copy()
     train(net, images, labels, epochs=2, config=TrainConfig(batch_size=3))
     for a, b in zip(before, net.banks):
         assert np.array_equal(a, b)
+    # Training rebinds theta and never writes into the vector it started from.
+    assert net.theta is not theta and np.array_equal(theta, theta_before)
+    assert not np.array_equal(net.theta, theta_before)
     fresh = FixedFilterNet.build(tiny_config)
     for a, b in zip(fresh.banks, net.banks):
         assert np.array_equal(a, b)
@@ -288,12 +314,12 @@ def test_training_never_touches_banks(tiny_config):
 
 def test_zero_epochs_is_a_no_op(tiny_config):
     net = FixedFilterNet.build(tiny_config)
-    before = {k: v.copy() for k, v in net.params().items()}
+    theta = net.theta
+    before = theta.copy()
     imgs = [np.zeros((16, 32))] * 3
     history = train(net, imgs, [0, 1, 2], epochs=0)
     assert history == []
-    for k, v in net.params().items():
-        assert np.array_equal(before[k], v)
+    assert net.theta is theta and np.array_equal(theta, before)
 
 
 def test_training_validates_labels(tiny_config):
@@ -313,9 +339,8 @@ def test_training_is_deterministic(tiny_config):
     for _ in range(2):
         net = FixedFilterNet.build(tiny_config)
         train(net, images, labels, epochs=3, config=TrainConfig(batch_size=2))
-        runs.append(net.params())
-    for k in runs[0]:
-        assert np.array_equal(runs[0][k], runs[1][k])
+        runs.append(net.theta)
+    assert np.array_equal(runs[0], runs[1])
 
 
 def test_clip_norm_must_be_positive():
@@ -323,6 +348,9 @@ def test_clip_norm_must_be_positive():
         TrainConfig(clip_norm=0.0)
     with pytest.raises(TrainingError):
         TrainConfig(clip_norm=-1.0)
+    with pytest.raises(TrainingError):
+        TrainConfig(clip_norm=math.nan)
+    assert TrainConfig().clip_norm == math.inf
 
 
 def test_huge_clip_threshold_changes_nothing(tiny_config):
@@ -330,13 +358,12 @@ def test_huge_clip_threshold_changes_nothing(tiny_config):
     images = [rng.uniform(0, 1, (16, 32)) for _ in range(6)]
     labels = [0, 1, 2, 0, 1, 2]
     runs = []
-    for clip in (None, 1e9):
+    for clip in (math.inf, 1e9):
         net = FixedFilterNet.build(tiny_config)
         train(net, images, labels, epochs=3,
               config=TrainConfig(batch_size=2, clip_norm=clip))
-        runs.append(net.params())
-    for k in runs[0]:
-        assert np.array_equal(runs[0][k], runs[1][k])
+        runs.append(net.theta)
+    assert np.array_equal(runs[0], runs[1])
 
 
 def test_epoch_stats_report_grad_norm_and_clipped_fraction(tiny_config):
@@ -344,16 +371,16 @@ def test_epoch_stats_report_grad_norm_and_clipped_fraction(tiny_config):
     images = [rng.uniform(0, 1, (16, 32)) for _ in range(6)]
     labels = [0, 1, 2, 0, 1, 2]
     logs = {}
-    for clip in (None, 1e9, 1e-9):
+    for clip in (math.inf, 1e9, 1e-9):
         net = FixedFilterNet.build(tiny_config)
         logs[clip] = train(net, images, labels, epochs=2,
                            config=TrainConfig(batch_size=2, clip_norm=clip))
-    for stats in logs[None] + logs[1e9]:
+    for stats in logs[math.inf] + logs[1e9]:
         assert stats.clipped_frac == 0.0
     for stats in logs[1e-9]:
         assert stats.clipped_frac == 1.0
     # A threshold that never binds leaves the whole log unchanged.
-    assert logs[None] == logs[1e9]
+    assert logs[math.inf] == logs[1e9]
     assert all(np.isfinite(s.grad_norm) and s.grad_norm > 0.0 for log in logs.values() for s in log)
 
 
@@ -399,8 +426,7 @@ def test_calibration_is_deterministic(tiny_config):
         net = FixedFilterNet.build(tiny_config)
         net.calibrate_dense(images)
         nets.append(net)
-    for k in nets[0].params():
-        assert np.array_equal(nets[0].params()[k], nets[1].params()[k])
+    assert np.array_equal(nets[0].theta, nets[1].theta)
 
 
 def test_calibration_rejects_empty_set(tiny_net):
@@ -457,9 +483,7 @@ def reference_save_bytes(net):
     """A container assembled in memory, header and every array's bytes
     joined before one CRC32, as save() once did."""
     arrays = [(f"bank{i}", b) for i, b in enumerate(net.banks, start=1)]
-    arrays += [(f"combine{i}", w) for i, w in enumerate(net.combine, start=1)]
-    for name, layer in (("fc1", net.fc1), ("fc2", net.fc2), ("fc3", net.fc3)):
-        arrays += [(f"{name}.w", layer.weights), (f"{name}.b", layer.biases)]
+    arrays += list(net.views.items())
     header = {"config": dataclasses.asdict(net.config),
               "arrays": [[name, list(a.shape)] for name, a in arrays]}
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -473,10 +497,10 @@ def test_save_writes_the_bytes_of_an_in_memory_container(tmp_path, tiny_config):
     rng = np.random.default_rng(15)
     images = [rng.uniform(0, 1, (16, 32)) for _ in range(6)]
     train(trained, images, [0, 1, 2, 0, 1, 2], epochs=1, config=TrainConfig(batch_size=2))
-    # A transposed parameter is not contiguous and must be written as the
+    # A transposed bank is not contiguous and must be written as the
     # C-order copy the in-memory container takes.
     transposed = FixedFilterNet.build(tiny_config)
-    transposed.fc2 = ops.DenseLayer(np.asfortranarray(transposed.fc2.weights), transposed.fc2.biases)
+    transposed.banks[1] = np.asfortranarray(transposed.banks[1])
     full = FixedFilterNet.build(NetworkConfig(num_classes=8))
     for i, net in enumerate((fixture, trained, transposed, full)):
         path = tmp_path / f"{i}.dfn"
@@ -563,7 +587,7 @@ def test_load_rejects_wrong_magic(tmp_path):
 # -- single-read loader -------------------------------------------------------
 
 def _loaded_arrays(net):
-    return [*net.banks, *net.params().values()]
+    return [*net.banks, *net.views.values()]
 
 
 @pytest.mark.parametrize("num_classes", [2, 3, 7, 8, 20, 101])
@@ -585,8 +609,11 @@ def test_loaded_arrays_are_aligned_read_only_views_of_one_buffer(tmp_path, tiny_
     base = arrays[0].base
     assert base is not None and all(a.base is base for a in arrays)
     assert base.nbytes == sum(a.nbytes for a in arrays)
+    # theta is the payload's tail, not a copy of it.
+    assert loaded.theta.base is base and not loaded.theta.flags.writeable
+    assert loaded.theta.size == sum(v.size for v in loaded.views.values())
     with pytest.raises(ValueError):
-        loaded.fc1.weights[0, 0] = 1.0
+        loaded.views["fc1.w"][0, 0] = 1.0
     rng = np.random.default_rng(num_classes)
     for _ in range(3):
         img = rng.uniform(0, 1, (16, 32))
@@ -600,7 +627,7 @@ def test_loaded_model_calibrates_and_trains_without_touching_its_views(tmp_path,
     path = tmp_path / "model.dfn"
     FixedFilterNet.build(tiny_config).save(path)
     net = FixedFilterNet.load(path)
-    views = net.params()
+    views = net.views
     before = {k: v.copy() for k, v in views.items()}
     rng = np.random.default_rng(4)
     images = [rng.uniform(0, 1, (16, 32)) for _ in range(6)]
@@ -609,12 +636,11 @@ def test_loaded_model_calibrates_and_trains_without_touching_its_views(tmp_path,
     assert len(history) == 1 and np.isfinite(history[0].loss)
     for k, v in views.items():
         assert np.array_equal(v, before[k])
-        assert not np.array_equal(net.params()[k], before[k])
+        assert not np.array_equal(net.views[k], before[k])
     twin = FixedFilterNet.build(tiny_config)
     twin.calibrate_dense(images)
     train(twin, images, [0, 1, 2, 0, 1, 2], epochs=1, config=TrainConfig(batch_size=2))
-    for k, v in twin.params().items():
-        assert np.array_equal(net.params()[k], v)
+    assert np.array_equal(net.theta, twin.theta)
 
 
 def test_load_rejects_a_cut_at_every_array_boundary(tmp_path, tiny_config):
@@ -726,6 +752,37 @@ def test_load_rejects_a_header_that_is_not_a_json_object(tmp_path, tiny_config, 
     FixedFilterNet.build(tiny_config).save(path)
     _reseal(path, head, _split(path)[1])
     with pytest.raises(ModelFormatError, match=re.escape(str(path))):
+        FixedFilterNet.load(path)
+
+
+def test_load_rejects_arrays_listed_out_of_save_order(tmp_path, tiny_config):
+    path = tmp_path / "model.dfn"
+    FixedFilterNet.build(tiny_config).save(path)
+
+    def swap(header):
+        arrays = header["arrays"]
+        arrays[5], arrays[6] = arrays[6], arrays[5]  # combine1, combine2
+
+    _edit_header(path, swap)
+    with pytest.raises(ModelFormatError, match=re.escape(str(path)) + ".*combine2.*combine1"):
+        FixedFilterNet.load(path)
+
+
+@pytest.mark.parametrize("name", ["bank4", "combine2", "fc1.w", "fc3.b"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_refuses_a_non_finite_value(tmp_path, tiny_config, name, value):
+    net = FixedFilterNet.build(tiny_config)
+    path = tmp_path / "model.dfn"
+    net.save(path)
+    head, payload = _split(path)
+    offset = 0
+    for array_name, a in zip([f"bank{i}" for i in range(1, 6)] + list(net.views), _loaded_arrays(net)):
+        if array_name == name:
+            break
+        offset += a.nbytes
+    at = offset + 8  # its second value
+    _reseal(path, head, payload[:at] + struct.pack("<d", value) + payload[at + 8:])
+    with pytest.raises(ModelFormatError, match=re.escape(str(path)) + ".*non-finite.*" + re.escape(name)):
         FixedFilterNet.load(path)
 
 

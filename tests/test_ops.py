@@ -358,41 +358,42 @@ def test_softmax_extreme_logits_stay_finite():
     assert np.isclose(p.sum(), 1.0)
 
 
-def test_dense_layer_shape_validation():
-    with pytest.raises(DimensionError):
-        ops.DenseLayer(np.zeros((2, 3)), np.zeros(3))
-
-
 # -- optimizer ----------------------------------------------------------------
 
 def test_sgd_single_step_no_momentum():
     opt = ops.SgdMomentum(lr=0.1, momentum=0.0)
-    new = opt.step({"p": np.array([1.0])}, {"p": np.array([1.0])})
-    assert new["p"].tolist() == [0.9]
+    theta = np.array([1.0, 2.0])
+    new = opt.step(theta, np.array([1.0, -1.0]))
+    assert new.tolist() == [0.9, 2.1]
+    assert theta.tolist() == [1.0, 2.0]  # a new vector; the old one is untouched
 
 
 def test_sgd_momentum_recurrence():
     # v1 = -lr*g = -0.1 ; p1 = 0.9
     # v2 = 0.5*v1 - lr*g = -0.15 ; p2 = 0.75
     opt = ops.SgdMomentum(lr=0.1, momentum=0.5)
-    p = {"p": np.array([1.0])}
-    g = {"p": np.array([1.0])}
+    p = np.array([1.0])
+    g = np.array([1.0])
     p = opt.step(p, g)
-    assert np.isclose(p["p"][0], 0.9)
+    assert np.isclose(p[0], 0.9)
     p = opt.step(p, g)
-    assert np.isclose(p["p"][0], 0.75)
+    assert np.isclose(p[0], 0.75)
 
 
 def test_sgd_rejects_non_finite_grads():
     opt = ops.SgdMomentum(lr=0.1, momentum=0.9)
-    with pytest.raises(TrainingError):
-        opt.step({"p": np.array([1.0])}, {"p": np.array([np.nan])})
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(TrainingError):
+            opt.step(np.array([1.0, 1.0]), np.array([0.5, bad]))
+    assert opt.velocity is None
 
 
 def test_sgd_rejects_shape_mismatch():
     opt = ops.SgdMomentum(lr=0.1, momentum=0.9)
     with pytest.raises(TrainingError):
-        opt.step({"p": np.array([1.0])}, {"p": np.array([1.0, 2.0])})
+        opt.step(np.array([1.0]), np.array([1.0, 2.0]))
+    with pytest.raises(TrainingError):
+        opt.step(np.zeros(6), np.zeros((2, 3)))
 
 
 # -- numeric gradient checks ---------------------------------------------------
