@@ -18,7 +18,7 @@ master seed (the CLI passes ``--seed``, default 0) a key's seed is
 ``rand.derive_seed(master_seed, user, modality, version)``, a function of
 public labels, so the template file alone lets anyone rebuild the basis B
 and form the pre-image B(2b - 1), which verifies at distance 0.  Secret
-keys are ROADMAP.md item 2.  Superseded enrollments are marked revoked by
+keys are ROADMAP.md item 3.  Superseded enrollments are marked revoked by
 follow-up records; no complete record is ever rewritten or deleted, which
 keeps the history auditable.
 
@@ -33,10 +33,10 @@ fails closed.  Schema-1 key records, which inline the basis as
 
 Index sidecar.  Next to each store file sits ``<file>.index`` (for example
 ``keys.jsonl.index``): the byte length of the file's validated prefix, the
-BLAKE2b of that prefix, its line and record counts, and the (byte offset,
-line number) of every record, grouped by (user, modality).  Opening a store
-hashes the prefix and compares the digest with the sidecar's; only lines
-whose bytes the digest proves unchanged skip re-validation.  Lines past the
+BLAKE2b of that prefix, its line and record counts, and a body holding the
+(byte offset, line number) of every record, grouped by (user, modality),
+with the body's own BLAKE2b.  An open checks both digests; only lines whose
+bytes the prefix digest proves unchanged skip re-validation.  Lines past the
 prefix are validated in full, and the vault then parses and checks just the
 records of the (user, modality) it addresses.  Every sidecar fault -- a
 missing, torn or malformed sidecar, a length past the end of the file, a
@@ -188,7 +188,7 @@ class _JsonlStore:
 
     The sidecar is one JSON header line -- ``length`` and ``blake2b`` of
     the vouched prefix, its ``lines`` and ``records``, and the ``body``
-    size -- followed by one line per (user, modality),
+    size and ``body_blake2b`` -- followed by one line per (user, modality),
     ``[user, modality, [offset, line], ...]``.  A lookup finds its line
     with a byte search, so an open builds nothing per user.
     """
@@ -243,6 +243,7 @@ class _JsonlStore:
                 and type(head.get("blake2b")) is str
                 and 0 < head["length"] <= self._end and data[head["length"] - 1] == 0x0A
                 and head["body"] == len(side) - cut
+                and head.get("body_blake2b") == hashlib.blake2b(side[cut:], digest_size=32).hexdigest()
             )
         except (OSError, ValueError):
             sound = False
@@ -300,7 +301,7 @@ class _JsonlStore:
             pos = stop
         body = b"".join(kept) + self._body[pos:] + "".join(line + "\n" for line in new).encode()
         head = {"length": self._end, "blake2b": digest, "lines": self._lines, "records": self._count,
-                "body": len(body)}
+                "body": len(body), "body_blake2b": hashlib.blake2b(body, digest_size=32).hexdigest()}
         tmp = self._index_path.with_name(f"{self._index_path.name}.{os.getpid()}.tmp")
         try:
             tmp.write_bytes(json.dumps(head, separators=(",", ":")).encode() + body)

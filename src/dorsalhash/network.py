@@ -13,7 +13,13 @@ fc1-fc3.  Each parameter is a named view of it, and the gradient and the
 optimizer's velocity are vectors of the same layout, so a training step is
 arithmetic on whole vectors.  A step rebinds ``theta`` rather than writing
 into it, which lets a model loaded as read-only views of its file train as a
-built one does.  Loading refuses a file that holds any non-finite value.
+built one does.
+
+The banks are a pure function of ``lbc_seed``, derived once per seed and
+shared read-only.  A model file (version 2) stores the config, ``theta`` and
+``banks_blake2b``, the digest of the derived banks, so a bank drawn otherwise
+fails the load closed; a version-1 file also stores the banks, which must
+equal the derived ones byte for byte.  Neither may hold a non-finite value.
 
 The penultimate dense activation is the feature vector consumed by the
 hashing side of the package.
@@ -21,6 +27,8 @@ hashing side of the package.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import itertools
 import json
 import math
@@ -32,24 +40,11 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import ops, rand
-from .errors import (
-    ConfigError,
-    DataError,
-    DimensionError,
-    ModelFormatError,
-    TrainingError,
-)
-from .filters import (
-    KERNEL_HEIGHT,
-    KERNEL_WIDTH,
-    LAYER_GAPS,
-    RING_SIZE,
-    make_layer_bank,
-    make_lbc_filters,
-)
+from .errors import ConfigError, DataError, DimensionError, ModelFormatError, TrainingError
+from .filters import LAYER_GAPS, RING_SIZE, make_layer_bank, make_lbc_filters
 
 MODEL_MAGIC = b"DHFN"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 LBC_COUNTS = (64, 128)  # stages 4 and 5
 BANK_COUNTS = (*(RING_SIZE * len(LAYER_GAPS[i]) for i in (1, 2, 3)), *LBC_COUNTS)
@@ -154,9 +149,9 @@ class FixedFilterNet:
     ``theta``; assigning ``theta`` re-derives them.
     """
 
-    def __init__(self, config: NetworkConfig, banks: list[np.ndarray], theta: np.ndarray):
+    def __init__(self, config: NetworkConfig, theta: np.ndarray):
         self.config = config
-        self.banks = banks
+        self.banks = _derive_banks(config.lbc_seed)[0]  # read-only, shared by the seed's models
         self.theta = theta
 
     @property
@@ -177,14 +172,7 @@ class FixedFilterNet:
 
     @classmethod
     def build(cls, config: NetworkConfig) -> "FixedFilterNet":
-        banks = [
-            make_layer_bank(1),
-            make_layer_bank(2),
-            make_layer_bank(3),
-            make_lbc_filters(LBC_COUNTS[0], rand.derive_seed(config.lbc_seed, "lbc", 4)),
-            make_lbc_filters(LBC_COUNTS[1], rand.derive_seed(config.lbc_seed, "lbc", 5)),
-        ]
-        model = cls(config, banks, np.zeros(_size(_theta_shapes(config))))
+        model = cls(config, np.zeros(_size(_theta_shapes(config))))
         for i, k in enumerate(BANK_COUNTS, start=1):
             model.views[f"combine{i}"][:] = 1.0 / k
         _init_dense(model.views, config.lbc_seed)
@@ -297,40 +285,38 @@ class FixedFilterNet:
     # -- persistence ------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write a versioned container: config, materialized banks, theta.
+        """Write a version-2 container: the config, the digest of the banks
+        it derives, and theta.
 
         The byte layout is fixed (JSON header with sorted keys, float64
         little-endian payload, CRC32 trailer) so identical models always
-        serialize to identical bytes.
+        serialize to identical bytes.  The banks are not written.
         """
         header = {
             "config": asdict(self.config),
-            "arrays": [[name, list(shape)] for name, shape in _array_shapes(self.config).items()],
+            "arrays": [[name, list(shape)] for name, shape in _theta_shapes(self.config).items()],
+            "banks_blake2b": _derive_banks(self.config.lbc_seed)[1],
         }
         header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        crc = zlib.crc32(header_bytes)
+        buf = np.ascontiguousarray(self.theta, dtype="<f8")  # theta itself unless it is not <f8
         with open(path, "wb") as fh:
             fh.write(MODEL_MAGIC)
             fh.write(struct.pack("<IQ", MODEL_VERSION, len(header_bytes)))
             fh.write(header_bytes)
-            # Each array's little-endian buffer goes to the file as it is
-            # (a copy only where an array is not already contiguous <f8).
-            for a in (*self.banks, self.theta):
-                buf = np.ascontiguousarray(a, dtype="<f8")
-                fh.write(buf)
-                crc = zlib.crc32(buf, crc)
-            fh.write(struct.pack("<I", crc))
+            fh.write(buf)
+            fh.write(struct.pack("<I", zlib.crc32(buf, zlib.crc32(header_bytes))))
 
     @classmethod
     def load(cls, path) -> "FixedFilterNet":
-        """Read a container written by save().
+        """Read a container written by save(), or a version-1 one.
 
         The payload is read once, straight into one 8-byte-aligned float64
         buffer that the CRC32 then covers together with the header.  The
-        buffer is marked read-only; every bank is a view into it and theta
-        is its tail.  Training rebinds theta rather than writing into it, so
-        loaded models train as built ones do.  Any malformed file, or one
-        holding a non-finite value, raises ModelFormatError naming the path.
+        buffer is marked read-only and theta is its tail; training rebinds
+        theta, so loaded models train as built ones do.  A malformed file, a
+        non-finite value, or a banks_blake2b (version 2) or a stored bank
+        (version 1) that is not what the config derives raises
+        ModelFormatError naming the path.
         """
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -338,7 +324,7 @@ class FixedFilterNet:
             if size < 16 + 4 or prefix[:4] != MODEL_MAGIC:
                 raise ModelFormatError(f"{path}: not a model container")
             version, header_len = struct.unpack("<IQ", prefix[4:])
-            if version != MODEL_VERSION:
+            if version not in (1, MODEL_VERSION):
                 raise ModelFormatError(f"{path}: unsupported container version {version}")
             payload_len = size - 16 - header_len - 4
             if payload_len < 0:
@@ -354,8 +340,7 @@ class FixedFilterNet:
         if zlib.crc32(payload, zlib.crc32(header_bytes)) != struct.unpack("<I", trailer)[0]:
             raise ModelFormatError(f"{path}: checksum mismatch, file is corrupt")
         payload.flags.writeable = False
-        config = _parse_header(path, header_bytes)
-        layout = _array_shapes(config)
+        config, layout = _parse_header(path, header_bytes, version)
         declared = _size(layout)
         if declared != payload.size:
             raise ModelFormatError(
@@ -365,8 +350,24 @@ class FixedFilterNet:
         bad = [name for name, a in arrays.items() if not np.isfinite(a).all()]
         if bad:
             raise ModelFormatError(f"{path}: non-finite values in {', '.join(bad)}")
-        banks = [arrays[f"bank{i}"] for i in range(1, 6)]
-        return cls(config, banks, payload[sum(b.size for b in banks):])
+        model = cls(config, payload[payload.size - _size(_theta_shapes(config)):])
+        # Bytes, not values, are compared, so that -0.0 is not taken for 0.0.
+        for name, derived in zip(arrays, model.banks if version == 1 else ()):
+            if arrays[name].tobytes() != derived.astype("<f8").tobytes():
+                raise ModelFormatError(f"{path}: stored {name} is not the bank its config derives")
+        return model
+
+
+@functools.cache
+def _derive_banks(lbc_seed: int) -> tuple[tuple[np.ndarray, ...], str]:
+    """The five fixed banks of a model seeded with lbc_seed, read-only so
+    that every model of the seed can share them, and the BLAKE2b of their
+    little-endian float64 bytes in stage order."""
+    banks = (*map(make_layer_bank, (1, 2, 3)),
+             *(make_lbc_filters(k, rand.derive_seed(lbc_seed, "lbc", s)) for s, k in zip((4, 5), LBC_COUNTS)))
+    for bank in banks:
+        bank.flags.writeable = False
+    return banks, hashlib.blake2b(np.concatenate(banks).astype("<f8"), digest_size=32).hexdigest()
 
 
 def _theta_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
@@ -380,13 +381,6 @@ def _theta_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"{name}.w"] = (out_dim, in_dim)
         shapes[f"{name}.b"] = (out_dim,)
     return shapes
-
-
-def _array_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of every array a model of this config saves, in save order:
-    the banks, then theta's parameters."""
-    banks = {f"bank{i}": (k, KERNEL_HEIGHT, KERNEL_WIDTH) for i, k in enumerate(BANK_COUNTS, start=1)}
-    return {**banks, **_theta_shapes(config)}
 
 
 def _size(shapes: dict[str, tuple[int, ...]]) -> int:
@@ -405,10 +399,11 @@ def _segments(vector: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[st
     return views
 
 
-def _parse_header(path, header_bytes: bytes) -> NetworkConfig:
-    """The config of a model header, checked against the header's array
-    list: exactly the arrays save() writes, in its order, each of the shape
-    the config implies."""
+def _parse_header(path, header_bytes: bytes, version: int) -> tuple[NetworkConfig, dict[str, tuple[int, ...]]]:
+    """The config of a model header and the shapes of the arrays its file
+    stores, in file order: theta's parameters, after the five banks in a
+    version-1 file.  The header's array list must name exactly these, and a
+    version-2 header must carry the digest of the banks the config derives."""
     try:
         header = json.loads(header_bytes.decode("utf-8"))
     except ValueError as exc:
@@ -427,11 +422,15 @@ def _parse_header(path, header_bytes: bytes) -> NetworkConfig:
         config = NetworkConfig(**settings)
     except (TypeError, ConfigError) as exc:
         raise ModelFormatError(f"{path}: invalid model config ({exc})") from exc
-    want = [[name, list(shape)] for name, shape in _array_shapes(config).items()]
+    banks = _derive_banks(config.lbc_seed)[0] if version == 1 else ()
+    layout = {**{f"bank{i}": b.shape for i, b in enumerate(banks, start=1)}, **_theta_shapes(config)}
+    want = [[name, list(shape)] for name, shape in layout.items()]
     for i, (got, need) in enumerate(itertools.zip_longest(header["arrays"], want)):
         if got != need:
             raise ModelFormatError(f"{path}: header array {i} is {got}, its config implies {need}")
-    return config
+    if version != 1 and header.get("banks_blake2b") != _derive_banks(config.lbc_seed)[1]:
+        raise ModelFormatError(f"{path}: banks_blake2b is not the digest of the banks its config derives")
+    return config, layout
 
 
 # -- training ---------------------------------------------------------------

@@ -155,12 +155,13 @@ def test_extract_dumps_features_for_every_image(cli_env, tmp_path):
 
 
 # BLAKE2b-128 of what a seeded train run writes and prints, and of the
-# features extract then dumps with its model, recorded when the trainable
-# parameters were still held as separate arrays.  Two epochs at 32x64 run
-# calibrate_dense and the 1.0 gradient clip.  Like the basis digests they
-# depend on libm and BLAS.
+# features extract then dumps with its model.  The stdout and features were
+# recorded when the trainable parameters were still held as separate arrays,
+# and the model when its file stopped storing the banks (version 2).  Two
+# epochs at 32x64 run calibrate_dense and the 1.0 gradient clip.  Like the
+# basis digests they depend on libm and BLAS.
 PINNED_TRAIN_OUTPUTS = {
-    "model.dfn": "0e2372789b881bce2d7b00a908f2d150",
+    "model.dfn": "3be4ab780e87000c587cf4496133cfd8",
     "train stdout": "cff9d128534b2c2866d624f411ebd5dc",
     "features.json": "beb3acb3aee58218606269469124827f",
 }
@@ -217,6 +218,28 @@ def test_enrollment_lifecycle(cli_env, tmp_path, capsys):
     rc = main(["verify", "--model", str(cli_env["model"]), "--store", str(store),
                "--user", "s00", "--image", probe, "--threshold", "1.0", *common(cli_env)])
     assert rc == 0
+
+
+def test_verify_of_a_revoked_version_fails_after_its_sidecar_entries_are_blanked(cli_env, tmp_path, capsys):
+    # Blanking the revoke and reissue entries of s00's line in the template
+    # sidecar, at the same length, once made v1 look active again.
+    store = tmp_path / "store"
+    imgs = [str(cli_env["data"] / "s00" / f"img{i:02d}.pgm") for i in range(2)]
+    flags = ["--model", str(cli_env["model"]), "--store", str(store), "--user", "s00", *common(cli_env)]
+    verify_v1 = ["verify", "--image", imgs[0], "--threshold", "1.0", "--key-version", "1", *flags]
+    assert main(["enroll", "--images", *imgs, *flags]) == 0
+    assert main(["revoke", "--images", *imgs, *flags]) == 0
+    assert main(verify_v1) == 1  # this open writes a sidecar for every line
+    sidecar = store / "templates.jsonl.index"
+    lines = sidecar.read_bytes().split(b"\n")
+    i = next(i for i, line in enumerate(lines) if line.startswith(b'["s00",'))
+    first = json.dumps(json.loads(lines[i])[:3], separators=(",", ":")).encode()
+    assert len(first) < len(lines[i])
+    lines[i] = first[:-1] + b" " * (len(lines[i]) - len(first)) + b"]"
+    sidecar.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(verify_v1) == 1
+    assert "revoked" in capsys.readouterr().err
 
 
 # BLAKE2b-128 of the stdout of PINNED_FLOW and of both store files it leaves
@@ -355,6 +378,20 @@ def test_verify_with_template_bits_that_are_not_hex_fails(cli_env, tmp_path, cap
     assert "templates.jsonl:1" in err and "bits_hex" in err
 
 
+def _resealed(source, out, edit):
+    """Write to out the model container at source with edit(header,
+    payload) applied; the edit returns the new payload, and the header
+    length and CRC32 are recomputed."""
+    blob = source.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + header_len])
+    payload = edit(header, blob[16 + header_len:-4])
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = head + payload
+    out.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + body + struct.pack("<I", zlib.crc32(body)))
+    return out
+
+
 def test_verify_with_a_model_header_that_lacks_an_array_fails(cli_env, tmp_path, capsys):
     store = tmp_path / "store"
     imgs = [str(cli_env["data"] / "s00" / f"img{i:02d}.pgm") for i in range(2)]
@@ -362,31 +399,26 @@ def test_verify_with_a_model_header_that_lacks_an_array_fails(cli_env, tmp_path,
                "--user", "s00", "--images", *imgs, *common(cli_env)])
     assert rc == 0
     capsys.readouterr()
-    blob = cli_env["model"].read_bytes()
-    (header_len,) = struct.unpack("<Q", blob[8:16])
-    header = json.loads(blob[16:16 + header_len])
-    header["arrays"] = [e for e in header["arrays"] if e[0] != "bank3"]
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = head + blob[16 + header_len:-4]
-    model = tmp_path / "model.dfn"
-    model.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + body + struct.pack("<I", zlib.crc32(body)))
+
+    def drop_combine3(header, payload):
+        header["arrays"] = [e for e in header["arrays"] if e[0] != "combine3"]
+        return payload
+
+    model = _resealed(cli_env["model"], tmp_path / "model.dfn", drop_combine3)
     rc = main(["verify", "--model", str(model), "--store", str(store),
                "--user", "s00", "--image", imgs[0], "--threshold", "1.0", *common(cli_env)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert str(model) in err and "bank3" in err
+    assert str(model) in err and "combine3" in err
 
 
 def test_extract_with_a_non_finite_model_value_fails(cli_env, tmp_path, capsys):
     # A NaN in combine2 under a valid CRC once loaded, and extract then
     # wrote bare NaN tokens, which are not JSON.
-    blob = cli_env["model"].read_bytes()
-    (header_len,) = struct.unpack("<Q", blob[8:16])
-    at = 16 + header_len + 8 * ((12 + 24 + 36 + 64 + 128) * 15 + 12 + 1)  # combine2[1]
-    body = blob[16:at] + struct.pack("<d", float("nan")) + blob[at + 8:-4]
-    model = tmp_path / "model.dfn"
-    model.write_bytes(blob[:16] + body + struct.pack("<I", zlib.crc32(body)))
+    at = 8 * (12 + 1)  # combine2[1]
+    model = _resealed(cli_env["model"], tmp_path / "model.dfn",
+                      lambda header, payload: payload[:at] + struct.pack("<d", float("nan")) + payload[at + 8:])
     out = tmp_path / "features.json"
     rc = main(["extract", "--data", str(cli_env["data"]), "--model", str(model),
                "--out", str(out), *common(cli_env)])
@@ -624,6 +656,63 @@ def test_fuse_refuses_streams_with_other_subjects_before_loading(streams_env, tm
     assert "stream" not in captured.out
     assert "short lacks ['s02']" in captured.err
     assert not (tmp_path / "out").exists()
+
+
+# -- models whose banks are not those of their config ------------------------------
+
+V1_MODEL = Path(__file__).parent / "data" / "model_v1.dfn"
+
+
+def _zero_bank4(header, payload):
+    start = 8 * 15 * (12 + 24 + 36)  # banks 1-3 precede it in a version-1 payload
+    return payload[:start] + bytes(8 * 15 * 64) + payload[start + 8 * 15 * 64:]
+
+
+def _set_lbc_seed(header, payload):
+    header["config"]["lbc_seed"] = 12345
+    return payload
+
+
+def _wrong_banks_digest(header, payload):
+    header["banks_blake2b"] = "00" * 32
+    return payload
+
+
+BANK_FAULTS = {
+    "v1-bank4-zeroed": (V1_MODEL, _zero_bank4, "bank4"),
+    "v1-lbc-seed-edited": (V1_MODEL, _set_lbc_seed, "bank4"),
+    "v2-lbc-seed-edited": ("model.dfn", _set_lbc_seed, "banks_blake2b"),
+    "v2-banks-digest-wrong": ("model.dfn", _wrong_banks_digest, "banks_blake2b"),
+}
+
+
+def _model_commands(root, out):
+    """argv, less --model, of every command that loads a model; each writes
+    only under out."""
+    imgs = [str(root / "major" / "s00" / f"img{i:02d}.pgm") for i in range(2)]
+    store = ["--store", str(out / "store"), "--user", "s00"]
+    return {
+        "extract": ["extract", "--data", str(root / "major"), "--out", str(out / "features.json")],
+        "evaluate": ["evaluate", "--data", str(root / "major"), "--out", str(out / "eval"), "--gallery-count", "2"],
+        "fuse": ["fuse", "--data", *[str(root / s) for s in STREAMS], "--out", str(out / "fused"),
+                 "--gallery-count", "2"],
+        "enroll": ["enroll", *store, "--images", *imgs],
+        "verify": ["verify", *store, "--image", imgs[0], "--threshold", "0.35"],
+        "revoke": ["revoke", *store, "--images", *imgs],
+    }
+
+
+@pytest.mark.parametrize("command", ["extract", "evaluate", "fuse", "enroll", "verify", "revoke"])
+@pytest.mark.parametrize("fault", BANK_FAULTS)
+def test_every_model_command_refuses_banks_its_config_does_not_derive(streams_env, tmp_path, capsys,
+                                                                      command, fault):
+    source, edit, names = BANK_FAULTS[fault]
+    model = _resealed(streams_env / source, tmp_path / "model.dfn", edit)
+    (tmp_path / "out").mkdir()
+    assert main([*_model_commands(streams_env, tmp_path / "out")[command], "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(model) in err and names in err
+    assert not any((tmp_path / "out").iterdir())
 
 
 # -- roc --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Enrollment lifecycle: stores, verification, revocation, fusion."""
 
 import base64
+import hashlib
 import json
 
 import numpy as np
@@ -346,7 +347,7 @@ class TestStore:
 
 class TestKeyExposure:
     @pytest.mark.xfail(strict=True, reason="keys derive from public labels under a known master "
-                       "seed until the vault has a secret (ROADMAP item 2)")
+                       "seed until the vault has a secret (ROADMAP item 3)")
     def test_template_file_alone_does_not_give_a_verifying_preimage(self, tmp_path):
         # The CLI's default master seed is 0.  An attacker holding only
         # templates.jsonl derives alice's key seed from public labels,
@@ -372,11 +373,14 @@ def _sidecar(path):
 
 def _edit_sidecar(path, edit):
     """Apply edit(head, groups) to a sidecar and write it back whole: a
-    header line, then one compact JSON line per (user, modality)."""
+    header line, then one compact JSON line per (user, modality).  The
+    body's size and digest are recomputed, so only the edit can make the
+    sidecar unsound."""
     head, *groups = [json.loads(line) for line in _sidecar(path).read_text().splitlines()]
     edit(head, groups)
     body = "\n" + "".join(json.dumps(g, separators=(",", ":")) + "\n" for g in groups)
     head["body"] = len(body)
+    head["body_blake2b"] = hashlib.blake2b(body.encode(), digest_size=32).hexdigest()
     _sidecar(path).write_text(json.dumps(head) + body)
 
 
@@ -397,6 +401,25 @@ def _cut_below_the_sidecar(keys, templates):
     length = json.loads(_sidecar(templates).read_text().splitlines()[0])["length"]
     data = templates.read_bytes()
     templates.write_bytes(data[:data.rfind(b"\n", 0, length - 1) + 1])
+
+
+def _rename_bob(keys, templates):
+    # A same-length edit of the sidecar's body hides bob's records: only
+    # the body's digest can tell.
+    side = _sidecar(templates).read_bytes()
+    assert side.count(b'["bob",') == 1
+    _sidecar(templates).write_bytes(side.replace(b'["bob",', b'["bpb",'))
+
+
+def _blank_later_entries_of_alice(keys, templates):
+    # Spaces in place of all but alice's first entry, at the same length,
+    # leave her first enrollment looking active.
+    lines = _sidecar(templates).read_bytes().split(b"\n")
+    i = next(i for i, line in enumerate(lines) if line.startswith(b'["alice",'))
+    first = json.dumps(json.loads(lines[i])[:3], separators=(",", ":")).encode()
+    assert len(first) < len(lines[i])
+    lines[i] = first[:-1] + b" " * (len(lines[i]) - len(first)) + b"]"
+    _sidecar(templates).write_bytes(b"\n".join(lines))
 
 
 def _flip_a_bit_of_alice(keys, templates):
@@ -428,6 +451,8 @@ SIDECAR_FAULTS = {
     "offset_inside_a_line": lambda k, t: _edit_sidecar(t, _set_first_offset("bob", 1)),
     "offsets_filed_under_another_user": lambda k, t: (_edit_sidecar(k, _swap_alice_and_bob),
                                                       _edit_sidecar(t, _swap_alice_and_bob)),
+    "group_renamed_same_length": _rename_bob,
+    "entries_blanked_same_length": _blank_later_entries_of_alice,
 }
 
 INDEXED_PAIRS = [("alice", "major"), ("bob", "major"), ("carol", "minor"), ("dave", "major"), ("nobody", "major")]

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dorsalhash import ops
+from dorsalhash import network, ops
 from dorsalhash.errors import (
     ConfigError,
     DataError,
@@ -479,16 +479,39 @@ def test_save_is_byte_identical(tmp_path, tiny_config):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def reference_save_bytes(net):
+def _banks_digest(net):
+    return hashlib.blake2b(b"".join(np.ascontiguousarray(b, dtype="<f8").tobytes() for b in net.banks),
+                           digest_size=32).hexdigest()
+
+
+def _stored_arrays(net, version):
+    """(name, array) of every array a file of this version stores, in file
+    order: the banks (version 1 only), then theta's parameters."""
+    banks = [(f"bank{i}", b) for i, b in enumerate(net.banks, start=1)]
+    return (banks if version == 1 else []) + list(net.views.items())
+
+
+def reference_save_bytes(net, version=2):
     """A container assembled in memory, header and every array's bytes
-    joined before one CRC32, as save() once did."""
-    arrays = [(f"bank{i}", b) for i, b in enumerate(net.banks, start=1)]
-    arrays += list(net.views.items())
+    joined before one CRC32: banks and theta in version 1, as save() once
+    wrote it; theta and the banks' digest in version 2."""
+    arrays = _stored_arrays(net, version)
     header = {"config": dataclasses.asdict(net.config),
               "arrays": [[name, list(a.shape)] for name, a in arrays]}
+    if version == 2:
+        header["banks_blake2b"] = _banks_digest(net)
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = head + b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays)
-    return b"DHFN" + struct.pack("<IQ", 1, len(head)) + body + struct.pack("<I", zlib.crc32(body))
+    return b"DHFN" + struct.pack("<IQ", version, len(head)) + body + struct.pack("<I", zlib.crc32(body))
+
+
+def _save(net, path, version):
+    """Write net as a file of the given version (1 as the release before
+    derived banks wrote it)."""
+    if version == 1:
+        path.write_bytes(reference_save_bytes(net, version=1))
+    else:
+        net.save(path)
 
 
 def test_save_writes_the_bytes_of_an_in_memory_container(tmp_path, tiny_config):
@@ -497,12 +520,8 @@ def test_save_writes_the_bytes_of_an_in_memory_container(tmp_path, tiny_config):
     rng = np.random.default_rng(15)
     images = [rng.uniform(0, 1, (16, 32)) for _ in range(6)]
     train(trained, images, [0, 1, 2, 0, 1, 2], epochs=1, config=TrainConfig(batch_size=2))
-    # A transposed bank is not contiguous and must be written as the
-    # C-order copy the in-memory container takes.
-    transposed = FixedFilterNet.build(tiny_config)
-    transposed.banks[1] = np.asfortranarray(transposed.banks[1])
     full = FixedFilterNet.build(NetworkConfig(num_classes=8))
-    for i, net in enumerate((fixture, trained, transposed, full)):
+    for i, net in enumerate((fixture, trained, full)):
         path = tmp_path / f"{i}.dfn"
         net.save(path)
         assert path.read_bytes() == reference_save_bytes(net)
@@ -536,10 +555,12 @@ def _split(path):
 
 
 def _reseal(path, head, payload):
-    """Write a container around the given header and payload bytes with a
-    valid prefix and CRC32, so only what they hold can make load fail."""
+    """Rewrite a container around the given header and payload bytes with a
+    valid prefix and CRC32, keeping the version of the file it replaces, so
+    only what they hold can make load fail."""
+    (version,) = struct.unpack("<I", path.read_bytes()[4:8])
     body = head + payload
-    path.write_bytes(b"DHFN" + struct.pack("<IQ", 1, len(head)) + body + struct.pack("<I", zlib.crc32(body)))
+    path.write_bytes(b"DHFN" + struct.pack("<IQ", version, len(head)) + body + struct.pack("<I", zlib.crc32(body)))
 
 
 def _edit_header(path, edit):
@@ -587,7 +608,7 @@ def test_load_rejects_wrong_magic(tmp_path):
 # -- single-read loader -------------------------------------------------------
 
 def _loaded_arrays(net):
-    return [*net.banks, *net.views.values()]
+    return list(net.views.values())
 
 
 @pytest.mark.parametrize("num_classes", [2, 3, 7, 8, 20, 101])
@@ -600,7 +621,7 @@ def test_loaded_arrays_are_aligned_read_only_views_of_one_buffer(tmp_path, tiny_
     net.save(path)
     loaded = FixedFilterNet.load(path)
     arrays = _loaded_arrays(loaded)
-    assert len(arrays) == 16
+    assert len(arrays) == 11
     for a in arrays:
         assert a.dtype == np.float64
         assert a.flags.c_contiguous and a.flags.aligned
@@ -688,20 +709,36 @@ def test_one_flipped_byte_fails_the_checksum(tmp_path, tiny_config, part):
         FixedFilterNet.load(path)
 
 
-def test_file_from_the_copying_loader_loads_and_resaves_identically(tmp_path):
+# BLAKE2b-128 of the features the version-1 fixture gives four seeded
+# images, recorded when models still loaded their banks from the file.
+PINNED_V1_FIXTURE_FEATURES = "3342e3d3979f5aadea37fc9909af8a2d"
+
+
+def _fixture_features(net):
+    rng = np.random.default_rng(31)
+    feats = net.extract_features([rng.uniform(0, 1, (16, 32)) for _ in range(4)])
+    return hashlib.blake2b(np.ascontiguousarray(feats, dtype="<f8").tobytes(), digest_size=16).hexdigest()
+
+
+def test_v1_fixture_loads_with_its_features_and_resaves_as_v2(tmp_path):
     # tests/data/model_v1.dfn was calibrated, trained for one epoch and
     # saved by the release whose loader copied every array out of the file.
-    # The container format did not change, so it loads here and saves back
-    # to the same bytes.
+    # Its stored banks are the derived ones, so it loads, gives the features
+    # it always gave, and saves as version 2: the same theta without banks.
     source = Path(__file__).parent / "data" / "model_v1.dfn"
+    assert struct.unpack("<I", source.read_bytes()[4:8]) == (1,)
     net = FixedFilterNet.load(source)
     assert net.config == NetworkConfig(num_classes=2, input_height=16, input_width=32,
                                        fc1_dim=8, fc2_dim=128, lbc_seed=3)
-    for a, b in zip(net.banks, FixedFilterNet.build(net.config).banks):
-        assert np.array_equal(a, b)
+    assert source.read_bytes() == reference_save_bytes(net, version=1)
+    assert _fixture_features(net) == PINNED_V1_FIXTURE_FEATURES
     out = tmp_path / "resaved.dfn"
     net.save(out)
-    assert out.read_bytes() == source.read_bytes()
+    assert struct.unpack("<I", out.read_bytes()[4:8]) == (2,)
+    assert len(_split(out)[1]) == net.theta.nbytes
+    again = FixedFilterNet.load(out)
+    assert np.array_equal(again.theta, net.theta)
+    assert _fixture_features(again) == PINNED_V1_FIXTURE_FEATURES
 
 
 def _drop_array(name):
@@ -725,31 +762,32 @@ def _set_shape(name, shape):
     return edit
 
 
-@pytest.mark.parametrize("edit, names", [
-    pytest.param(lambda h: h.pop("config"), "config", id="no-config"),
-    pytest.param(lambda h: h.pop("arrays"), "arrays", id="no-arrays"),
-    pytest.param(lambda h: h.update(config=[1, 2]), "config", id="config-not-object"),
-    pytest.param(lambda h: h["config"].update(num_classes="3"), "num_classes", id="config-string"),
-    pytest.param(lambda h: h["config"].update(input_height=15), "invalid model config", id="config-invalid"),
-    pytest.param(_drop_array("bank3"), "bank3", id="no-bank3"),
-    pytest.param(_drop_array("fc3.b"), "fc3.b", id="no-fc3.b"),
-    pytest.param(lambda h: h["arrays"].append(["fc4.w", [1]]), "fc4.w", id="extra-array"),
-    pytest.param(lambda h: h["arrays"].append(h["arrays"][0]), "bank1", id="repeated-array"),
-    pytest.param(lambda h: h["arrays"].__setitem__(0, "bank1"), "bank1", id="entry-not-pair"),
+# The bank cases edit a version-1 header, the only one that lists banks.
+@pytest.mark.parametrize("edit, names, version", [
+    pytest.param(lambda h: h.pop("config"), "config", 2, id="no-config"),
+    pytest.param(lambda h: h.pop("arrays"), "arrays", 2, id="no-arrays"),
+    pytest.param(lambda h: h.update(config=[1, 2]), "config", 2, id="config-not-object"),
+    pytest.param(lambda h: h["config"].update(num_classes="3"), "num_classes", 2, id="config-string"),
+    pytest.param(lambda h: h["config"].update(input_height=15), "invalid model config", 2, id="config-invalid"),
+    pytest.param(_drop_array("bank3"), "bank3", 1, id="no-bank3"),
+    pytest.param(_drop_array("fc3.b"), "fc3.b", 2, id="no-fc3.b"),
+    pytest.param(lambda h: h["arrays"].append(["fc4.w", [1]]), "fc4.w", 2, id="extra-array"),
+    pytest.param(lambda h: h["arrays"].append(h["arrays"][0]), "bank1", 1, id="repeated-array"),
+    pytest.param(lambda h: h["arrays"].__setitem__(0, "bank1"), "bank1", 1, id="entry-not-pair"),
     # theta is the payload's tail in save order, so the order is fixed too.
-    pytest.param(_swap_arrays(5, 6), "combine2", id="combine1-combine2-swapped"),
-    pytest.param(_set_shape("bank1", [12, 5, 3]), "bank1", id="bank-shape"),
-    pytest.param(_set_shape("combine4", [32]), "combine4", id="combine-shape"),
-    pytest.param(_set_shape("fc1.b", [95]), "fc1.b", id="bias-shape"),
+    pytest.param(_swap_arrays(0, 1), "combine2", 2, id="combine1-combine2-swapped"),
+    pytest.param(_set_shape("bank1", [12, 5, 3]), "bank1", 1, id="bank-shape"),
+    pytest.param(_set_shape("combine4", [32]), "combine4", 2, id="combine-shape"),
+    pytest.param(_set_shape("fc1.b", [95]), "fc1.b", 2, id="bias-shape"),
     # A config rewritten to 32x64 input while fc1.w stays (96, 32): the
     # copying loader accepted it and the first forward died in a matmul.
-    pytest.param(lambda h: h["config"].update(input_height=32, input_width=64), "fc1.w", id="input-size"),
-    pytest.param(lambda h: h["config"].update(fc2_dim=256), "fc2.w", id="fc2-dim"),
-    pytest.param(lambda h: h["config"].update(num_classes=4), "fc3.w", id="num-classes"),
+    pytest.param(lambda h: h["config"].update(input_height=32, input_width=64), "fc1.w", 2, id="input-size"),
+    pytest.param(lambda h: h["config"].update(fc2_dim=256), "fc2.w", 2, id="fc2-dim"),
+    pytest.param(lambda h: h["config"].update(num_classes=4), "fc3.w", 2, id="num-classes"),
 ])
-def test_load_rejects_a_header_that_does_not_match_its_arrays(tmp_path, tiny_config, edit, names):
+def test_load_rejects_a_header_that_does_not_match_its_arrays(tmp_path, tiny_config, edit, names, version):
     path = tmp_path / "model.dfn"
-    FixedFilterNet.build(tiny_config).save(path)
+    _save(FixedFilterNet.build(tiny_config), path, version)
     _edit_header(path, edit)
     with pytest.raises(ModelFormatError, match=re.escape(str(path)) + ".*" + re.escape(names)):
         FixedFilterNet.load(path)
@@ -767,12 +805,15 @@ def test_load_rejects_a_header_that_is_not_a_json_object(tmp_path, tiny_config, 
 @pytest.mark.parametrize("name", ["bank4", "combine2", "fc1.w", "fc3.b"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_load_refuses_a_non_finite_value(tmp_path, tiny_config, name, value):
+    # Only a version-1 file stores banks, so the bank4 case edits one.
     net = FixedFilterNet.build(tiny_config)
     path = tmp_path / "model.dfn"
-    net.save(path)
+    version = 1 if name.startswith("bank") else 2
+    arrays = _stored_arrays(net, version)
+    _save(net, path, version)
     head, payload = _split(path)
-    names = [f"bank{i}" for i in range(1, 6)] + list(net.views)
-    at = sum(a.nbytes for a in _loaded_arrays(net)[:names.index(name)]) + 8  # its second value
+    names = [n for n, _ in arrays]
+    at = sum(a.nbytes for _, a in arrays[:names.index(name)]) + 8  # its second value
     _reseal(path, head, payload[:at] + struct.pack("<d", value) + payload[at + 8:])
     with pytest.raises(ModelFormatError, match=re.escape(str(path)) + ".*non-finite.*" + re.escape(name)):
         FixedFilterNet.load(path)
@@ -785,3 +826,85 @@ def test_load_rejects_a_header_longer_than_the_file(tmp_path, tiny_config):
     path.write_bytes(blob[:8] + struct.pack("<Q", len(blob)) + blob[16:])
     with pytest.raises(ModelFormatError, match="truncated header"):
         FixedFilterNet.load(path)
+
+
+# -- derived banks ------------------------------------------------------------
+
+def test_models_of_one_seed_share_one_read_only_bank_tuple(tiny_config):
+    a, b = FixedFilterNet.build(tiny_config), FixedFilterNet.build(tiny_config)
+    assert a.banks is b.banks
+    assert all(not bank.flags.writeable for bank in a.banks)
+    with pytest.raises(ValueError):
+        a.banks[3][0, 0, 0] = 1.0
+    other = FixedFilterNet.build(dataclasses.replace(tiny_config, lbc_seed=tiny_config.lbc_seed + 1))
+    assert not np.array_equal(other.banks[3], a.banks[3])
+
+
+def _bank_span(i):
+    """Byte span of bank i within a version-1 payload."""
+    sizes = [8 * k * 15 for k in network.BANK_COUNTS]
+    start = sum(sizes[:i - 1])
+    return start, start + sizes[i - 1]
+
+
+def test_v1_file_with_a_zeroed_bank_is_refused(tmp_path, tiny_config):
+    path = tmp_path / "model.dfn"
+    _save(FixedFilterNet.build(tiny_config), path, 1)
+    head, payload = _split(path)
+    start, stop = _bank_span(4)
+    _reseal(path, head, payload[:start] + bytes(stop - start) + payload[stop:])
+    with pytest.raises(ModelFormatError, match=re.escape(str(path)) + ".*bank4"):
+        FixedFilterNet.load(path)
+
+
+def test_v1_banks_are_compared_bit_for_bit(tmp_path, tiny_config):
+    # -0.0 == 0.0 as a number, but not as the bank the config derives.
+    net = FixedFilterNet.build(tiny_config)
+    path = tmp_path / "model.dfn"
+    _save(net, path, 1)
+    head, payload = _split(path)
+    at = _bank_span(5)[0] + 8 * int(np.flatnonzero(net.banks[4].ravel() == 0.0)[0])
+    _reseal(path, head, payload[:at] + struct.pack("<d", -0.0) + payload[at + 8:])
+    with pytest.raises(ModelFormatError, match=re.escape(str(path)) + ".*bank5"):
+        FixedFilterNet.load(path)
+
+
+@pytest.mark.parametrize("version, names", [(1, "bank4"), (2, "banks_blake2b")])
+def test_a_header_with_another_lbc_seed_is_refused(tmp_path, tiny_config, version, names):
+    # The edited config would derive other ternary banks than the model's.
+    path = tmp_path / "model.dfn"
+    _save(FixedFilterNet.build(tiny_config), path, version)
+    _edit_header(path, lambda h: h["config"].update(lbc_seed=12345))
+    with pytest.raises(ModelFormatError, match=re.escape(str(path)) + ".*" + names):
+        FixedFilterNet.load(path)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda h: h.update(banks_blake2b="00" * 32), id="wrong"),
+    pytest.param(lambda h: h.update(banks_blake2b=h["banks_blake2b"].upper()), id="upper-case"),
+    pytest.param(lambda h: h.pop("banks_blake2b"), id="missing"),
+    pytest.param(lambda h: h.update(banks_blake2b=7), id="not-a-string"),
+])
+def test_v2_file_with_a_wrong_banks_digest_is_refused(tmp_path, tiny_config, edit):
+    path = tmp_path / "model.dfn"
+    FixedFilterNet.build(tiny_config).save(path)
+    _edit_header(path, edit)
+    with pytest.raises(ModelFormatError, match=re.escape(str(path)) + ".*banks_blake2b"):
+        FixedFilterNet.load(path)
+
+
+def test_bank_drift_fails_a_v2_load_closed(tmp_path, tiny_config, monkeypatch):
+    # A change in how a bank is drawn must not pass silently as the model's
+    # own banks: the digest saved with the model no longer matches.
+    path = tmp_path / "model.dfn"
+    FixedFilterNet.build(tiny_config).save(path)
+    drawn = network.make_lbc_filters
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(network, "make_lbc_filters", lambda count, seed: drawn(count, seed + 1))
+            network._derive_banks.cache_clear()
+            with pytest.raises(ModelFormatError, match=re.escape(str(path)) + ".*banks_blake2b"):
+                FixedFilterNet.load(path)
+    finally:
+        network._derive_banks.cache_clear()
+    assert FixedFilterNet.load(path).config == tiny_config
