@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import config as cfgmod
 from . import corpus, pipeline
 from .enrollment import TemplateVault
-from .errors import DataError, DorsalHashError, MetricUndefinedError
+from .errors import ConfigError, DataError, DorsalHashError, MetricUndefinedError
 from .evaluation import ScoreSet, export_roc
 from .hashing import BIT_LENGTHS
 from .network import FixedFilterNet, NetworkConfig, TrainConfig, train
@@ -30,6 +29,81 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_UNDEFINED_METRIC = 3
+
+# Every setting a command reads, as (type, default).  A flag of the same
+# name (dashes for underscores) beats a key of the --config file, which
+# beats the default; a config key not named here is refused.
+SETTINGS: dict[str, tuple[type, object]] = {
+    "seed": (int, 0),
+    "bits": (int, 128),
+    "input_height": (int, 64),
+    "input_width": (int, 128),
+    "subjects": (int, 20),
+    "samples": (int, 12),
+    "noise": (float, 0.05),
+    "count": (int, 45),
+    "epochs": (int, 20),
+    "gallery_count": (int, 6),
+    "lr": (float, 0.01),
+    "momentum": (float, 0.9),
+    "batch_size": (int, 32),
+    "clip_norm": (float, 1.0),
+    "fc1_dim": (int, 512),
+    "fc2_dim": (int, 256),
+    "threshold": (float, None),
+    "points": (int, 1000),
+}
+
+
+def _read_config(path) -> dict[str, str]:
+    """A flat key=value file: one assignment per line, ``#`` comments and
+    blank lines ignored, values kept as strings; every key must be in
+    SETTINGS."""
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"config file {p} does not exist")
+    out: dict[str, str] = {}
+    for line_no, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{p}:{line_no}: expected key=value, got {raw!r}")
+        if not key.strip():
+            raise ConfigError(f"{p}:{line_no}: empty key")
+        out[key.strip()] = value.strip()
+    unknown = sorted(out.keys() - SETTINGS.keys())
+    if unknown:
+        raise ConfigError(f"config file {p}: unknown keys {unknown}")
+    return out
+
+
+class _Settings:
+    """``settings[name]`` is one entry of SETTINGS: its flag, else its config
+    key, else its default."""
+
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+        path = getattr(args, "config", None)
+        self.cfg = _read_config(path) if path else {}
+
+    def __getitem__(self, name: str):
+        kind, default = SETTINGS[name]
+        flag = getattr(self.args, name, None)
+        if flag is not None:
+            return flag
+        if name not in self.cfg:
+            return default
+        text = self.cfg[name]
+        try:
+            value = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(f"config key {name!r}: {text!r} is not {noun}") from None
+        if name == "bits" and value not in BIT_LENGTHS:
+            raise ConfigError(f"bits must be one of {BIT_LENGTHS}, got {value}")
+        return value
 
 
 # Built once per process: parse_args returns a fresh Namespace each call and
@@ -44,6 +118,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--bits", type=int, choices=list(BIT_LENGTHS), default=argparse.SUPPRESS,
         help="template bit length",
     )
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", required=True)
+    store = argparse.ArgumentParser(add_help=False)
+    store.add_argument("--store", required=True, help="directory for keys.jsonl and templates.jsonl")
+    store.add_argument("--user", required=True)
+    store.add_argument("--modality", default="major")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--out", required=True, help="model file (train) or output directory")
+    run.add_argument("--gallery-count", type=int, help="use the first N samples per subject (0 = all)")
 
     p = argparse.ArgumentParser(prog="dorsalhash", parents=[common], description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -59,51 +142,30 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--count", type=int)
 
-    sp = sub.add_parser("train", parents=[common], help="train a feature extractor on a corpus")
+    sp = sub.add_parser("train", parents=[common, run], help="train a feature extractor on a corpus")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--out", required=True, help="model file to write")
     sp.add_argument("--epochs", type=int)
-    sp.add_argument("--gallery-count", type=int, help="train on the first N samples per subject (0 = all)")
 
-    sp = sub.add_parser("extract", parents=[common], help="dump feature vectors for a corpus")
+    sp = sub.add_parser("extract", parents=[common, model], help="dump feature vectors for a corpus")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--model", required=True)
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("enroll", parents=[common], help="enroll a user from images")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--store", required=True, help="directory for keys.jsonl and templates.jsonl")
-    sp.add_argument("--user", required=True)
+    sp = sub.add_parser("enroll", parents=[common, model, store], help="enroll a user from images")
     sp.add_argument("--images", required=True, nargs="+")
-    sp.add_argument("--modality", default="major")
 
-    sp = sub.add_parser("verify", parents=[common], help="verify a claim against the store")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--store", required=True)
-    sp.add_argument("--user", required=True)
+    sp = sub.add_parser("verify", parents=[common, model, store], help="verify a claim against the store")
     sp.add_argument("--image", required=True)
     sp.add_argument("--threshold", type=float)
-    sp.add_argument("--modality", default="major")
     sp.add_argument("--key-version", type=int, help="address a specific enrollment version")
 
-    sp = sub.add_parser("revoke", parents=[common], help="revoke the active key and re-enroll")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--store", required=True)
-    sp.add_argument("--user", required=True)
+    sp = sub.add_parser("revoke", parents=[common, model, store], help="revoke the active key and re-enroll")
     sp.add_argument("--images", required=True, nargs="+")
-    sp.add_argument("--modality", default="major")
 
-    sp = sub.add_parser("evaluate", parents=[common], help="run the verification protocol on a corpus")
+    sp = sub.add_parser("evaluate", parents=[common, model, run], help="run the verification protocol on a corpus")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--out", required=True, help="directory for metrics, scores and ROC files")
-    sp.add_argument("--gallery-count", type=int)
 
-    sp = sub.add_parser("fuse", parents=[common], help="fused multi-stream protocol run")
+    sp = sub.add_parser("fuse", parents=[common, model, run], help="fused multi-stream protocol run")
     sp.add_argument("--data", required=True, nargs="+", help="two or more stream corpus roots")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--gallery-count", type=int)
 
     sp = sub.add_parser("roc", parents=[common], help="export a ROC CSV from a scores file")
     sp.add_argument("--scores", required=True, help="JSON file with genuine/impostor arrays")
@@ -112,56 +174,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-class _Settings:
-    """Flag > config-file > default resolution."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.cfg: dict[str, str] = {}
-        path = getattr(args, "config", None)
-        if path:
-            self.cfg = cfgmod.load_config(path)
-
-    def _flag(self, name: str):
-        return getattr(self.args, name, None)
-
-    def get_int(self, name: str, default: int) -> int:
-        v = self._flag(name)
-        return int(v) if v is not None else cfgmod.coerce_int(self.cfg, name, default)
-
-    def get_float(self, name: str, default: float) -> float:
-        v = self._flag(name)
-        return float(v) if v is not None else cfgmod.coerce_float(self.cfg, name, default)
-
-    @property
-    def seed(self) -> int:
-        return self.get_int("seed", 0)
-
-    @property
-    def bits(self) -> int:
-        bits = self.get_int("bits", 128)
-        if bits not in BIT_LENGTHS:
-            raise cfgmod.ConfigError(f"bits must be one of {BIT_LENGTHS}, got {bits}")
-        return bits
-
-    def network_config(self, num_classes: int) -> NetworkConfig:
-        return NetworkConfig(
-            num_classes=num_classes,
-            input_height=self.get_int("input_height", 64),
-            input_width=self.get_int("input_width", 128),
-            fc1_dim=self.get_int("fc1_dim", 512),
-            fc2_dim=self.get_int("fc2_dim", 256),
-            lbc_seed=self.seed,
-        )
-
-
 def _load_corpus(root, height: int, width: int) -> dict[str, list[np.ndarray]]:
     return corpus.load_samples(corpus.ingest(root), height, width)
 
 
+def _model_features(model_path, image_paths) -> np.ndarray:
+    """Features of each image, resized to the geometry the model was built for."""
+    model = FixedFilterNet.load(model_path)
+    h, w = model.config.input_height, model.config.input_width
+    return model.extract_features([corpus.bilinear_resize(corpus.load_image(p), h, w) for p in image_paths])
+
+
 def _vault(settings: _Settings, store_dir: str) -> TemplateVault:
     d = Path(store_dir)
-    return TemplateVault(d / "keys.jsonl", d / "templates.jsonl", master_seed=settings.seed)
+    return TemplateVault(d / "keys.jsonl", d / "templates.jsonl", master_seed=settings["seed"])
 
 
 @contextlib.contextmanager
@@ -205,12 +231,12 @@ def _print_report(run: pipeline.ProtocolRun, label: str) -> None:
 
 def _cmd_synth(settings: _Settings, args) -> int:
     spec = corpus.SyntheticSpec(
-        num_subjects=settings.get_int("subjects", 20),
-        samples_per_subject=settings.get_int("samples", 12),
-        height=settings.get_int("input_height", 64),
-        width=settings.get_int("input_width", 128),
-        noise_level=settings.get_float("noise", 0.05),
-        seed=settings.seed,
+        num_subjects=settings["subjects"],
+        samples_per_subject=settings["samples"],
+        height=settings["input_height"],
+        width=settings["input_width"],
+        noise_level=settings["noise"],
+        seed=settings["seed"],
     )
     layout = corpus.generate_synthetic(spec, args.out)
     total = sum(len(v) for v in layout.subjects.values())
@@ -220,7 +246,7 @@ def _cmd_synth(settings: _Settings, args) -> int:
 
 def _cmd_augment(settings: _Settings, args) -> int:
     image = corpus.load_image(args.image)
-    spec = corpus.AugmentationSpec(count=settings.get_int("count", 45), seed=settings.seed)
+    spec = corpus.AugmentationSpec(count=settings["count"], seed=settings["seed"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, variant in enumerate(corpus.augment(image, spec)):
@@ -240,26 +266,31 @@ def _training_arrays(samples: dict[str, list[np.ndarray]], gallery_count: int):
 
 
 def _cmd_train(settings: _Settings, args) -> int:
-    gallery_count = settings.get_int("gallery_count", 6)
+    gallery_count = settings["gallery_count"]
     if gallery_count < 0:
-        raise cfgmod.ConfigError(f"gallery count must be >= 0 (0 = all samples), got {gallery_count}")
-    samples = _load_corpus(
-        args.data, settings.get_int("input_height", 64), settings.get_int("input_width", 128)
-    )
+        raise ConfigError(f"gallery count must be >= 0 (0 = all samples), got {gallery_count}")
+    samples = _load_corpus(args.data, settings["input_height"], settings["input_width"])
     images, labels = _training_arrays(samples, gallery_count)
-    model = FixedFilterNet.build(settings.network_config(num_classes=len(samples)))
+    model = FixedFilterNet.build(NetworkConfig(
+        num_classes=len(samples),
+        input_height=settings["input_height"],
+        input_width=settings["input_width"],
+        fc1_dim=settings["fc1_dim"],
+        fc2_dim=settings["fc2_dim"],
+        lbc_seed=settings["seed"],
+    ))
     # Whitened re-init plus clipping is the house training recipe: flatten
     # activations off the fixed banks are tiny and share one dominant
     # direction, which plain SGD from a data-blind init cannot unwind.
     model.calibrate_dense(images)
     tc = TrainConfig(
-        lr=settings.get_float("lr", 0.01),
-        momentum=settings.get_float("momentum", 0.9),
-        batch_size=settings.get_int("batch_size", 32),
-        shuffle_seed=settings.seed,
-        clip_norm=settings.get_float("clip_norm", 1.0),
+        lr=settings["lr"],
+        momentum=settings["momentum"],
+        batch_size=settings["batch_size"],
+        shuffle_seed=settings["seed"],
+        clip_norm=settings["clip_norm"],
     )
-    history = train(model, images, labels, epochs=settings.get_int("epochs", 20), config=tc)
+    history = train(model, images, labels, epochs=settings["epochs"], config=tc)
     model.save(args.out)
     if history:
         last = history[-1]
@@ -292,18 +323,11 @@ def _cmd_extract(settings: _Settings, args) -> int:
     return EXIT_OK
 
 
-def _load_images(model: FixedFilterNet, paths) -> list[np.ndarray]:
-    """Images resized to the geometry the model was built for."""
-    h, w = model.config.input_height, model.config.input_width
-    return [corpus.bilinear_resize(corpus.load_image(p), h, w) for p in paths]
-
-
 def _cmd_enroll(settings: _Settings, args) -> int:
-    model = FixedFilterNet.load(args.model)
-    features = model.extract_features(_load_images(model, args.images)).mean(axis=0)
+    features = _model_features(args.model, args.images).mean(axis=0)
     with _store_lock(args.store):
         vault = _vault(settings, args.store)
-        template = vault.enroll_features(args.user, features, modality=args.modality, bit_length=settings.bits)
+        template = vault.enroll_features(args.user, features, modality=args.modality, bit_length=settings["bits"])
     print(
         f"enrolled {args.user}/{args.modality} v{template.key_version} "
         f"({template.bit_length} bits: {template.to_hex()})"
@@ -312,13 +336,11 @@ def _cmd_enroll(settings: _Settings, args) -> int:
 
 
 def _cmd_verify(settings: _Settings, args) -> int:
-    threshold = args.threshold if args.threshold is not None else settings.get_float("threshold", None)
+    threshold = settings["threshold"]
     if threshold is None:
-        raise cfgmod.ConfigError("verify needs --threshold (or a threshold config key)")
-    model = FixedFilterNet.load(args.model)
-    vault = _vault(settings, args.store)
-    features = model.extract_features(_load_images(model, [args.image]))[0]
-    decision = vault.verify(
+        raise ConfigError("verify needs --threshold (or a threshold config key)")
+    features = _model_features(args.model, [args.image])[0]
+    decision = _vault(settings, args.store).verify(
         features, args.user, threshold, modality=args.modality, key_version=args.key_version
     )
     verdict = "accept" if decision.accepted else "reject"
@@ -330,8 +352,7 @@ def _cmd_verify(settings: _Settings, args) -> int:
 
 
 def _cmd_revoke(settings: _Settings, args) -> int:
-    model = FixedFilterNet.load(args.model)
-    features = model.extract_features(_load_images(model, args.images)).mean(axis=0)
+    features = _model_features(args.model, args.images).mean(axis=0)
     with _store_lock(args.store):
         vault = _vault(settings, args.store)
         template = vault.revoke_and_reissue(args.user, features, modality=args.modality)
@@ -340,38 +361,39 @@ def _cmd_revoke(settings: _Settings, args) -> int:
 
 
 def _cmd_evaluate(settings: _Settings, args) -> int:
+    bits, seed = settings["bits"], settings["seed"]
     model = FixedFilterNet.load(args.model)
     samples = _load_corpus(args.data, model.config.input_height, model.config.input_width)
-    features = pipeline.stream_features(model, samples, settings.get_int("gallery_count", 6))
-    run = pipeline.protocol_from_features(*features, settings.bits, settings.seed)
-    _write_protocol_outputs(run, Path(args.out), str(settings.bits))
-    _print_report(run, f"protocol@{settings.bits}bit")
+    features = pipeline.stream_features(model, samples, settings["gallery_count"])
+    run = pipeline.protocol_from_features(*features, bits, seed)
+    _write_protocol_outputs(run, Path(args.out), str(bits))
+    _print_report(run, f"protocol@{bits}bit")
     return EXIT_OK
 
 
 def _cmd_fuse(settings: _Settings, args) -> int:
     if len(args.data) < 2:
-        raise cfgmod.ConfigError("fuse needs at least two stream corpus roots")
+        raise ConfigError("fuse needs at least two stream corpus roots")
     # A stream is named by its root's last component, so two roots that
     # share one would silently fuse as a single stream.
     names = [Path(root).name for root in args.data]
     clashes = sorted({name for name in names if names.count(name) > 1})
     if clashes:
-        raise cfgmod.ConfigError(f"fuse streams are named by directory; more than one root is named {clashes}")
+        raise ConfigError(f"fuse streams are named by directory; more than one root is named {clashes}")
     # Subjects are compared before the model loads or any image is extracted.
     layouts = {name: corpus.ingest(root) for name, root in zip(names, args.data)}
     pipeline.require_same_subjects({name: layout.subjects for name, layout in layouts.items()})
     model = FixedFilterNet.load(args.model)
-    gallery_count = settings.get_int("gallery_count", 6)
+    bits, seed, gallery_count = settings["bits"], settings["seed"], settings["gallery_count"]
     h, w = model.config.input_height, model.config.input_width
     streams = {name: pipeline.stream_features(model, corpus.load_samples(layout, h, w), gallery_count)
                for name, layout in layouts.items()}
     for name in sorted(streams):
-        single = pipeline.protocol_from_features(*streams[name], settings.bits, settings.seed)
-        _print_report(single, f"stream {name}@{settings.bits}bit")
-    run = pipeline.protocol_from_features(*pipeline.fuse_streams(streams), settings.bits, settings.seed)
-    _write_protocol_outputs(run, Path(args.out), f"fused_{settings.bits}")
-    _print_report(run, f"fused@{settings.bits}bit")
+        single = pipeline.protocol_from_features(*streams[name], bits, seed)
+        _print_report(single, f"stream {name}@{bits}bit")
+    run = pipeline.protocol_from_features(*pipeline.fuse_streams(streams), bits, seed)
+    _write_protocol_outputs(run, Path(args.out), f"fused_{bits}")
+    _print_report(run, f"fused@{bits}bit")
     return EXIT_OK
 
 
@@ -392,8 +414,9 @@ def _read_scores(path) -> ScoreSet:
 
 
 def _cmd_roc(settings: _Settings, args) -> int:
-    export_roc(_read_scores(args.scores), args.out, points=settings.get_int("points", 1000))
-    print(f"wrote ROC ({settings.get_int('points', 1000)} rows) to {args.out}")
+    points = settings["points"]
+    export_roc(_read_scores(args.scores), args.out, points=points)
+    print(f"wrote ROC ({points} rows) to {args.out}")
     return EXIT_OK
 
 

@@ -45,7 +45,7 @@ def _read_pgm_tokens(blob: bytes, count: int) -> tuple[list[bytes], int]:
     for _ in range(count):
         m = _PGM_TOKEN.match(blob, pos)
         if not m:
-            raise IngestionError("truncated PGM header")
+            raise ValueError("it ends early")
         tokens.append(m.group(1))
         pos = m.end()
     return tokens, pos
@@ -183,11 +183,12 @@ class DatasetLayout:
 
 
 def ingest(root) -> DatasetLayout:
-    """Scan root/<subject>/<sample> and decode-check every sample.
+    """Scan root/<subject>/<sample> without decoding anything.
 
     Subjects are the immediate subdirectories, samples their image files in
     lexicographic order.  A subject directory without a single image is a
-    DataError; a file that cannot be decoded is an IngestionError naming it.
+    DataError, and a file without an image suffix an IngestionError naming
+    it; ``load_samples`` decodes, and its errors name the file.
     """
     rootp = Path(root)
     if not rootp.is_dir():
@@ -197,13 +198,10 @@ def ingest(root) -> DatasetLayout:
     if not subdirs:
         raise DataError(f"dataset root {rootp} has no subject directories")
     for sub in subdirs:
-        files = sorted(p for p in sub.iterdir() if p.is_file())
-        paths = []
-        for f in files:
+        paths = sorted(p for p in sub.iterdir() if p.is_file())
+        for f in paths:
             if f.suffix.lower() not in IMAGE_SUFFIXES:
                 raise IngestionError(f"{f}: not a supported image file")
-            load_image(f)  # decode check; errors name the file
-            paths.append(f)
         if not paths:
             raise DataError(f"subject directory {sub} contains no images")
         subjects[sub.name] = paths

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dorsalhash
-from dorsalhash import cli
+from dorsalhash import cli, corpus
 from dorsalhash.cli import main
 from dorsalhash.enrollment import TemplateVault
 from dorsalhash.corpus import write_pgm
@@ -751,6 +751,124 @@ def test_roc_on_a_malformed_scores_file_fails_cleanly(tmp_path, capsys, text, fa
     err = capsys.readouterr().err
     assert err.startswith(f"error: scores file {scores}: ") and fault in err
     assert not (tmp_path / "roc.csv").exists()
+
+
+# -- settings ---------------------------------------------------------------------
+
+def test_unknown_config_key_is_refused_before_the_command_runs(cli_env, tmp_path, capsys):
+    # A misspelled key (the setting is "lr") must not train at the default.
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(CFG_TEXT + "learning_rate=0.5\nlr=0.01\nbit=64\n", encoding="utf-8")
+    out = tmp_path / "model.dfn"
+    rc = main(["train", "--data", str(cli_env["data"]), "--out", str(out), "--epochs", "1",
+               "--gallery-count", "2", "--config", str(cfg)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config file {cfg}: unknown keys ['bit', 'learning_rate']\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, fault", [
+    ("points=9\nthreshold\n", ":2: expected key=value, got 'threshold'"),
+    ("=3\n", ":1: empty key"),
+    ("points=nine\n", "config key 'points': 'nine' is not an integer"),
+    ("points=9.5\n", "config key 'points': '9.5' is not an integer"),
+], ids=["no_equals", "empty_key", "word", "fraction"])
+def test_malformed_config_file_fails_cleanly(tmp_path, capsys, text, fault):
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps({"genuine": [0.1, 0.2], "impostor": [0.6, 0.8]}), encoding="utf-8")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    rc = main(["roc", "--scores", str(scores), "--out", str(tmp_path / "roc.csv"), "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fault in err and err.count("\n") == 1
+    assert not (tmp_path / "roc.csv").exists()
+
+
+def test_missing_config_file_fails_cleanly(tmp_path, capsys):
+    rc = main(["roc", "--scores", "s.json", "--out", str(tmp_path / "roc.csv"),
+               "--config", str(tmp_path / "nowhere.cfg")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: config file {tmp_path / 'nowhere.cfg'} does not exist\n"
+
+
+def test_threshold_from_config_must_be_a_number(cli_env, tmp_path, capsys):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("threshold=high\n", encoding="utf-8")
+    rc = main(["verify", "--model", str(tmp_path / "missing.dfn"), "--store", str(tmp_path / "s"),
+               "--user", "s00", "--image", str(cli_env["data"] / "s00" / "img00.pgm"), "--config", str(cfg)])
+    assert rc == 1
+    assert "config key 'threshold': 'high' is not a number" in capsys.readouterr().err
+
+
+# The settings each command reads; the README's settings table lists the same.
+SETTINGS_READ = {
+    "synth": {"seed", "subjects", "samples", "input_height", "input_width", "noise"},
+    "augment": {"seed", "count"},
+    "train": {"seed", "gallery_count", "input_height", "input_width", "fc1_dim", "fc2_dim",
+              "lr", "momentum", "batch_size", "clip_norm", "epochs"},
+    "extract": set(),
+    "enroll": {"seed", "bits"},
+    "verify": {"seed", "threshold"},
+    "revoke": {"seed"},
+    "evaluate": {"seed", "bits", "gallery_count"},
+    "fuse": {"seed", "bits", "gallery_count"},
+    "roc": {"points"},
+}
+
+
+def test_every_setting_is_read_and_nothing_else(cli_env, tmp_path, capsys, monkeypatch):
+    # Run each command once and record what it asks the resolver for: a
+    # setting no command reads is dead, and a name outside the table would
+    # be a setting with no default and no config key.
+    second = tmp_path / "second"
+    assert main(["synth", "--subjects", "3", "--samples", "4", "--seed", "7", "--out", str(second),
+                 "--config", str(cli_env["cfg"])]) == 0
+    reads = {}
+    resolve = cli._Settings.__getitem__
+
+    def recording(self, name):
+        reads.setdefault(self.args.command, set()).add(name)
+        return resolve(self, name)
+
+    monkeypatch.setattr(cli._Settings, "__getitem__", recording)
+    data, model, store = str(cli_env["data"]), str(cli_env["model"]), str(tmp_path / "store")
+    imgs = [str(cli_env["data"] / "s00" / f"img{i:02d}.pgm") for i in range(2)]
+    vault = ["--model", model, "--store", store, "--user", "s00"]
+    calls = [
+        ["synth", "--subjects", "2", "--samples", "2", "--out", str(tmp_path / "c")],
+        ["augment", "--image", imgs[0], "--out", str(tmp_path / "aug"), "--count", "2"],
+        ["train", "--data", data, "--out", str(tmp_path / "m.dfn"), "--epochs", "0", "--gallery-count", "2"],
+        ["extract", "--data", data, "--model", model, "--out", str(tmp_path / "f.json")],
+        ["enroll", *vault, "--images", *imgs],
+        ["verify", *vault, "--image", imgs[1], "--threshold", "0.5"],
+        ["revoke", *vault, "--images", *imgs],
+        ["evaluate", "--data", data, "--model", model, "--out", str(tmp_path / "eval"), "--gallery-count", "2"],
+        ["fuse", "--data", data, str(second), "--model", model, "--out", str(tmp_path / "fused"),
+         "--gallery-count", "2"],
+        ["roc", "--scores", str(tmp_path / "eval" / "scores_128.json"), "--out", str(tmp_path / "roc.csv")],
+    ]
+    for argv in calls:
+        assert main([*argv, "--config", str(cli_env["cfg"])]) == 0, argv
+    assert [argv[0] for argv in calls] == list(cli._COMMANDS)
+    assert {c: reads.get(c, set()) for c in cli._COMMANDS} == SETTINGS_READ
+    assert set().union(*SETTINGS_READ.values()) == set(cli.SETTINGS)
+
+
+def test_evaluate_decodes_each_image_once(cli_env, tmp_path, monkeypatch):
+    decoded = []
+    load_image = corpus.load_image
+
+    def counted(path):
+        decoded.append(Path(path).name)
+        return load_image(path)
+
+    monkeypatch.setattr(corpus, "load_image", counted)
+    assert main(["evaluate", "--data", str(cli_env["data"]), "--model", str(cli_env["model"]),
+                 "--out", str(tmp_path / "eval"), "--gallery-count", "2"]) == 0
+    assert len(decoded) == 3 * 4
 
 
 # -- model geometry ---------------------------------------------------------------

@@ -144,6 +144,12 @@ class TestPgm:
         with pytest.raises(IngestionError):
             read_pgm(p)
 
+    def test_truncated_header_named_in_error(self, tmp_path):
+        p = tmp_path / "short.pgm"
+        p.write_bytes(b"P5\n4")
+        with pytest.raises(IngestionError, match="short.pgm: malformed PGM header"):
+            read_pgm(p)
+
     def test_rejects_truncated_payload(self, tmp_path):
         p = tmp_path / "f.pgm"
         p.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
@@ -223,8 +229,10 @@ class TestIngest:
         self._make_corpus(tmp_path, subjects=1)
         bad = tmp_path / "sub0" / "im9.pgm"
         bad.write_bytes(b"not a pgm at all")
+        # ingest checks the layout only; load_samples is the one decoder.
+        layout = ingest(tmp_path)
         with pytest.raises(IngestionError, match="im9"):
-            ingest(tmp_path)
+            load_samples(layout, 6, 8)
 
     def test_stray_file_type_rejected(self, tmp_path):
         self._make_corpus(tmp_path, subjects=1)

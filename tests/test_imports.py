@@ -1,5 +1,6 @@
 """scipy is loaded only by augment, for its elastic warp, and
-multiprocessing only by the protocol.
+multiprocessing only by the protocol; importing one submodule loads only
+that submodule and what it imports.
 
 Each check runs in a new interpreter, since the test process has usually
 imported scipy already.
@@ -37,7 +38,7 @@ def run_fresh(code: str) -> dict[str, list]:
     lines: dict[str, list] = {}
     for line in proc.stdout.splitlines():
         key, sep, value = line.partition(": ")
-        if sep and key in ("scipy", "digest", "multiprocessing"):
+        if sep and key in ("scipy", "digest", "multiprocessing", "package"):
             lines.setdefault(key, []).append(json.loads(value))
     return lines
 
@@ -93,3 +94,13 @@ loaded()
     assert seen["digest"] == [hashlib.sha256(expect.tobytes()).hexdigest()]
     assert seen["scipy"][:2] == [[], []]
     assert "scipy.ndimage" in seen["scipy"][2]
+
+
+def test_importing_one_submodule_loads_no_other():
+    # The package re-exports nothing, so rand (which imports no sibling)
+    # comes alone.
+    seen = run_fresh("""
+import dorsalhash.rand
+print("package:", json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "dorsalhash")))
+""")
+    assert seen["package"] == [["dorsalhash", "dorsalhash.rand"]]
