@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 operational failure (bad data, unknown identity,
-corrupt files), 2 usage errors, 3 undefined metrics.  All randomness flows
-from --seed (default 0), so rerunning a command on the same inputs
-reproduces its outputs byte for byte.
+corrupt files), 2 usage errors, 3 undefined metrics.  Setting flags go after
+the subcommand, and a command takes only the ones it reads; any other is a
+usage error.  All randomness flows from --seed (default 0), so rerunning a
+command on the same inputs reproduces its outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -30,29 +31,32 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_UNDEFINED_METRIC = 3
 
-# Every setting a command reads, as (type, default).  A flag of the same
-# name (dashes for underscores) beats a key of the --config file, which
-# beats the default; a config key not named here is refused.
-SETTINGS: dict[str, tuple[type, object]] = {
-    "seed": (int, 0),
-    "bits": (int, 128),
-    "input_height": (int, 64),
-    "input_width": (int, 128),
-    "subjects": (int, 20),
-    "samples": (int, 12),
-    "noise": (float, 0.05),
-    "count": (int, 45),
-    "epochs": (int, 20),
-    "gallery_count": (int, 6),
-    "lr": (float, 0.01),
-    "momentum": (float, 0.9),
-    "batch_size": (int, 32),
-    "clip_norm": (float, 1.0),
-    "fc1_dim": (int, 512),
-    "fc2_dim": (int, 256),
-    "threshold": (float, None),
-    "points": (int, 1000),
+# Every setting a command reads: its type, its default, the commands that
+# read it, and the help of its flag.  A setting with a help text has a flag
+# of the same name (dashes for underscores) on exactly those commands.  The
+# flag beats a key of the --config file, which beats the default; a config
+# key not named here is refused, and one in _CHOICES must take one of its values.
+SETTINGS: dict[str, tuple[type, object, str, str | None]] = {
+    "seed": (int, 0, "synth augment train enroll verify revoke evaluate fuse", "master seed"),
+    "bits": (int, 128, "enroll evaluate fuse", "template bit length"),
+    "input_height": (int, 64, "synth train", None),
+    "input_width": (int, 128, "synth train", None),
+    "subjects": (int, 20, "synth", "number of subjects"),
+    "samples": (int, 12, "synth", "samples per subject"),
+    "noise": (float, 0.05, "synth", "noise level"),
+    "count": (int, 45, "augment", "number of variants"),
+    "epochs": (int, 20, "train", "training epochs"),
+    "gallery_count": (int, 6, "train evaluate fuse", "use the first N samples per subject, 0 for all"),
+    "lr": (float, 0.01, "train", None),
+    "momentum": (float, 0.9, "train", None),
+    "batch_size": (int, 32, "train", None),
+    "clip_norm": (float, 1.0, "train", None),
+    "fc1_dim": (int, 512, "train", None),
+    "fc2_dim": (int, 256, "train", None),
+    "threshold": (float, None, "verify", "accept at a normalized Hamming distance up to this"),
+    "points": (int, 1000, "roc", "ROC rows"),
 }
+_CHOICES = {"bits": BIT_LENGTHS}
 
 
 def _read_config(path) -> dict[str, str]:
@@ -85,11 +89,10 @@ class _Settings:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        path = getattr(args, "config", None)
-        self.cfg = _read_config(path) if path else {}
+        self.cfg = _read_config(args.config) if args.config else {}
 
     def __getitem__(self, name: str):
-        kind, default = SETTINGS[name]
+        kind, default, _, _ = SETTINGS[name]
         flag = getattr(self.args, name, None)
         if flag is not None:
             return flag
@@ -101,8 +104,8 @@ class _Settings:
         except ValueError:
             noun = "an integer" if kind is int else "a number"
             raise ConfigError(f"config key {name!r}: {text!r} is not {noun}") from None
-        if name == "bits" and value not in BIT_LENGTHS:
-            raise ConfigError(f"bits must be one of {BIT_LENGTHS}, got {value}")
+        if name in _CHOICES and value not in _CHOICES[name]:
+            raise ConfigError(f"{name} must be one of {_CHOICES[name]}, got {value}")
         return value
 
 
@@ -111,66 +114,61 @@ class _Settings:
 # main share one parser without sharing state.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS, help="flat key=value config file")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="master seed (default 0)")
-    common.add_argument(
-        "--bits", type=int, choices=list(BIT_LENGTHS), default=argparse.SUPPRESS,
-        help="template bit length",
-    )
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--model", required=True)
     store = argparse.ArgumentParser(add_help=False)
     store.add_argument("--store", required=True, help="directory for keys.jsonl and templates.jsonl")
     store.add_argument("--user", required=True)
     store.add_argument("--modality", default="major")
-    run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--out", required=True, help="model file (train) or output directory")
-    run.add_argument("--gallery-count", type=int, help="use the first N samples per subject (0 = all)")
 
-    p = argparse.ArgumentParser(prog="dorsalhash", parents=[common], description=__doc__)
+    p = argparse.ArgumentParser(prog="dorsalhash", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
-    sp.add_argument("--subjects", type=int)
-    sp.add_argument("--samples", type=int)
+    sp = sub.add_parser("synth", help="generate a synthetic corpus")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--noise", type=float)
 
-    sp = sub.add_parser("augment", parents=[common], help="write augmented variants of one image")
+    sp = sub.add_parser("augment", help="write augmented variants of one image")
     sp.add_argument("--image", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--count", type=int)
 
-    sp = sub.add_parser("train", parents=[common, run], help="train a feature extractor on a corpus")
+    sp = sub.add_parser("train", help="train a feature extractor on a corpus")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--epochs", type=int)
+    sp.add_argument("--out", required=True, help="model file")
 
-    sp = sub.add_parser("extract", parents=[common, model], help="dump feature vectors for a corpus")
+    sp = sub.add_parser("extract", parents=[model], help="dump feature vectors for a corpus")
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("enroll", parents=[common, model, store], help="enroll a user from images")
+    sp = sub.add_parser("enroll", parents=[model, store], help="enroll a user from images")
     sp.add_argument("--images", required=True, nargs="+")
 
-    sp = sub.add_parser("verify", parents=[common, model, store], help="verify a claim against the store")
+    sp = sub.add_parser("verify", parents=[model, store], help="verify a claim against the store")
     sp.add_argument("--image", required=True)
-    sp.add_argument("--threshold", type=float)
     sp.add_argument("--key-version", type=int, help="address a specific enrollment version")
 
-    sp = sub.add_parser("revoke", parents=[common, model, store], help="revoke the active key and re-enroll")
+    sp = sub.add_parser("revoke", parents=[model, store], help="revoke the active key and re-enroll")
     sp.add_argument("--images", required=True, nargs="+")
 
-    sp = sub.add_parser("evaluate", parents=[common, model, run], help="run the verification protocol on a corpus")
+    sp = sub.add_parser("evaluate", parents=[model], help="run the verification protocol on a corpus")
     sp.add_argument("--data", required=True)
+    sp.add_argument("--out", required=True, help="output directory")
 
-    sp = sub.add_parser("fuse", parents=[common, model, run], help="fused multi-stream protocol run")
+    sp = sub.add_parser("fuse", parents=[model], help="fused multi-stream protocol run")
     sp.add_argument("--data", required=True, nargs="+", help="two or more stream corpus roots")
+    sp.add_argument("--out", required=True, help="output directory")
 
-    sp = sub.add_parser("roc", parents=[common], help="export a ROC CSV from a scores file")
+    sp = sub.add_parser("roc", help="export a ROC CSV from a scores file")
     sp.add_argument("--scores", required=True, help="JSON file with genuine/impostor arrays")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--points", type=int)
+
+    for sp in sub.choices.values():
+        sp.add_argument("--config", help="flat key=value config file")
+    for name, (kind, default, read_by, text) in SETTINGS.items():
+        for command in read_by.split() if text else ():
+            sub.choices[command].add_argument(
+                "--" + name.replace("_", "-"), type=kind, choices=_CHOICES.get(name),
+                help=text if default is None else f"{text} (default {default})",
+            )
     return p
 
 

@@ -166,6 +166,13 @@ def _check_record(line: bytes, path: Path, line_no: int) -> dict:
                 f"{path}:{line_no}: enroll record field bits_hex must be "
                 f"{digits} hex digits, got {rec['bits_hex']!r}"
             )
+    if rec["kind"] == "key" and schema == 1:
+        try:
+            size = len(base64.b64decode(rec["basis_b64"].encode("ascii")))
+        except ValueError as exc:  # binascii.Error and UnicodeEncodeError
+            raise DataError(f"{path}:{line_no}: key record field basis_b64 is not base64 ({exc})") from exc
+        if size != 8 * rec["feature_dim"] * rec["bit_length"]:
+            raise DataError(f"{path}:{line_no}: key record field basis_b64 holds a basis of the wrong size")
     return rec
 
 
@@ -183,8 +190,9 @@ class _JsonlStore:
     terminated raises, wherever it sits, and so does a record of unknown
     kind, one that lacks a field listed in RECORD_FIELDS, or one whose
     field has another type than FIELD_TYPES gives (a JSON boolean is not
-    an int), or an enroll record whose bits_hex is not the hex of
-    bit_length bits.
+    an int), an enroll record whose bits_hex is not the hex of bit_length
+    bits, or a schema-1 key record whose basis_b64 does not decode to
+    8 * feature_dim * bit_length bytes.
 
     The sidecar is one JSON header line -- ``length`` and ``blake2b`` of
     the vouched prefix, its ``lines`` and ``records``, and the ``body``
@@ -209,7 +217,7 @@ class _JsonlStore:
         self._vouched = 0  # leading bytes validated only by the sidecar's digest
         self._body = b"\n"  # the sidecar's group lines, each after a newline
         self._validated: dict[tuple[str, str], list] = {}  # [[offset, line], ...] of lines this open checked
-        self._groups: dict[tuple[str, str], tuple[list[dict], list[int]]] = {}  # parsed: records, lines
+        self._groups: dict[tuple[str, str], list[dict]] = {}  # parsed records
         try:
             data = self.path.read_bytes()
         except FileNotFoundError:
@@ -310,7 +318,7 @@ class _JsonlStore:
             with contextlib.suppress(OSError):
                 tmp.unlink(missing_ok=True)
 
-    def _group(self, key: tuple[str, str]) -> tuple[list[dict], list[int]]:
+    def _group(self, key: tuple[str, str]) -> list[dict]:
         group = self._groups.get(key)
         if group is None:
             try:
@@ -323,12 +331,12 @@ class _JsonlStore:
             self._groups[key] = group
         return group
 
-    def _parse(self, key: tuple[str, str]) -> tuple[list[dict], list[int]]:
+    def _parse(self, key: tuple[str, str]) -> list[dict]:
         """Decode and check the indexed lines of one (user, modality).  An
         entry that is not the start of a later line of that (user,
         modality) than the entry before it is stale."""
         data, end = self._data, self._end
-        records, line_nos = [], []
+        records = []
         prev = -1
         for entry in self._entries(key):
             if not (type(entry) is list and len(entry) == 2 and all(type(x) is int for x in entry)):
@@ -340,19 +348,18 @@ class _JsonlStore:
             if (rec["user_id"], rec["modality"]) != key:
                 raise _StaleIndex
             records.append(rec)
-            line_nos.append(line_no)
             prev = offset
-        return records, line_nos
+        return records
 
     def group(self, user_id: str, modality: str) -> list[dict]:
         """The records of (user_id, modality), in file order."""
-        return self._group((user_id, modality))[0]
+        return self._group((user_id, modality))
 
     def append(self, record: dict) -> None:
         rec = dict(record, schema=STORE_SCHEMA)
         # Parse the group first: a fallback replay re-reads the file, which
         # must not hold this record yet.
-        records, line_nos = self._group((rec["user_id"], rec["modality"]))
+        records = self._group((rec["user_id"], rec["modality"]))
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self._torn:
             os.truncate(self.path, self._end)
@@ -362,12 +369,6 @@ class _JsonlStore:
         self._lines += 1
         self._count += 1
         records.append(rec)
-        line_nos.append(self._lines)
-
-    def where(self, record: dict) -> str:
-        """``file:line`` of one of this store's records."""
-        records, line_nos = self._group((record["user_id"], record["modality"]))
-        return f"{self.path}:{next(n for r, n in zip(records, line_nos) if r is record)}"
 
     def __len__(self) -> int:
         return self._count
@@ -376,17 +377,6 @@ class _JsonlStore:
 def _basis_digest(matrix: np.ndarray) -> str:
     """BLAKE2b of the basis as little-endian float64 bytes, row-major."""
     return hashlib.blake2b(np.ascontiguousarray(matrix, dtype="<f8"), digest_size=32).hexdigest()
-
-
-def _decode_basis(text: str, feature_dim: int, bit_length: int) -> np.ndarray:
-    """Basis inlined by a schema-1 key record."""
-    try:
-        raw = base64.b64decode(text.encode("ascii"))
-    except ValueError as exc:  # binascii.Error and UnicodeEncodeError
-        raise DataError(f"basis_b64 is not base64 ({exc})") from exc
-    if len(raw) != 8 * feature_dim * bit_length:
-        raise DataError("basis_b64 holds a basis of the wrong size")
-    return np.frombuffer(raw, dtype="<f8").reshape(feature_dim, bit_length).copy()
 
 
 class TemplateVault:
@@ -461,11 +451,9 @@ class TemplateVault:
             raise UnknownIdentityError(f"no key v{key_version} for {user_id!r}/{modality}")
         r = recs[-1]
         key = UserKey(user_id=user_id, seed=r["seed"], bit_length=r["bit_length"], key_version=key_version)
-        if r["schema"] == 1:
-            try:
-                matrix = _decode_basis(r["basis_b64"], r["feature_dim"], r["bit_length"])
-            except DataError as exc:
-                raise DataError(f"{self.keys.where(r)}: key record field {exc}") from exc
+        if r["schema"] == 1:  # _check_record vouches that basis_b64 decodes to this shape
+            raw = base64.b64decode(r["basis_b64"].encode("ascii"))
+            matrix = np.frombuffer(raw, dtype="<f8").reshape(r["feature_dim"], r["bit_length"]).copy()
             return key, ProjectionBasis(matrix=matrix, origin_key=key)
         basis = basis_for_key(key, r["feature_dim"])
         if _basis_digest(basis.matrix) != r["basis_blake2b"]:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -146,7 +147,7 @@ def test_train_refuses_a_negative_gallery_count_before_loading(cli_env, tmp_path
 def test_extract_dumps_features_for_every_image(cli_env, tmp_path):
     out = tmp_path / "features.json"
     rc = main(["extract", "--data", str(cli_env["data"]), "--model", str(cli_env["model"]),
-               "--out", str(out), *common(cli_env)])
+               "--out", str(out), "--config", str(cli_env["cfg"])])
     assert rc == 0
     blob = json.loads(out.read_text(encoding="utf-8"))
     assert blob["feature_dim"] == 128
@@ -179,7 +180,7 @@ def test_train_and_extract_outputs_are_pinned(tmp_path, capsys, monkeypatch):
                  "--gallery-count", "2", *flags]) == 0
     got = {"train stdout": capsys.readouterr().out.encode()}
     assert main(["extract", "--data", "corpus", "--model", "model.dfn",
-                 "--out", "features.json", *flags]) == 0
+                 "--out", "features.json", "--config", "settings.cfg"]) == 0
     got.update({name: Path(name).read_bytes() for name in ("model.dfn", "features.json")})
     assert {k: hashlib.blake2b(v, digest_size=16).hexdigest() for k, v in got.items()} \
         == PINNED_TRAIN_OUTPUTS
@@ -421,7 +422,7 @@ def test_extract_with_a_non_finite_model_value_fails(cli_env, tmp_path, capsys):
                       lambda header, payload: payload[:at] + struct.pack("<d", float("nan")) + payload[at + 8:])
     out = tmp_path / "features.json"
     rc = main(["extract", "--data", str(cli_env["data"]), "--model", str(model),
-               "--out", str(out), *common(cli_env)])
+               "--out", str(out), "--config", str(cli_env["cfg"])])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -855,6 +856,51 @@ def test_every_setting_is_read_and_nothing_else(cli_env, tmp_path, capsys, monke
     assert [argv[0] for argv in calls] == list(cli._COMMANDS)
     assert {c: reads.get(c, set()) for c in cli._COMMANDS} == SETTINGS_READ
     assert set().union(*SETTINGS_READ.values()) == set(cli.SETTINGS)
+    # The table's "read by" column, flag or not, says the same.
+    assert {c: {n for n, row in cli.SETTINGS.items() if c in row[2].split()} for c in cli._COMMANDS} \
+        == SETTINGS_READ
+
+
+# The settings that have a flag; the rest are config keys only.
+FLAG_SETTINGS = {"seed", "bits", "subjects", "samples", "noise", "count", "epochs", "gallery_count",
+                 "threshold", "points"}
+
+
+@pytest.mark.parametrize("command", list(SETTINGS_READ))
+def test_each_command_takes_the_setting_flags_it_reads_and_no_other(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, _ = run_in_process([command, "--help"], capsys)
+    assert code == 0
+    flags = {name.replace("-", "_") for name in re.findall(r"--([a-z][a-z0-9-]*)", out)}
+    assert "config" in flags
+    assert flags & set().union(*SETTINGS_READ.values()) == SETTINGS_READ[command] & FLAG_SETTINGS
+
+
+def test_a_setting_flag_where_it_is_not_read_is_a_usage_error(cli_env, tmp_path, capsys):
+    # The parent accepted and ignored each of these: revoke --bits 32 on a
+    # 128-bit enrollment reissued it at 128 bits and exited 0.
+    data, model, store = str(cli_env["data"]), str(cli_env["model"]), tmp_path / "store"
+    imgs = [str(cli_env["data"] / "s00" / f"img{i:02d}.pgm") for i in range(2)]
+    vault = ["--model", model, "--store", str(store), "--user", "s00"]
+    assert main(["enroll", *vault, "--images", *imgs]) == 0
+    scores = tmp_path / "scores.json"
+    scores.write_text('{"genuine": [0.1], "impostor": [0.9]}', encoding="utf-8")
+    capsys.readouterr()
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    out = tmp_path / "out"
+    calls = [
+        ["revoke", *vault, "--images", *imgs, "--bits", "32"],
+        ["verify", *vault, "--image", imgs[1], "--threshold", "0.5", "--bits", "64"],
+        ["extract", "--data", data, "--model", model, "--out", str(out / "f.json"), "--seed", "9"],
+        ["roc", "--scores", str(scores), "--out", str(out / "roc.csv"), "--seed", "1"],
+        ["--seed", "3", "synth", "--subjects", "2", "--samples", "2", "--out", str(out / "corpus")],
+    ]
+    for argv in calls:
+        code, stdout, err = run_in_process(argv, capsys)
+        assert (code, stdout) == (2, ""), argv
+        assert "error:" in err and "Traceback" not in err
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+    assert {store / "keys.jsonl", store / "templates.jsonl"} <= before.keys()
 
 
 def test_evaluate_decodes_each_image_once(cli_env, tmp_path, monkeypatch):
