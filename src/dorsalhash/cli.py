@@ -121,43 +121,45 @@ def _build_parser() -> argparse.ArgumentParser:
     store.add_argument("--user", required=True)
     store.add_argument("--modality", default="major")
 
-    p = argparse.ArgumentParser(prog="dorsalhash", description=__doc__)
+    p = argparse.ArgumentParser(prog="dorsalhash", description=__doc__, allow_abbrev=False)
     sub = p.add_subparsers(dest="command", required=True)
+    # No parser takes a prefix of a flag for the flag.
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    sp = sub.add_parser("synth", help="generate a synthetic corpus")
+    sp = add("synth", help="generate a synthetic corpus")
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("augment", help="write augmented variants of one image")
+    sp = add("augment", help="write augmented variants of one image")
     sp.add_argument("--image", required=True)
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("train", help="train a feature extractor on a corpus")
+    sp = add("train", help="train a feature extractor on a corpus")
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True, help="model file")
 
-    sp = sub.add_parser("extract", parents=[model], help="dump feature vectors for a corpus")
+    sp = add("extract", parents=[model], help="dump feature vectors for a corpus")
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("enroll", parents=[model, store], help="enroll a user from images")
+    sp = add("enroll", parents=[model, store], help="enroll a user from images")
     sp.add_argument("--images", required=True, nargs="+")
 
-    sp = sub.add_parser("verify", parents=[model, store], help="verify a claim against the store")
+    sp = add("verify", parents=[model, store], help="verify a claim against the store")
     sp.add_argument("--image", required=True)
     sp.add_argument("--key-version", type=int, help="address a specific enrollment version")
 
-    sp = sub.add_parser("revoke", parents=[model, store], help="revoke the active key and re-enroll")
+    sp = add("revoke", parents=[model, store], help="revoke the active key and re-enroll")
     sp.add_argument("--images", required=True, nargs="+")
 
-    sp = sub.add_parser("evaluate", parents=[model], help="run the verification protocol on a corpus")
+    sp = add("evaluate", parents=[model], help="run the verification protocol on a corpus")
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True, help="output directory")
 
-    sp = sub.add_parser("fuse", parents=[model], help="fused multi-stream protocol run")
+    sp = add("fuse", parents=[model], help="fused multi-stream protocol run")
     sp.add_argument("--data", required=True, nargs="+", help="two or more stream corpus roots")
     sp.add_argument("--out", required=True, help="output directory")
 
-    sp = sub.add_parser("roc", help="export a ROC CSV from a scores file")
+    sp = add("roc", help="export a ROC CSV from a scores file")
     sp.add_argument("--scores", required=True, help="JSON file with genuine/impostor arrays")
     sp.add_argument("--out", required=True)
 

@@ -32,20 +32,20 @@ fails closed.  Schema-1 key records, which inline the basis as
 ``basis_b64``, still load as written, so old and mixed stores verify.
 
 Index sidecar.  Next to each store file sits ``<file>.index`` (for example
-``keys.jsonl.index``): the byte length of the file's validated prefix, the
-BLAKE2b of that prefix, its line and record counts, and a body holding the
-(byte offset, line number) of every record, grouped by (user, modality),
-with the body's own BLAKE2b.  An open checks both digests; only lines whose
-bytes the prefix digest proves unchanged skip re-validation.  Lines past the
-prefix are validated in full, and the vault then parses and checks just the
-records of the (user, modality) it addresses.  Every sidecar fault -- a
-missing, torn or malformed sidecar, a length past the end of the file, a
-digest mismatch, an offset out of range or one filed under another (user,
-modality) -- falls back to a full replay, so a corrupt or edited line still
-raises ``DataError`` naming ``file:line``.  An open that validated lines
-past the sidecar rewrites it (best effort: a temporary file, then
-``os.replace``); appends never do.  The sidecar is derived data and safe to
-delete.
+``keys.jsonl.index``): a digest line, a header with the byte length of the
+file's validated prefix and its record count, and the byte offsets of
+every record, grouped by (user, modality).  The digest is the BLAKE2b of
+the prefix followed by the rest of the sidecar, so one check covers the
+prefix, the count and every offset; only lines it proves unchanged skip
+re-validation.  Lines past the prefix are validated in full, and the vault
+then parses and checks just the records of the (user, modality) it
+addresses.  Every sidecar fault -- a missing, torn or malformed sidecar, a
+length past the end of the file, a digest mismatch, an offset out of range
+or one filed under another (user, modality) -- falls back to a full
+replay, so a corrupt or edited line still raises ``DataError`` naming
+``file:line``.  An open that validated lines past the sidecar rewrites it
+(best effort: a temporary file, then ``os.replace``); appends never do.
+The sidecar is derived data and safe to delete.
 
 The vault assumes a single writer.  The CLI holds an exclusive lock on
 ``<store>/.lock`` across each ``enroll`` and ``revoke``; ``verify`` writes
@@ -136,43 +136,37 @@ class _StaleIndex(Exception):
     """A sidecar entry does not describe the store file."""
 
 
-def _check_record(line: bytes, path: Path, line_no: int) -> dict:
+def _check_record(line: bytes) -> dict:
     """One store line, decoded and checked against RECORD_FIELDS and
-    FIELD_TYPES; any fault raises DataError naming ``path:line_no``."""
+    FIELD_TYPES; any fault raises DataError, which the caller locates."""
     try:
         rec = json.loads(line)
     except ValueError as exc:
-        raise DataError(f"{path}:{line_no}: corrupt store line ({exc})") from exc
+        raise DataError(f"corrupt store line ({exc})") from exc
     schema = rec.get("schema") if isinstance(rec, dict) else None
     if schema not in READABLE_SCHEMAS:
-        raise DataError(f"{path}:{line_no}: unsupported store schema {schema!r}")
+        raise DataError(f"unsupported store schema {schema!r}")
     fields = RECORD_FIELDS.get((rec.get("kind"), schema))
     if fields is None:
-        raise DataError(f"{path}:{line_no}: unknown record kind {rec.get('kind')!r}")
+        raise DataError(f"unknown record kind {rec.get('kind')!r}")
     missing = [f for f in fields if f not in rec]
     if missing:
-        raise DataError(f"{path}:{line_no}: {rec['kind']} record lacks {', '.join(missing)}")
+        raise DataError(f"{rec['kind']} record lacks {', '.join(missing)}")
     for f in fields:
         want = FIELD_TYPES[f]
         if not isinstance(rec[f], want) or isinstance(rec[f], bool):
-            raise DataError(
-                f"{path}:{line_no}: {rec['kind']} record field {f} must be "
-                f"{want.__name__}, got {rec[f]!r}"
-            )
+            raise DataError(f"{rec['kind']} record field {f} must be {want.__name__}, got {rec[f]!r}")
     if rec["kind"] == "enroll":
         digits = 2 * -(-rec["bit_length"] // 8)
         if len(rec["bits_hex"]) != digits or not _HEX.fullmatch(rec["bits_hex"]):
-            raise DataError(
-                f"{path}:{line_no}: enroll record field bits_hex must be "
-                f"{digits} hex digits, got {rec['bits_hex']!r}"
-            )
+            raise DataError(f"enroll record field bits_hex must be {digits} hex digits, got {rec['bits_hex']!r}")
     if rec["kind"] == "key" and schema == 1:
         try:
             size = len(base64.b64decode(rec["basis_b64"].encode("ascii")))
         except ValueError as exc:  # binascii.Error and UnicodeEncodeError
-            raise DataError(f"{path}:{line_no}: key record field basis_b64 is not base64 ({exc})") from exc
+            raise DataError(f"key record field basis_b64 is not base64 ({exc})") from exc
         if size != 8 * rec["feature_dim"] * rec["bit_length"]:
-            raise DataError(f"{path}:{line_no}: key record field basis_b64 holds a basis of the wrong size")
+            raise DataError("key record field basis_b64 holds a basis of the wrong size")
     return rec
 
 
@@ -194,10 +188,10 @@ class _JsonlStore:
     bits, or a schema-1 key record whose basis_b64 does not decode to
     8 * feature_dim * bit_length bytes.
 
-    The sidecar is one JSON header line -- ``length`` and ``blake2b`` of
-    the vouched prefix, its ``lines`` and ``records``, and the ``body``
-    size and ``body_blake2b`` -- followed by one line per (user, modality),
-    ``[user, modality, [offset, line], ...]``.  A lookup finds its line
+    The sidecar is a digest line, a header line ``{"length": L, "records":
+    R}``, and one line per (user, modality), ``[user, modality, offset,
+    ...]``.  The digest is the BLAKE2b of the file's first L bytes followed
+    by every sidecar byte after the digest line.  A lookup finds its line
     with a byte search, so an open builds nothing per user.
     """
 
@@ -212,11 +206,9 @@ class _JsonlStore:
         self._data = b""
         self._end = 0  # byte length of the terminated lines
         self._torn = False  # an unterminated segment follows them
-        self._lines = 0  # terminated lines, then lines appended
         self._count = 0  # records
         self._vouched = 0  # leading bytes validated only by the sidecar's digest
-        self._body = b"\n"  # the sidecar's group lines, each after a newline
-        self._validated: dict[tuple[str, str], list] = {}  # [[offset, line], ...] of lines this open checked
+        self._body = b"\n"  # the group lines, each after a newline
         self._groups: dict[tuple[str, str], list[dict]] = {}  # parsed records
         try:
             data = self.path.read_bytes()
@@ -230,50 +222,58 @@ class _JsonlStore:
             self._index_lines()
             if self._end > self._vouched:
                 digest.update(memoryview(data)[self._vouched:self._end])
-                self._write_index(digest.hexdigest())
+                self._write_index(digest)
         except (DataError, _StaleIndex):
             if not self._vouched:
                 raise
             self._open(use_index=False)  # a bad line is reported under its own number
 
     def _read_index(self):
-        """Take over a sound sidecar's counts and group lines, and return
+        """Take over a sound sidecar's count and group lines, and return
         the BLAKE2b of the prefix it vouches for; an empty hash if there is
         no sound sidecar."""
-        data = self._data
         try:
             side = self._index_path.read_bytes()
-            cut = side.index(b"\n")
-            head = json.loads(side[:cut])
-            sound = (
-                type(head) is dict
-                and all(type(head.get(f)) is int for f in ("length", "lines", "records", "body"))
-                and type(head.get("blake2b")) is str
-                and 0 < head["length"] <= self._end and data[head["length"] - 1] == 0x0A
-                and head["body"] == len(side) - cut
-                and head.get("body_blake2b") == hashlib.blake2b(side[cut:], digest_size=32).hexdigest()
-            )
+            cut = side.index(b"\n") + 1  # past the digest line
+            body = side.index(b"\n", cut)  # the newline before the group lines
+            head = json.loads(side[cut:body])
+            length = head["length"] if type(head) is dict and set(head) == {"length", "records"} else None
+            sound = type(length) is int and type(head["records"]) is int and 0 < length <= self._end
         except (OSError, ValueError):
             sound = False
-        if sound:
-            length = head["length"]
-            digest = hashlib.blake2b(memoryview(data)[:length], digest_size=32)
-            if digest.hexdigest() == head["blake2b"]:
-                self._vouched, self._lines, self._count = length, head["lines"], head["records"]
-                self._body = side[cut:]
+        if sound and self._data[length - 1] == 0x0A:
+            digest = hashlib.blake2b(memoryview(self._data)[:length], digest_size=32)
+            whole = digest.copy()
+            whole.update(memoryview(side)[cut:])
+            if whole.hexdigest().encode() == side[:cut - 1]:
+                self._vouched, self._count = length, head["records"]
+                self._body = side[body:]
                 return digest
         return hashlib.blake2b(digest_size=32)
 
     def _index_lines(self) -> None:
-        """Validate and index the terminated lines after the vouched prefix."""
-        pos = self._vouched
-        for line in self._data[pos:self._end].split(b"\n")[:-1]:
-            self._lines += 1
+        """Validate the terminated lines after the vouched prefix and file
+        their offsets into the group lines."""
+        pos, new = self._vouched, {}
+        for line_no, line in enumerate(self._data[pos:self._end].split(b"\n")[:-1], 1):
             if line.strip():
-                rec = _check_record(line, self.path, self._lines)
-                self._validated.setdefault((rec["user_id"], rec["modality"]), []).append([pos, self._lines])
+                try:
+                    rec = _check_record(line)
+                except DataError as exc:
+                    # line_no counts from the vouched prefix; past one,
+                    # _open replays from line 1, so only a true number
+                    # reaches the caller.
+                    raise DataError(f"{self.path}:{line_no}: {exc}") from exc
+                new.setdefault((rec["user_id"], rec["modality"]), []).append(pos)
                 self._count += 1
             pos += len(line) + 1
+        lines = "".join(json.dumps([*key, *self._entries(key), *offsets], separators=(",", ":")) + "\n"
+                        for key, offsets in new.items())
+        kept, pos = [], 0
+        for start, stop in sorted(filter(None, map(self._find, new))):
+            kept.append(self._body[pos:start])
+            pos = stop
+        self._body = b"".join(kept) + self._body[pos:] + lines.encode()
 
     def _find(self, key: tuple[str, str]) -> tuple[int, int] | None:
         """Span of key's group line in the sidecar body, from the newline
@@ -287,32 +287,24 @@ class _JsonlStore:
         return start, stop
 
     def _entries(self, key: tuple[str, str]) -> list:
-        """[[offset, line], ...] of key's records, vouched ones first."""
+        """Byte offsets of key's records, in file order."""
         span = self._find(key)
-        vouched = []
-        if span:
-            try:
-                vouched = json.loads(self._body[span[0] + 1:span[1]])[2:]
-            except ValueError as exc:
-                raise _StaleIndex from exc
-        return vouched + self._validated.get(key, [])
+        if not span:
+            return []
+        try:
+            return json.loads(self._body[span[0] + 1:span[1]])[2:]
+        except ValueError as exc:
+            raise _StaleIndex from exc
 
-    def _write_index(self, digest: str) -> None:
-        """Best-effort sidecar for the terminated lines: the group lines of
-        keys this open validated lines for are rewritten, the rest are
-        kept as they are.  A failed write only means the next open
-        validates those lines again."""
-        new = [json.dumps([*key, *self._entries(key)], separators=(",", ":")) for key in self._validated]
-        kept, pos = [], 0
-        for start, stop in sorted(filter(None, map(self._find, self._validated))):
-            kept.append(self._body[pos:start])
-            pos = stop
-        body = b"".join(kept) + self._body[pos:] + "".join(line + "\n" for line in new).encode()
-        head = {"length": self._end, "blake2b": digest, "lines": self._lines, "records": self._count,
-                "body": len(body), "body_blake2b": hashlib.blake2b(body, digest_size=32).hexdigest()}
+    def _write_index(self, digest) -> None:
+        """Best-effort sidecar for the terminated lines, given the hash of
+        them.  A failed write only means the next open validates the lines
+        past the old sidecar again."""
+        rest = json.dumps({"length": self._end, "records": self._count}, separators=(",", ":")).encode() + self._body
+        digest.update(rest)
         tmp = self._index_path.with_name(f"{self._index_path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_bytes(json.dumps(head, separators=(",", ":")).encode() + body)
+            tmp.write_bytes(digest.hexdigest().encode() + b"\n" + rest)
             os.replace(tmp, self._index_path)
         except OSError:
             with contextlib.suppress(OSError):
@@ -333,18 +325,15 @@ class _JsonlStore:
 
     def _parse(self, key: tuple[str, str]) -> list[dict]:
         """Decode and check the indexed lines of one (user, modality).  An
-        entry that is not the start of a later line of that (user,
-        modality) than the entry before it is stale."""
+        offset that is not the start of a later line of that (user,
+        modality) than the offset before it is stale."""
         data, end = self._data, self._end
         records = []
         prev = -1
-        for entry in self._entries(key):
-            if not (type(entry) is list and len(entry) == 2 and all(type(x) is int for x in entry)):
+        for offset in self._entries(key):
+            if not (type(offset) is int and prev < offset < end and (offset == 0 or data[offset - 1] == 0x0A)):
                 raise _StaleIndex
-            offset, line_no = entry
-            if not (prev < offset < end and (offset == 0 or data[offset - 1] == 0x0A)):
-                raise _StaleIndex
-            rec = _check_record(data[offset:data.index(b"\n", offset)], self.path, line_no)
+            rec = _check_record(data[offset:data.index(b"\n", offset)])
             if (rec["user_id"], rec["modality"]) != key:
                 raise _StaleIndex
             records.append(rec)
@@ -366,7 +355,6 @@ class _JsonlStore:
             self._torn = False
         with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-        self._lines += 1
         self._count += 1
         records.append(rec)
 

@@ -903,6 +903,45 @@ def test_a_setting_flag_where_it_is_not_read_is_a_usage_error(cli_env, tmp_path,
     assert {store / "keys.jsonl", store / "templates.jsonl"} <= before.keys()
 
 
+def test_an_abbreviated_flag_is_a_usage_error(cli_env, tmp_path, capsys):
+    # argparse takes a unique prefix for the flag unless told not to: the
+    # parent ran verify --thr 1.0 as --threshold 1.0.
+    data, model, store = str(cli_env["data"]), str(cli_env["model"]), tmp_path / "store"
+    imgs = [str(cli_env["data"] / "s00" / f"img{i:02d}.pgm") for i in range(2)]
+    vault = ["--model", model, "--store", str(store), "--user", "s00"]
+    assert main(["enroll", *vault, "--images", *imgs]) == 0
+    capsys.readouterr()
+    def tree():
+        return {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")}
+
+    before = tree()
+    out = tmp_path / "out"
+    calls = [
+        ["verify", *vault, "--image", imgs[1], "--thr", "1.0"],
+        ["verify", *vault, "--image", imgs[1], "--threshold", "1.0", "--key", "1"],
+        ["synth", "--sub", "2", "--samples", "2", "--out", str(out / "corpus")],
+        ["train", "--data", data, "--out", str(out / "m.dfn"), "--conf", str(cli_env["cfg"])],
+    ]
+    for argv in calls:
+        code, stdout, err = run_in_process(argv, capsys)
+        assert (code, stdout) == (2, ""), argv
+        assert "error:" in err and "Traceback" not in err
+    assert tree() == before
+
+
+def test_train_on_a_png_without_pillow_fails_with_one_error_line(cli_env, tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "PIL", None)  # import PIL raises ImportError
+    data = tmp_path / "corpus"
+    shutil.copytree(cli_env["data"], data)
+    (data / "s01" / "img09.png").write_bytes(b"\x89PNG\r\n\x1a\n")
+    model = tmp_path / "model.dfn"
+    code, stdout, err = run_in_process(["train", "--data", str(data), "--out", str(model), "--epochs", "1",
+                                        "--gallery-count", "2", "--config", str(cli_env["cfg"])], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.splitlines() == [f"error: {data / 's01' / 'img09.png'}: PNG support requires Pillow"]
+    assert not model.exists()
+
+
 def test_evaluate_decodes_each_image_once(cli_env, tmp_path, monkeypatch):
     decoded = []
     load_image = corpus.load_image

@@ -1,6 +1,7 @@
 """Image IO, augmentation and synthetic-corpus generation."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -206,6 +207,11 @@ class TestIngest:
             d.mkdir(parents=True)
             for q in range(samples):
                 write_pgm(d / f"im{q}.pgm", rng.uniform(0.0, 1.0, (6, 8)))
+
+    def test_png_without_pillow_is_an_ingestion_error_naming_the_file(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "PIL", None)  # import PIL raises ImportError
+        with pytest.raises(IngestionError, match=r"^x\.png: PNG support requires Pillow$"):
+            corpus.load_image("x.png")
 
     def test_layout_sorted(self, tmp_path):
         self._make_corpus(tmp_path, subjects=2, samples=3)

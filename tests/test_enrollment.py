@@ -3,6 +3,7 @@
 import base64
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -372,20 +373,21 @@ def _sidecar(path):
 
 
 def _edit_sidecar(path, edit):
-    """Apply edit(head, groups) to a sidecar and write it back whole: a
-    header line, then one compact JSON line per (user, modality).  The
-    body's size and digest are recomputed, so only the edit can make the
-    sidecar unsound."""
-    head, *groups = [json.loads(line) for line in _sidecar(path).read_text().splitlines()]
+    """Apply edit(head, groups) to a sidecar and write it back whole: the
+    digest line, the header line, then one compact JSON line per (user,
+    modality).  The digest is recomputed over the store's first length
+    bytes (as the header gave it before the edit) and the edited rest, so
+    only the edit can make the sidecar unsound."""
+    head, *groups = [json.loads(line) for line in _sidecar(path).read_text().splitlines()[1:]]
+    prefix = path.read_bytes()[:head["length"]]
     edit(head, groups)
-    body = "\n" + "".join(json.dumps(g, separators=(",", ":")) + "\n" for g in groups)
-    head["body"] = len(body)
-    head["body_blake2b"] = hashlib.blake2b(body.encode(), digest_size=32).hexdigest()
-    _sidecar(path).write_text(json.dumps(head) + body)
+    rest = json.dumps(head) + "\n" + "".join(json.dumps(g, separators=(",", ":")) + "\n" for g in groups)
+    digest = hashlib.blake2b(prefix + rest.encode(), digest_size=32).hexdigest()
+    _sidecar(path).write_text(digest + "\n" + rest)
 
 
-def _entries(groups, user):
-    return next(g for g in groups if g[0] == user)[2:]
+def _head(path):
+    return json.loads(_sidecar(path).read_text().splitlines()[1])
 
 
 def _swap_alice_and_bob(head, groups):
@@ -394,18 +396,18 @@ def _swap_alice_and_bob(head, groups):
 
 
 def _set_first_offset(user, offset):
-    return lambda head, groups: _entries(groups, user)[0].__setitem__(0, offset)
+    return lambda head, groups: next(g for g in groups if g[0] == user).__setitem__(2, offset)
 
 
 def _cut_below_the_sidecar(keys, templates):
-    length = json.loads(_sidecar(templates).read_text().splitlines()[0])["length"]
+    length = _head(templates)["length"]
     data = templates.read_bytes()
     templates.write_bytes(data[:data.rfind(b"\n", 0, length - 1) + 1])
 
 
 def _rename_bob(keys, templates):
-    # A same-length edit of the sidecar's body hides bob's records: only
-    # the body's digest can tell.
+    # A same-length edit of the sidecar's group lines hides bob's records:
+    # only the digest can tell.
     side = _sidecar(templates).read_bytes()
     assert side.count(b'["bob",') == 1
     _sidecar(templates).write_bytes(side.replace(b'["bob",', b'["bpb",'))
@@ -433,6 +435,34 @@ def _flip_a_bit_of_alice(keys, templates):
     templates.write_bytes(b"\n".join(lines))
 
 
+def _write_older_format_sidecar(path):
+    """The sidecar as it was before one digest covered it: a six-field
+    header, then ``[user, modality, [offset, line], ...]`` per group, with
+    separate digests of the prefix and of the body."""
+    data = path.read_bytes()
+    groups, pos = {}, 0
+    lines = data.split(b"\n")[:-1]
+    for n, line in enumerate(lines, 1):
+        rec = json.loads(line)
+        groups.setdefault((rec["user_id"], rec["modality"]), []).append([pos, n])
+        pos += len(line) + 1
+    body = "\n" + "".join(json.dumps([*key, *entries], separators=(",", ":")) + "\n"
+                          for key, entries in groups.items())
+    head = {"length": len(data), "blake2b": hashlib.blake2b(data, digest_size=32).hexdigest(),
+            "lines": len(lines), "records": len(lines), "body": len(body),
+            "body_blake2b": hashlib.blake2b(body.encode(), digest_size=32).hexdigest()}
+    _sidecar(path).write_text(json.dumps(head, separators=(",", ":")) + body)
+
+
+def _miscount_records(keys, templates):
+    # A leading digit on the template count (7 becomes 17): an open that
+    # believed it reported 18 records where a replay finds 8, and the
+    # logical clock moved with it.
+    side = _sidecar(templates).read_bytes()
+    assert side.count(b'"records":7}') == 1
+    _sidecar(templates).write_bytes(side.replace(b'"records":7}', b'"records":17}'))
+
+
 SIDECAR_FAULTS = {
     "none": lambda k, t: None,
     "deleted": lambda k, t: (_sidecar(k).unlink(), _sidecar(t).unlink()),
@@ -442,7 +472,7 @@ SIDECAR_FAULTS = {
     "not_json": lambda k, t: _sidecar(k).write_text("not json"),
     "header_not_an_object": lambda k, t: _sidecar(t).write_text("[]\n"),
     "wrong_types": lambda k, t: _edit_sidecar(t, lambda h, g: h.update(length=str(h["length"]))),
-    "digest_mismatch": lambda k, t: _edit_sidecar(k, lambda h, g: h.update(blake2b="00" * 32)),
+    "digest_mismatch": lambda k, t: _sidecar(k).write_bytes(b"00" * 32 + _sidecar(k).read_bytes()[64:]),
     "length_past_the_file": lambda k, t: _edit_sidecar(t, lambda h, g: h.update(length=t.stat().st_size + 10)),
     "store_cut_below_the_sidecar": _cut_below_the_sidecar,
     "prefix_line_edited": _flip_a_bit_of_alice,
@@ -453,6 +483,7 @@ SIDECAR_FAULTS = {
                                                       _edit_sidecar(t, _swap_alice_and_bob)),
     "group_renamed_same_length": _rename_bob,
     "entries_blanked_same_length": _blank_later_entries_of_alice,
+    "records_miscounted": _miscount_records,
 }
 
 INDEXED_PAIRS = [("alice", "major"), ("bob", "major"), ("carol", "minor"), ("dave", "major"), ("nobody", "major")]
@@ -496,7 +527,7 @@ class TestIndexSidecar:
         got = _answers(keys, templates, tiny_net, image)
         # Each open validated lines past its sidecar, so it rewrote it.
         for path in (keys, templates):
-            assert json.loads(_sidecar(path).read_text().splitlines()[0])["length"] == path.stat().st_size
+            assert _head(path)["length"] == path.stat().st_size
         for path in (keys, templates):
             _sidecar(path).unlink()
         assert got == _answers(keys, templates, tiny_net, image)
@@ -510,6 +541,47 @@ class TestIndexSidecar:
         assert len(edited) == len(first)
         templates.write_bytes(edited + data[len(first):])
         with pytest.raises(DataError, match="templates.jsonl:1: .*bits_hex"):
+            TemplateVault(keys, templates)
+
+    def test_a_sidecar_in_the_older_format_is_replayed_once_and_rewritten(self, indexed, monkeypatch):
+        keys, templates = indexed
+        for path in (keys, templates):
+            _write_older_format_sidecar(path)
+        checked = []
+        check = enrollment._check_record
+        monkeypatch.setattr(enrollment, "_check_record", lambda line: checked.append(line) or check(line))
+        TemplateVault(keys, templates)
+        assert len(checked) == len(keys.read_bytes().splitlines()) + len(templates.read_bytes().splitlines())
+        for path in (keys, templates):
+            digest, head = _sidecar(path).read_text().splitlines()[:2]
+            assert re.fullmatch("[0-9a-f]{64}", digest)
+            assert json.loads(head) == {"length": path.stat().st_size, "records": len(path.read_bytes().splitlines())}
+        checked.clear()
+        TemplateVault(keys, templates)
+        assert checked == []  # the rewritten sidecars vouch for every line
+
+    def test_a_corrupt_line_the_digest_vouches_for_is_named_when_its_group_is_read(self, indexed):
+        # The digest is recomputed over the damaged store, so the open
+        # trusts the line; reading alice's records finds it.
+        keys, templates = indexed
+        lines = templates.read_bytes().split(b"\n")
+        n = max(i for i, line in enumerate(lines, 1) if b'"alice"' in line and b'"enroll"' in line)
+        assert 3 <= n <= len(templates.read_bytes()[:_head(templates)["length"]].splitlines())
+        lines[n - 1] = re.sub(rb'"bits_hex":"..', b'"bits_hex":"zz', lines[n - 1])
+        templates.write_bytes(b"\n".join(lines))
+        _edit_sidecar(templates, lambda h, g: None)
+        vault = TemplateVault(keys, templates)
+        assert vault.active_record("bob")["key_version"] == 2
+        with pytest.raises(DataError, match=f"templates.jsonl:{n}: enroll record field bits_hex"):
+            vault.active_record("alice")
+
+    def test_a_corrupt_line_past_a_sound_sidecar_is_named_by_its_line(self, indexed):
+        keys, templates = indexed
+        with open(templates, "ab") as fh:
+            fh.write(b"not json\n")
+        n = len(templates.read_bytes().splitlines())
+        assert n > len(templates.read_bytes()[:_head(templates)["length"]].splitlines()) + 1
+        with pytest.raises(DataError, match=f"templates.jsonl:{n}: corrupt store line"):
             TemplateVault(keys, templates)
 
     def test_unwritable_sidecar_is_skipped(self, indexed, tiny_net, image):
