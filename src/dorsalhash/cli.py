@@ -165,6 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for sp in sub.choices.values():
         sp.add_argument("--config", help="flat key=value config file")
+        sp.set_defaults(command_parser=sp)
     for name, (kind, default, read_by, text) in SETTINGS.items():
         for command in read_by.split() if text else ():
             sub.choices[command].add_argument(
@@ -435,7 +436,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        # The command's own parser reports them, so that its usage shows the
+        # flags the command takes.
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         settings = _Settings(args)
         return _COMMANDS[args.command](settings, args)

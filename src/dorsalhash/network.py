@@ -21,6 +21,15 @@ shared read-only.  A model file (version 2) stores the config, ``theta`` and
 fails the load closed; a version-1 file also stores the banks, which must
 equal the derived ones byte for byte.  Neither may hold a non-finite value.
 
+Work that is independent splits across forked processes (dorsalhash.parallel)
+without changing a bit.  Within a training batch ``theta`` is fixed, so each
+sample's gradient factors (_sample_factors) depend on no other sample; the
+batch's contiguous blocks are factored one per process, and the calling
+process then assembles the gradients and checks the losses in batch order,
+as one process would.  Likewise each row of calibrate_dense and
+extract_features is one image's own forward, so their images split the same
+way.
+
 The penultimate dense activation is the feature vector consumed by the
 hashing side of the package.
 """
@@ -39,7 +48,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import ops, rand
+from . import ops, parallel, rand
 from .errors import ConfigError, DataError, DimensionError, ModelFormatError, TrainingError
 from .filters import LAYER_GAPS, RING_SIZE, make_layer_bank, make_lbc_filters
 
@@ -53,6 +62,18 @@ BANK_COUNTS = (*(RING_SIZE * len(LAYER_GAPS[i]) for i in (1, 2, 3)), *LBC_COUNTS
 # their removal carry them set to false, and still load; a file with either
 # set to true was built by code this package no longer has.
 RETIRED_CONFIG_KEYS = ("use_star_bank", "hard_binarize")
+
+# The least work a process takes when a training batch or a many-image
+# forward splits across processes (parallel.process_count), in image pixels
+# times samples or images, so that a small geometry needs proportionally
+# more of them.  At 64x128 that is 4 training samples or 6 forwards.  Split
+# in two, 4-5 samples or 4 forwards ran slower than in one process and 6
+# samples or 6 forwards ran 0.82-0.92x as long (2-vCPU VM, 1 BLAS thread):
+# below that, the fork and a child's first touch of its memory cost more
+# than the work it takes over.  A vault command's one or two forwards stay
+# in one process.
+MIN_TRAIN_PIXELS_PER_PROCESS = 4 * 64 * 128
+MIN_FORWARD_PIXELS_PER_PROCESS = 6 * 64 * 128
 
 
 @dataclass(frozen=True)
@@ -200,7 +221,7 @@ class FixedFilterNet:
         imgs = [self._check_input(im) for im in images]
         if not imgs:
             raise DataError("calibration needs at least one image")
-        flats = np.stack([self._trace(im)["v"] for im in imgs])
+        flats = self._forward_rows(imgs, "v")
         mu = flats.mean(axis=0)
         sd = flats.std(axis=0) + 1e-12
         # A fresh vector with the same combines.  It is bound before its
@@ -277,10 +298,22 @@ class FixedFilterNet:
 
     def extract_features(self, images) -> np.ndarray:
         """Feature vectors for a sequence of images, stacked (N, fc2_dim)."""
-        feats = [self.forward(img)[0] for img in images]
-        if not feats:
+        imgs = list(images)
+        if not imgs:
             raise DataError("extract_features got an empty image list")
-        return np.stack(feats)
+        return self._forward_rows(imgs, "f")
+
+    def _forward_rows(self, images: list, key: str) -> np.ndarray:
+        """np.stack([self._trace(image)[key] for image in images]).  The
+        images split into contiguous blocks, one per process
+        (parallel.process_count, MIN_FORWARD_PIXELS_PER_PROCESS); each row
+        is one image's own forward, so the rows do not depend on the split."""
+        pixels = self.config.input_height * self.config.input_width
+        n = parallel.process_count(len(images), pixels, MIN_FORWARD_PIXELS_PER_PROCESS)
+        rows = parallel.map_blocks(lambda block: np.stack([self._trace(images[i])[key] for i in block]),
+                                   parallel.blocks(len(images), n),
+                                   lambda block: f"forwarding images {block.start}..{block.stop - 1}")
+        return np.concatenate(rows)
 
     # -- persistence ------------------------------------------------------
 
@@ -443,16 +476,18 @@ _BACKPROP_ORDER = (*(f"fc{i}.{p}" for i in (3, 2, 1) for p in "wb"),
                    *(f"combine{s}" for s in (5, 4, 3, 2, 1)))
 
 
-def _loss_and_grads(model: FixedFilterNet, image: np.ndarray, label: int,
-                    maps: list[np.ndarray], grad: np.ndarray) -> tuple[float, int]:
-    """Cross-entropy loss and correctness flag of one sample; its gradient
-    is written into ``grad``, a vector laid out as model.theta.
+def _sample_factors(model: FixedFilterNet, image: np.ndarray, label: int,
+                    maps: list[np.ndarray]) -> tuple[float, int, dict[str, np.ndarray]]:
+    """Cross-entropy loss, correctness flag and gradient factors of one
+    sample: the deltas and activations whose outer products are the dense
+    gradients (dz3, f, df, h1, dz1, v) and the five combine gradients, about
+    17 KB at 64x128.
 
-    ``maps`` is a model._response_buffer() to trace into; the gradient does
-    not refer to it, so one buffer serves every sample.
+    ``maps`` is a model._response_buffer() to trace into; nothing returned
+    refers to it, so one buffer serves every sample.
     """
     t = model._trace(image, maps)
-    p, g = model.views, model.split(grad)
+    p = model.views
     z3 = t["z3"]
     logz = z3 - (np.max(z3) + np.log(np.exp(z3 - np.max(z3)).sum()))
     loss = -logz[label]
@@ -460,14 +495,9 @@ def _loss_and_grads(model: FixedFilterNet, image: np.ndarray, label: int,
 
     dz3 = np.exp(logz)
     dz3[label] -= 1.0
-    np.outer(dz3, t["f"], out=g["fc3.w"])
-    g["fc3.b"][:] = dz3
     df = p["fc3.w"].T @ dz3
-    np.outer(df, t["h1"], out=g["fc2.w"])
-    g["fc2.b"][:] = df
     dz1 = ops.relu_grad(t["z1"], p["fc2.w"].T @ df)
-    np.outer(dz1, t["v"], out=g["fc1.w"])
-    g["fc1.b"][:] = dz1
+    factors = {"dz3": dz3, "f": t["f"], "df": df, "h1": t["h1"], "dz1": dz1, "v": t["v"]}
     dv = p["fc1.w"].T @ dz1
 
     h4 = model.config.input_height // 4
@@ -475,13 +505,51 @@ def _loss_and_grads(model: FixedFilterNet, image: np.ndarray, label: int,
     dx = dv.reshape(h4, w4)
     for s in (4, 3, 2, 1):
         dc = ops.maxpool2_grad(t["c"][s], dx) if s >= 3 else dx
-        g[f"combine{s + 1}"][:], dd = ops.combine1x1_grads(t["b"][s], p[f"combine{s + 1}"], dc)
+        factors[f"combine{s + 1}"], dd = ops.combine1x1_grads(t["b"][s], p[f"combine{s + 1}"], dc)
         dx = ops.conv2d_input_grad(dd, model.banks[s], t["x"][s].shape)
     # The image is not trained, so stage 1 needs only its weight gradient,
     # the same product combine1x1_grads forms.
     b1 = t["b"][0]
-    g["combine1"][:] = b1.reshape(b1.shape[0], -1) @ dx.ravel()
+    factors["combine1"] = b1.reshape(b1.shape[0], -1) @ dx.ravel()
+    return loss, correct, factors
+
+
+def _assemble(model: FixedFilterNet, factors: dict[str, np.ndarray], grad: np.ndarray) -> None:
+    """Write the gradient of one sample's _sample_factors into ``grad``, a
+    vector laid out as model.theta."""
+    g = model.split(grad)
+    for layer, delta, activation in (("fc3", "dz3", "f"), ("fc2", "df", "h1"), ("fc1", "dz1", "v")):
+        np.outer(factors[delta], factors[activation], out=g[f"{layer}.w"])
+        g[f"{layer}.b"][:] = factors[delta]
+    for s in range(1, 6):
+        g[f"combine{s}"][:] = factors[f"combine{s}"]
+
+
+def _loss_and_grads(model: FixedFilterNet, image: np.ndarray, label: int,
+                    maps: list[np.ndarray], grad: np.ndarray) -> tuple[float, int]:
+    """Cross-entropy loss and correctness flag of one sample; its gradient
+    is written into ``grad``, a vector laid out as model.theta.  ``maps``
+    is as for _sample_factors."""
+    loss, correct, factors = _sample_factors(model, image, label, maps)
+    _assemble(model, factors, grad)
     return loss, correct
+
+
+def _batch_factors(model: FixedFilterNet, images: list[np.ndarray], labels: list[int], batch: np.ndarray,
+                   maps: list[np.ndarray], epoch: int) -> list[tuple[float, int, dict[str, np.ndarray]]]:
+    """_sample_factors of images[i], labels[i] for each i in batch, in batch
+    order.  Within a batch theta is fixed, so no sample depends on another:
+    the batch splits into contiguous blocks, one per process
+    (parallel.process_count, MIN_TRAIN_PIXELS_PER_PROCESS), and each block
+    runs the same code on the same inputs as one process would."""
+    pixels = model.config.input_height * model.config.input_width
+    n = parallel.process_count(len(batch), pixels, MIN_TRAIN_PIXELS_PER_PROCESS)
+    parts = parallel.map_blocks(
+        lambda block: [_sample_factors(model, images[i], labels[i], maps) for i in batch[block.start:block.stop]],
+        parallel.blocks(len(batch), n),
+        lambda block: f"training on samples {[int(i) for i in batch[block.start:block.stop]]} of epoch {epoch}",
+    )
+    return [factors for part in parts for factors in part]
 
 
 def train(
@@ -530,11 +598,13 @@ def train(
         clipped = 0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            for j, idx in enumerate(batch):
-                loss, correct = _loss_and_grads(model, imgs[idx], labs[idx], maps,
-                                                sample_grad if j else batch_grad)
+            # Losses are checked and gradients added in batch order, as in
+            # one process.
+            factors = _batch_factors(model, imgs, labs, batch, maps, epoch)
+            for j, (idx, (loss, correct, sample)) in enumerate(zip(batch, factors)):
                 if not np.isfinite(loss):
                     raise TrainingError(f"non-finite loss at epoch {epoch}, sample {int(idx)}")
+                _assemble(model, sample, sample_grad if j else batch_grad)
                 total_loss += float(loss)
                 total_correct += correct
                 if j:

@@ -11,14 +11,12 @@ experiment.
 
 from __future__ import annotations
 
-import os
-import threading
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import rand
+from . import parallel, rand
 from .errors import DataError, DimensionError, NormalizationError, ProtocolError
 from .evaluation import (
     MatchMatrix,
@@ -127,75 +125,6 @@ class ProtocolRun:
 MIN_SUBJECTS_PER_PROCESS = 11
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _process_count(subjects: int) -> int:
-    """Processes that share a protocol of ``subjects`` gallery subjects: one
-    per usable CPU while each gets MIN_SUBJECTS_PER_PROCESS, and only one
-    without ``fork`` or while other threads run, since a forked child
-    inherits the locks they hold."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return max(1, min(_usable_cpus(), subjects // MIN_SUBJECTS_PER_PROCESS))
-
-
-def _send_result(fn: Callable[[range], np.ndarray], block: range, conn) -> None:
-    """Child side of _map_blocks: send ("ok", fn(block)) or ("error", exc)."""
-    try:
-        result = ("ok", fn(block))
-    except Exception as exc:
-        result = ("error", exc)
-    with conn:
-        conn.send(result)
-
-
-def _map_blocks(fn: Callable[[range], np.ndarray], blocks: list[range]) -> list[np.ndarray]:
-    """[fn(block) for block in blocks], the first in this process and each
-    other in a forked child that inherits fn's inputs and pipes back only its
-    result.  A child's exception re-raises here; on any failure the children
-    are killed.  Every child is joined and every pipe closed before return."""
-    # Imported here, so that CLI commands that run no protocol (enroll,
-    # verify, revoke) do not pay for it.
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    procs, pipes = [], []
-    try:
-        for block in blocks[1:]:
-            recv, send = ctx.Pipe(duplex=False)
-            pipes.append(recv)
-            proc = ctx.Process(target=_send_result, args=(fn, block, send))
-            try:
-                proc.start()
-            finally:
-                send.close()
-            procs.append(proc)
-        results = [fn(blocks[0])]
-        for recv, block in zip(pipes, blocks[1:]):
-            try:
-                status, value = recv.recv()
-            except EOFError:
-                raise RuntimeError(f"the process scoring columns {block.start}..{block.stop - 1} "
-                                   "ended without a result") from None
-            if status == "error":
-                raise value
-            results.append(value)
-        return results
-    except BaseException:
-        # SIGKILL, not SIGTERM: a child may have inherited a SIGTERM handler.
-        for proc in procs:
-            proc.kill()
-        raise
-    finally:
-        for proc in procs:
-            proc.join()
-            proc.close()
-        for recv in pipes:
-            recv.close()
-
-
 def protocol_from_features(
     gallery_features: dict[str, np.ndarray],
     probe_features: dict[str, list[np.ndarray]],
@@ -209,7 +138,7 @@ def protocol_from_features(
     the claimed identity's own basis.  Per gallery subject, one batch call
     of ``project``, ``binarize`` and ``template_distance``, the functions
     the vault scores with, scores every probe at once.  The sorted subjects
-    split into contiguous column blocks, one per process (_process_count);
+    split into contiguous column blocks, one per process (parallel.process_count);
     every block is scored by the same code on the same inputs, so the
     distances do not depend on the split.
     """
@@ -242,9 +171,10 @@ def protocol_from_features(
             out[:, c] = template_distance(binarize(project(probe_matrix, basis)), bits)
         return out
 
-    n = _process_count(len(subjects))
-    blocks = [range(len(subjects) * k // n, len(subjects) * (k + 1) // n) for k in range(n)]
-    distances = np.concatenate(_map_blocks(_score_columns, blocks), axis=1)
+    n = parallel.process_count(len(subjects), 1, MIN_SUBJECTS_PER_PROCESS)
+    columns = parallel.map_blocks(_score_columns, parallel.blocks(len(subjects), n),
+                                  lambda block: f"scoring columns {block.start}..{block.stop - 1}")
+    distances = np.concatenate(columns, axis=1)
 
     matches = MatchMatrix(distances=distances, probe_ids=probe_ids, gallery_ids=subjects)
     scores = scores_from_matches(matches)

@@ -929,6 +929,18 @@ def test_an_abbreviated_flag_is_a_usage_error(cli_env, tmp_path, capsys):
     assert tree() == before
 
 
+@pytest.mark.parametrize("command, argv, unknown", [
+    ("verify", ["--model", "m", "--store", "v", "--user", "s00", "--image", "p"], ["--thr", "1.0"]),
+    ("synth", ["--out", "corpus"], ["--bogus"]),
+])
+def test_an_unknown_flag_is_reported_with_its_commands_usage(capsys, command, argv, unknown):
+    # The parent printed the top-level usage, which lists only the commands.
+    code, stdout, err = run_in_process([command, *argv, *unknown], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"usage: dorsalhash {command} ")
+    assert err.splitlines()[-1] == f"dorsalhash {command}: error: unrecognized arguments: {' '.join(unknown)}"
+
+
 def test_train_on_a_png_without_pillow_fails_with_one_error_line(cli_env, tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(sys.modules, "PIL", None)  # import PIL raises ImportError
     data = tmp_path / "corpus"

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dorsalhash import evaluation, pipeline, rand
+from dorsalhash import evaluation, parallel, pipeline, rand
 from dorsalhash.errors import (
     DataError,
     DegenerateKeyError,
@@ -477,9 +477,10 @@ class TestProtocol:
 
 
 def _force_processes(monkeypatch, n):
-    """Split every protocol into n processes: n usable CPUs and one subject
-    per process at least."""
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: n)
+    """Split every protocol into n processes: n usable CPUs, a one-thread
+    BLAS pool and one subject per process at least."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: n)
+    monkeypatch.setattr(parallel, "blas_threads", lambda: 1)
     monkeypatch.setattr(pipeline, "MIN_SUBJECTS_PER_PROCESS", 1)
 
 
@@ -559,15 +560,18 @@ class TestProtocolSplit:
         _assert_no_child_process(forks)
 
     def test_process_count_follows_cpus_and_subjects(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(parallel, "blas_threads", lambda: 1)
         per = pipeline.MIN_SUBJECTS_PER_PROCESS
-        assert [pipeline._process_count(s) for s in (2, 2 * per - 1, 2 * per, 3 * per, 100 * per)] == [1, 1, 2, 3, 4]
+        counts = [parallel.process_count(s, 1, per) for s in (2, 2 * per - 1, 2 * per, 3 * per, 100 * per)]
+        assert counts == [1, 1, 2, 3, 4]
         monkeypatch.delattr(os, "fork")
-        assert pipeline._process_count(100 * per) == 1
+        assert parallel.process_count(100 * per, 1, per) == 1
 
-    def test_desk_protocol_stays_in_one_process(self):
+    def test_desk_protocol_stays_in_one_process(self, monkeypatch):
+        monkeypatch.setattr(parallel, "blas_threads", lambda: 1)
         assert pipeline.MIN_SUBJECTS_PER_PROCESS > 10
-        assert pipeline._process_count(20) == 1
+        assert parallel.process_count(20, 1, pipeline.MIN_SUBJECTS_PER_PROCESS) == 1
 
     def test_child_error_reraises_in_the_parent(self, monkeypatch):
         gallery, probes = _feature_corpus(7, 2, seed=23)
@@ -626,11 +630,11 @@ class TestProtocolSplit:
         script = textwrap.dedent("""
             import os
             import numpy as np
-            from dorsalhash import pipeline
+            from dorsalhash import parallel, pipeline
             forks = []
             real_fork = os.fork
             os.fork = lambda: forks.append(1) or real_fork()
-            pipeline._usable_cpus = lambda: 3
+            parallel.usable_cpus = lambda: 3
             pipeline.MIN_SUBJECTS_PER_PROCESS = 1
             rng = np.random.default_rng(0)
             gallery = {f"s{s}": rng.standard_normal(32) for s in range(6)}

@@ -1,6 +1,6 @@
 """scipy is loaded only by augment, for its elastic warp, and
-multiprocessing only by the protocol; importing one submodule loads only
-that submodule and what it imports.
+multiprocessing only by work that splits across processes; importing one
+submodule loads only that submodule and what it imports.
 
 Each check runs in a new interpreter, since the test process has usually
 imported scipy already.

@@ -2,15 +2,18 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import struct
+import threading
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_evaluation import _assert_no_child_process, _count_forks
 
-from dorsalhash import network, ops
+from dorsalhash import network, ops, parallel, pipeline, rand
 from dorsalhash.errors import (
     ConfigError,
     DataError,
@@ -401,6 +404,155 @@ def test_tight_clip_still_learns(tiny_config):
     history = train(net, images, labels, epochs=20,
                     config=TrainConfig(batch_size=4, clip_norm=0.5))
     assert history[0].loss > history[-1].loss
+
+
+# -- work split across processes ------------------------------------------------
+
+def _force_processes(monkeypatch, n):
+    """Split every training batch and every many-image forward into up to n
+    processes: n usable CPUs, a one-thread BLAS pool and one pixel of work
+    per process at least."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: n)
+    monkeypatch.setattr(parallel, "blas_threads", lambda: 1)
+    monkeypatch.setattr(network, "MIN_TRAIN_PIXELS_PER_PROCESS", 1)
+    monkeypatch.setattr(network, "MIN_FORWARD_PIXELS_PER_PROCESS", 1)
+
+
+def _stats_bits(history):
+    return [tuple(float(v).hex() for v in dataclasses.astuple(s)) for s in history]
+
+
+def _split_corpus(seed, count=13):
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(0, 1, (16, 32)) for _ in range(count)], [i % 3 for i in range(count)]
+
+
+def _epoch_order(config, epoch, n):
+    return rand.permutation(rand.derive_seed(config.shuffle_seed, "epoch", epoch), rand.PURPOSE_SHUFFLE, n)
+
+
+class TestTrainingSplit:
+    """Each batch's samples split into contiguous blocks, one per process,
+    and the many-image forwards split their images; the split may change
+    nothing but where the work runs."""
+
+    @staticmethod
+    def _train(tiny_config, images, labels, config):
+        net = FixedFilterNet.build(tiny_config)
+        history = train(net, images, labels, epochs=2, config=config)
+        return net.theta.tobytes(), _stats_bits(history)
+
+    # 13 samples in batches of 5: batches of 5, 5 and 3 samples, so blocks of
+    # 2 + 3 and 1 + 2 in two processes, 1 + 2 + 2 and 1 + 1 + 1 in three.
+    @pytest.mark.parametrize("processes", [2, 3])
+    @pytest.mark.parametrize("clip", [math.inf, 3.0])
+    def test_training_is_byte_identical_to_one_process(self, tiny_config, monkeypatch, processes, clip):
+        images, labels = _split_corpus(30)
+        config = TrainConfig(batch_size=5, shuffle_seed=31, clip_norm=clip)
+        one = self._train(tiny_config, images, labels, config)
+        assert any(float.fromhex(s[4]) > 0.0 for s in one[1]) == (clip < math.inf)
+        forks = _count_forks(monkeypatch)
+        _force_processes(monkeypatch, processes)
+        split = self._train(tiny_config, images, labels, config)
+        # Two epochs of three batches.
+        assert len(forks) == (processes - 1) * 2 * 3
+        assert split == one
+        _assert_no_child_process(forks)
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_forwards_are_byte_identical_to_one_process(self, tiny_config, monkeypatch, processes):
+        images, _ = _split_corpus(32, count=7)
+        net = FixedFilterNet.build(tiny_config)
+        net.calibrate_dense(images[:5])
+        one = (net.extract_features(images).tobytes(), net.theta.tobytes())
+        forks = _count_forks(monkeypatch)
+        _force_processes(monkeypatch, processes)
+        split_net = FixedFilterNet.build(tiny_config)
+        split_net.calibrate_dense(images[:5])
+        split = (split_net.extract_features(images).tobytes(), split_net.theta.tobytes())
+        assert len(forks) == 2 * (processes - 1)
+        assert split == one
+        _assert_no_child_process(forks)
+
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    def test_a_non_finite_loss_in_a_childs_block_names_the_first_such_sample(self, tiny_config, monkeypatch,
+                                                                            processes):
+        images, labels = _split_corpus(33, count=7)
+        config = TrainConfig(batch_size=7, shuffle_seed=34)
+        order = _epoch_order(config, 0, 7)
+        # Positions 4 and 6 of the one batch: the last block in two
+        # processes (3..6), the second and third in three (2..3, 4..6).
+        rng = np.random.default_rng(35)
+        for position in (4, 6):
+            images[order[position]] = rng.uniform(-1, 1, (16, 32)) * 1.7e308
+        net = FixedFilterNet.build(tiny_config)
+        before = net.theta.tobytes()
+        forks = _count_forks(monkeypatch)
+        _force_processes(monkeypatch, processes)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingError, match=rf"^non-finite loss at epoch 0, sample {order[4]}$"):
+            train(net, images, labels, epochs=1, config=config)
+        assert len(forks) == processes - 1
+        assert net.theta.tobytes() == before
+        _assert_no_child_process(forks)
+
+    def test_a_child_that_ends_without_a_result_names_its_samples(self, tiny_config, monkeypatch):
+        images, labels = _split_corpus(36, count=7)
+        config = TrainConfig(batch_size=7, shuffle_seed=37)
+        order = _epoch_order(config, 0, 7)
+        doomed = images[order[5]]
+        real = network._sample_factors
+        monkeypatch.setattr(network, "_sample_factors",
+                            lambda model, image, *rest: os._exit(3) if image is doomed else real(model, image, *rest))
+        forks = _count_forks(monkeypatch)
+        _force_processes(monkeypatch, 2)
+        samples = re.escape(str([int(i) for i in order[3:]]))
+        with pytest.raises(RuntimeError, match=rf"^the process training on samples {samples} of epoch 0 "
+                                               r"ended without a result$"):
+            train(FixedFilterNet.build(tiny_config), images, labels, epochs=1, config=config)
+        assert len(forks) == 1
+        _assert_no_child_process(forks)
+
+    def test_another_live_thread_keeps_one_process(self, tiny_config, monkeypatch):
+        images, labels = _split_corpus(38, count=8)
+        config = TrainConfig(batch_size=4, shuffle_seed=39)
+        one = self._train(tiny_config, images, labels, config)
+        forks = _count_forks(monkeypatch)
+        _force_processes(monkeypatch, 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            split = self._train(tiny_config, images, labels, config)
+        finally:
+            release.set()
+            other.join()
+        assert forks == []
+        assert split == one
+
+    def test_a_two_thread_blas_pool_on_two_cpus_keeps_every_split_in_one_process(self, tiny_config, monkeypatch):
+        _force_processes(monkeypatch, 2)
+        monkeypatch.setattr(parallel, "blas_threads", lambda: 2)
+        monkeypatch.setattr(pipeline, "MIN_SUBJECTS_PER_PROCESS", 1)
+        forks = _count_forks(monkeypatch)
+        images, labels = _split_corpus(40, count=6)
+        net = FixedFilterNet.build(tiny_config)
+        net.calibrate_dense(images)
+        train(net, images, labels, epochs=1, config=TrainConfig(batch_size=6))
+        feats = net.extract_features(images)
+        pipeline.protocol_from_features({f"s{i}": feats[i] for i in range(3)},
+                                        {f"s{i}": [feats[i + 3]] for i in range(3)}, 32, master_seed=41)
+        assert forks == []
+
+    def test_desk_batches_and_calibration_split_and_vault_forwards_do_not(self, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "blas_threads", lambda: 1)
+        pixels = 64 * 128
+        assert parallel.process_count(20, pixels, network.MIN_TRAIN_PIXELS_PER_PROCESS) == 2
+        assert parallel.process_count(120, pixels, network.MIN_FORWARD_PIXELS_PER_PROCESS) == 2
+        assert [parallel.process_count(n, pixels, network.MIN_FORWARD_PIXELS_PER_PROCESS) for n in (1, 2)] == [1, 1]
+        # Test geometries need 16 times the samples for the same work.
+        assert parallel.process_count(20, 16 * 32, network.MIN_TRAIN_PIXELS_PER_PROCESS) == 1
 
 
 # -- dense calibration ---------------------------------------------------------
