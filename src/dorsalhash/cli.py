@@ -248,10 +248,9 @@ def _cmd_synth(settings: _Settings, args) -> int:
 def _cmd_augment(settings: _Settings, args) -> int:
     image = corpus.load_image(args.image)
     spec = corpus.AugmentationSpec(count=settings["count"], seed=settings["seed"])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for i, variant in enumerate(corpus.augment(image, spec)):
-        corpus.write_pgm(out / f"aug{i:02d}.pgm", variant)
+    out = corpus.fresh_directory(args.out)
+    for name, variant in zip(corpus.numbered_names("aug", spec.count, ".pgm"), corpus.augment(image, spec)):
+        corpus.write_pgm(out / name, variant)
     print(f"wrote {spec.count} augmented images under {out}")
     return EXIT_OK
 

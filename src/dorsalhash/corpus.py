@@ -246,6 +246,46 @@ def _uniform_in(u: float, rng: tuple[float, float]) -> float:
     return rng[0] + u * (rng[1] - rng[0])
 
 
+def _gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian smoothing of axes 1 and 2 of a 3-D field, bit for bit what
+    ``scipy.ndimage.gaussian_filter(field, sigma=(0, sigma, sigma),
+    mode="reflect")`` gives.
+
+    The kernel is scipy's: radius int(4 sigma + 0.5), weights
+    exp(-x**2 / (2 sigma**2)) normalised by their sum.  Each axis in turn is
+    padded by mirroring the edge cell too (scipy's "reflect" is numpy's
+    "symmetric", repeated where a side is shorter than the radius), and
+    each cell sums as scipy's symmetric-kernel loop does: the centre times
+    its weight, then (left + right) times their weight from the farthest
+    pair to the nearest.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    weights = weights / weights.sum()
+    out = field
+    for axis in (1, 2):
+        n = out.shape[axis]
+        pad = [(0, 0)] * 3
+        pad[axis] = (radius, radius)
+        padded = np.pad(out, pad, mode="symmetric")
+
+        def cells(shift: int) -> np.ndarray:
+            # Each output cell's neighbour at offset shift - radius along the axis.
+            cut = [slice(None)] * 3
+            cut[axis] = slice(shift, shift + n)
+            return padded[tuple(cut)]
+
+        acc = cells(radius) * weights[radius]
+        pair = np.empty_like(acc)
+        for k in range(radius, 0, -1):
+            np.add(cells(radius - k), cells(radius + k), out=pair)
+            pair *= weights[radius - k]
+            acc += pair
+        out = acc
+    return out
+
+
 def augment(image: np.ndarray, spec: AugmentationSpec) -> list[np.ndarray]:
     """Produce spec.count augmented variants of one image.
 
@@ -257,10 +297,6 @@ def augment(image: np.ndarray, spec: AugmentationSpec) -> list[np.ndarray]:
         raise DimensionError(f"augment expects a 2-D image, got shape {img.shape}")
     h, w = img.shape
     draws = rand.uniforms(spec.seed, rand.PURPOSE_AUGMENT, 3 * spec.count)
-    # Imported here, its only use: scipy.ndimage alone roughly doubles the
-    # import time and resident memory of every other command.
-    from scipy.ndimage import gaussian_filter
-
     out = []
     for i in range(spec.count):
         zoom = _uniform_in(draws[3 * i], ZOOM)
@@ -268,7 +304,7 @@ def augment(image: np.ndarray, spec: AugmentationSpec) -> list[np.ndarray]:
         bright = _uniform_in(draws[3 * i + 2], BRIGHTNESS)
         field = rand.uniforms(rand.derive_seed(spec.seed, "elastic", i), rand.PURPOSE_AUGMENT, 2 * h * w)
         field = (2.0 * field - 1.0).reshape(2, h, w)
-        field = gaussian_filter(field, sigma=(0.0, ELASTIC_SIGMA, ELASTIC_SIGMA), mode="reflect")
+        field = _gaussian_smooth(field, ELASTIC_SIGMA)
         peak = np.abs(field).max()
         if peak > 0.0:
             field = field * (ELASTIC_AMPLITUDE / peak)
@@ -405,19 +441,39 @@ def synthesize_sample(spec: SyntheticSpec, subject_index: int, sample_index: int
     return np.clip(shifted + spec.noise_level * noise, 0.0, 1.0)
 
 
+def numbered_names(prefix: str, count: int, suffix: str = "") -> list[str]:
+    """Names of ``count`` items, ``prefix`` then the index then ``suffix``.
+    Indexes are zero-padded to the digits of the largest, and to at least
+    two, so that the names sort in index order."""
+    digits = max(2, len(str(count - 1)))
+    return [f"{prefix}{i:0{digits}d}{suffix}" for i in range(count)]
+
+
+def fresh_directory(path) -> Path:
+    """path as a new or empty directory, created with its parents.  One that
+    already has entries is a DataError naming it, so that an output never
+    mixes with the files of an earlier run."""
+    p = Path(path)
+    if p.is_dir() and any(p.iterdir()):
+        raise DataError(f"output directory {p} is not empty")
+    p.mkdir(parents=True, exist_ok=True)
+    return p
+
+
 def generate_synthetic(spec: SyntheticSpec, out_dir) -> DatasetLayout:
     """Write the corpus under out_dir/<subject>/<sample>.pgm and return its
-    layout.  Subject ids are s00, s01, ... and samples img00.pgm, ..."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    layout.  out_dir must be new or empty (``fresh_directory``).  Subject ids
+    are s00, s01, ... and samples img00.pgm, ..., widened past 100 of them
+    (``numbered_names``)."""
+    out = fresh_directory(out_dir)
+    sample_names = numbered_names("img", spec.samples_per_subject, ".pgm")
     subjects: dict[str, list[Path]] = {}
-    for si in range(spec.num_subjects):
-        sid = f"s{si:02d}"
+    for si, sid in enumerate(numbered_names("s", spec.num_subjects)):
         sdir = out / sid
-        sdir.mkdir(exist_ok=True)
+        sdir.mkdir()
         paths = []
-        for qi in range(spec.samples_per_subject):
-            p = sdir / f"img{qi:02d}.pgm"
+        for qi, name in enumerate(sample_names):
+            p = sdir / name
             write_pgm(p, synthesize_sample(spec, si, qi))
             paths.append(p)
         subjects[sid] = paths

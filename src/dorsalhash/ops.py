@@ -10,12 +10,14 @@ Convolution is one matrix product over shifted views.  The forward pass
 stacks the kh*kw shifted views of the padded map into a (kh*kw, n) tap
 matrix and multiplies it by the (K, kh*kw) kernel matrix; the backward pass
 multiplies the transposed kernel matrix by the (K, H*W) gradient and adds
-each of the kh*kw rows back into the padded grid at its shift.  The forward
+each of the kh*kw rows back into the padded grid at its shift.  With the
+package's ternary banks every product is exact, so where the BLAS kernel
 sums the taps of each output cell in row-major kernel order, as a sliding-
-window contraction does, so with the package's ternary banks (every product
-exact) it matches one bit for bit.  The backward sums over kernels before
-shifts, so its results differ from a per-shift correlation by rounding
-only (a few ulps).
+window contraction does, the forward matches one bit for bit.  That order
+is the BLAS kernel's choice: OpenBLAS's SkylakeX kernel keeps it, and its
+Haswell kernel (OPENBLAS_CORETYPE=Haswell) does not.  The backward sums
+over kernels before shifts, so its results differ from a per-shift
+correlation by rounding only (a few ulps).
 
 conv2d forms the whole (K, H, W) response in one product (n = H*W).
 conv_stage is a network stage, conv2d then ReLU then the 1x1 combine, run

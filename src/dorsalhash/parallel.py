@@ -20,12 +20,14 @@ import re
 import threading
 from collections.abc import Callable
 
-import numpy  # noqa: F401  (loads numpy's BLAS before _blas_getter looks for it)
+import numpy  # noqa: F401  (loads numpy's BLAS before _blas_function looks in it)
 
-# Thread-count getters of OpenBLAS builds: the scipy-openblas builds numpy
-# wheels ship (64- and 32-bit integers), then a plain OpenBLAS.
+# Getters of OpenBLAS builds, each under the names of the scipy-openblas
+# builds numpy wheels ship (64- and 32-bit integers), then a plain OpenBLAS.
 _BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
                         "openblas_get_num_threads64_", "openblas_get_num_threads")
+_BLAS_CORE_GETTERS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                      "openblas_get_corename64_", "openblas_get_corename")
 
 
 def usable_cpus() -> int:
@@ -33,9 +35,10 @@ def usable_cpus() -> int:
 
 
 @functools.cache
-def _blas_getter():
-    """The thread-count getter of the OpenBLAS this process has loaded, or
-    None where no loaded library (listed in /proc/self/maps) exports one."""
+def _blas_function(names: tuple[str, ...]):
+    """The first of ``names`` that the OpenBLAS this process has loaded
+    exports, or None where no loaded library (listed in /proc/self/maps)
+    exports one."""
     import ctypes
 
     try:
@@ -48,11 +51,16 @@ def _blas_getter():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in _BLAS_THREAD_GETTERS:
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                return getter
+        for name in names:
+            function = getattr(lib, name, None)
+            if function is not None:
+                return function
     return None
+
+
+def _blas_getter():
+    """The thread-count getter of the loaded OpenBLAS, or None."""
+    return _blas_function(_BLAS_THREAD_GETTERS)
 
 
 def blas_threads() -> int:
@@ -68,6 +76,18 @@ def blas_threads() -> int:
         except (KeyError, ValueError):
             pass
     return os.cpu_count() or 1
+
+
+def blas_core() -> str:
+    """The kernel the loaded OpenBLAS picked for this CPU (``SkylakeX``,
+    ``Haswell``, ...), or "unknown" where no loaded library says."""
+    getter = _blas_function(_BLAS_CORE_GETTERS)
+    if getter is None:
+        return "unknown"
+    import ctypes
+
+    getter.restype = ctypes.c_char_p
+    return (getter() or b"unknown").decode("ascii", "replace")
 
 
 def process_count(items: int, item_work: int, min_work: int) -> int:

@@ -15,8 +15,13 @@ routines, which are free to change.  The mapping pinned here is:
   ``z[2i] = sqrt(-2 ln u[2i]) * cos(2 pi u[2i+1])`` and
   ``z[2i+1] = sqrt(-2 ln u[2i]) * sin(2 pi u[2i+1])``.
 
-Only the raw Philox words come from numpy; everything layered on top is
-fixed here and covered by regression tests.
+Only the raw Philox words come from numpy, and the formulas layered on top
+are fixed here and covered by regression tests.  Uniforms take a shift,
+an exact conversion, an exact add and a multiply by a power of two, so
+they are exact on every host.  Normals are not: they pass through ``np.log``,
+``np.cos`` and ``np.sin``, whose last bits follow numpy's SIMD dispatch
+(with its AVX-512 loops turned off through NPY_DISABLE_CPU_FEATURES, the
+same uniforms give other normals), and so does everything drawn from them.
 
 ``normals`` runs in the buffer of raw words it draws: the shifted words
 are converted through a signed view (exact, since every one is below

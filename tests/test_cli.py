@@ -121,6 +121,50 @@ def test_augment_writes_requested_count(cli_env, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == [f"aug{i:02d}.pgm" for i in range(5)]
 
 
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_synth_refuses_an_out_directory_with_entries(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["synth", "--subjects", "3", "--samples", "4", "--out", str(out)]) == 0
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    rc = main(["synth", "--subjects", "2", "--samples", "2", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output directory {out} is not empty\n"
+    assert _tree_bytes(out) == before
+    assert len(before) == 12
+
+
+def test_synth_and_augment_write_into_an_empty_out_directory(cli_env, tmp_path):
+    corpus_dir, aug = tmp_path / "corpus", tmp_path / "aug"
+    corpus_dir.mkdir()
+    aug.mkdir()
+    assert main(["synth", "--subjects", "2", "--samples", "2", "--out", str(corpus_dir)]) == 0
+    assert sorted(_tree_bytes(corpus_dir)) == [f"s0{s}/img0{q}.pgm" for s in range(2) for q in range(2)]
+    src = cli_env["data"] / "s00" / "img00.pgm"
+    assert main(["augment", "--image", str(src), "--out", str(aug), "--count", "2", *common(cli_env)]) == 0
+    assert sorted(_tree_bytes(aug)) == ["aug00.pgm", "aug01.pgm"]
+
+
+def test_augment_refuses_an_out_directory_with_entries(cli_env, tmp_path, capsys):
+    src = cli_env["data"] / "s00" / "img00.pgm"
+    out = tmp_path / "aug"
+    assert main(["augment", "--image", str(src), "--out", str(out), "--count", "5", *common(cli_env)]) == 0
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    rc = main(["augment", "--image", str(src), "--out", str(out), "--count", "2", *common(cli_env)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output directory {out} is not empty\n"
+    assert _tree_bytes(out) == before
+    assert sorted(before) == [f"aug{i:02d}.pgm" for i in range(5)]
+
+
 # -- train ------------------------------------------------------------------------
 
 @pytest.mark.parametrize("count, images", [(0, 12), (2, 6)])
@@ -160,7 +204,8 @@ def test_extract_dumps_features_for_every_image(cli_env, tmp_path):
 # recorded when the trainable parameters were still held as separate arrays,
 # and the model when its file stopped storing the banks (version 2).  Two
 # epochs at 32x64 run calibrate_dense and the 1.0 gradient clip.  Like the
-# basis digests they depend on libm and BLAS.
+# basis digests they depend on numpy's SIMD dispatch (log, sin, cos, exp)
+# and on the OpenBLAS kernel picked at run time.
 PINNED_TRAIN_OUTPUTS = {
     "model.dfn": "3be4ab780e87000c587cf4496133cfd8",
     "train stdout": "cff9d128534b2c2866d624f411ebd5dc",
@@ -245,7 +290,8 @@ def test_verify_of_a_revoked_version_fails_after_its_sidecar_entries_are_blanked
 
 # BLAKE2b-128 of the stdout of PINNED_FLOW and of both store files it leaves
 # (index sidecars excluded), recorded when the vault still extracted
-# features itself.  Like the basis digests they depend on libm and BLAS.
+# features itself.  Like the basis digests they depend on numpy's SIMD
+# dispatch and on the OpenBLAS kernel picked at run time.
 PINNED_FLOW_OUTPUTS = {
     "stdout": "175411b7675d6b7240ae97933be9163e",
     "keys.jsonl": "5b632e39e09ada9015e58455138f9541",
@@ -585,7 +631,8 @@ def streams_env(tmp_path_factory):
 
 # BLAKE2b-128 of stdout and of every file evaluate and fuse write on
 # streams_env, recorded when fuse still extracted every image twice.  Like
-# the basis digests they depend on libm and BLAS.
+# the basis digests they depend on numpy's SIMD dispatch and on the
+# OpenBLAS kernel picked at run time.
 PINNED_PROTOCOL_OUTPUTS = {
     ("evaluate", "stdout"): "cbdc92e9b1ebd79c8fc79eccae38c27c",
     ("evaluate", "metrics_128.json"): "941bf7776e764d3f03067888ef0ffc44",

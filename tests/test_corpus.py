@@ -8,6 +8,7 @@ import pytest
 
 from dorsalhash import corpus, rand
 from dorsalhash.corpus import (
+    ELASTIC_SIGMA,
     AugmentationSpec,
     SyntheticSpec,
     augment,
@@ -15,6 +16,7 @@ from dorsalhash.corpus import (
     generate_synthetic,
     ingest,
     load_samples,
+    numbered_names,
     read_pgm,
     subject_base_texture,
     synthesize_sample,
@@ -294,6 +296,31 @@ class TestAugment:
         with pytest.raises(DimensionError):
             augment(np.zeros((3, 3, 3)), AugmentationSpec(count=1))
 
+    # Elastic fields at the default geometry, with sides below the 32-pixel
+    # radius of sigma 8 (where one mirror image of the edge does not reach)
+    # and with sides of 1; the other sigmas give other radii.
+    @pytest.mark.parametrize("shape", [(2, 64, 128), (2, 12, 16), (2, 10, 10), (2, 9, 11), (2, 19, 33),
+                                       (2, 24, 40), (2, 20, 40), (2, 1, 1), (2, 3, 70), (2, 65, 64), (2, 200, 7)])
+    def test_elastic_smoothing_is_scipys_gaussian_filter_bit_for_bit(self, shape):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        for seed in range(4):
+            field = 2.0 * rand.uniforms(seed, rand.PURPOSE_AUGMENT, int(np.prod(shape))).reshape(shape) - 1.0
+            for sigma in (ELASTIC_SIGMA, 0.5, 1.5, 3.0, 20.0):
+                got = corpus._gaussian_smooth(field, sigma)
+                want = ndimage.gaussian_filter(field, sigma=(0.0, sigma, sigma), mode="reflect")
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), f"seed {seed}, sigma {sigma}"
+
+    def test_augment_is_what_scipys_smoothing_gives(self, monkeypatch):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        img = np.random.default_rng(12).uniform(0.0, 1.0, (24, 40))
+        spec = AugmentationSpec(count=3, seed=1)
+        got = augment(img, spec)
+        monkeypatch.setattr(corpus, "_gaussian_smooth", lambda field, sigma: ndimage.gaussian_filter(
+            field, sigma=(0.0, sigma, sigma), mode="reflect"))
+        for g, w in zip(got, augment(img, spec)):
+            assert_same_bits(g, w)
+
 
 class TestSynthetic:
     def test_spec_validation(self):
@@ -368,6 +395,39 @@ class TestSynthetic:
         reloaded = ingest(tmp_path / "corpus")
         assert reloaded.subjects == layout.subjects
 
+    def test_names_are_padded_to_the_largest_index(self):
+        assert numbered_names("aug", 1) == ["aug00"]
+        assert numbered_names("s", 100)[-2:] == ["s98", "s99"]
+        assert numbered_names("img", 101, ".pgm")[:2] == ["img000.pgm", "img001.pgm"]
+        assert numbered_names("img", 101, ".pgm")[-1] == "img100.pgm"
+        assert numbered_names("aug", 1001)[-1] == "aug1000"
+        for count in (1, 10, 100, 101, 1000, 1001):
+            names = numbered_names("x", count)
+            assert sorted(names) == names and len(set(names)) == count
+
+    def test_a_corpus_past_100_samples_ingests_in_index_order(self, tmp_path):
+        spec = SyntheticSpec(num_subjects=2, samples_per_subject=101, height=8, width=16, seed=3)
+        written = generate_synthetic(spec, tmp_path / "corpus")
+        read = ingest(tmp_path / "corpus")
+        assert read.subjects == written.subjects
+        assert [p.name for p in read.subjects["s01"]] == [f"img{q:03d}.pgm" for q in range(101)]
+        loaded = load_samples(read, 8, 16)["s01"]
+        for q in (10, 11, 100):
+            assert np.abs(loaded[q] - synthesize_sample(spec, 1, q)).max() <= 0.5 / 255.0 + 1e-12
+
+    def test_generate_refuses_a_directory_with_entries(self, tmp_path):
+        out = tmp_path / "corpus"
+        out.mkdir()
+        (out / "notes.txt").write_bytes(b"left by hand")
+        spec = SyntheticSpec(num_subjects=2, samples_per_subject=2, height=8, width=16)
+        with pytest.raises(DataError, match="is not empty"):
+            generate_synthetic(spec, out)
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_bytes() == b"left by hand"
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert sorted(generate_synthetic(spec, empty).subjects) == ["s00", "s01"]
+
     def test_generated_files_quantize_faithfully(self, tmp_path):
         spec = SyntheticSpec(num_subjects=2, samples_per_subject=2,
                              height=16, width=24, seed=4)
@@ -425,7 +485,10 @@ class TestSeparableGeometry:
 
     # Digests taken from the full-grid implementation at the default
     # geometry (seed 0, 20 subjects x 12 samples).  Like the basis digests
-    # they depend on libm's sin and exp.
+    # they depend on numpy's SIMD dispatch of sin, cos, log and exp.  The
+    # augment digests, recorded when scipy smoothed the elastic field, also
+    # go through np.exp for the smoothing weights, as scipy's did, so they
+    # too change with numpy's AVX-512 loops turned off.
     PINNED = {
         ("sample", 0, 0): "2b3a084945f2b33de09cbb27286cddc3",
         ("sample", 7, 5): "6efd05c60260e71b8d43a2cae8048437",

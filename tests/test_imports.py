@@ -1,9 +1,10 @@
-"""scipy is loaded only by augment, for its elastic warp, and
-multiprocessing only by work that splits across processes; importing one
-submodule loads only that submodule and what it imports.
+"""numpy is the only runtime dependency: no command loads scipy, and each
+runs where importing scipy fails.  multiprocessing loads only for work that
+splits across processes, and importing one submodule loads only that
+submodule and what it imports.
 
-Each check runs in a new interpreter, since the test process has usually
-imported scipy already.
+Each check runs in a new interpreter, since the test process may have
+imported scipy (the smoothing oracle in test_corpus.py does).
 """
 
 import hashlib
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 import dorsalhash
+from dorsalhash import cli
 from dorsalhash.corpus import AugmentationSpec, augment, write_pgm
 
 SRC = str(Path(dorsalhash.__file__).resolve().parents[1])
@@ -75,7 +77,7 @@ print("multiprocessing:", json.dumps("multiprocessing" in sys.modules))
     assert seen["multiprocessing"] == [False]
 
 
-def test_elastic_augment_loads_scipy_on_first_use(tmp_path):
+def test_elastic_augment_loads_no_scipy(tmp_path):
     img = np.linspace(0.0, 1.0, 24 * 40).reshape(24, 40)
     synth_out = str(tmp_path / "corpus")
     seen = run_fresh(f"""
@@ -92,8 +94,42 @@ loaded()
 """)
     expect = np.stack(augment(img, AugmentationSpec(count=3, seed=4)))
     assert seen["digest"] == [hashlib.sha256(expect.tobytes()).hexdigest()]
-    assert seen["scipy"][:2] == [[], []]
-    assert "scipy.ndimage" in seen["scipy"][2]
+    assert seen["scipy"] == [[]] * 3
+
+
+def test_every_command_runs_where_scipy_cannot_be_imported(tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("input_height=16\ninput_width=32\nfc1_dim=96\nfc2_dim=128\n", encoding="utf-8")
+    data, model, store = tmp_path / "corpus", tmp_path / "model.dfn", tmp_path / "store"
+    source = data / "s00" / "img00.pgm"
+    vault = ["--model", str(model), "--store", str(store), "--user", "s00"]
+    augment_argv = ["augment", "--image", str(source), "--count", "3", "--seed", "4"]
+    argvs = [
+        ["synth", "--subjects", "2", "--samples", "3", "--out", str(data), "--config", str(cfg)],
+        [*augment_argv, "--out", str(tmp_path / "aug")],
+        ["train", "--data", str(data), "--out", str(model), "--epochs", "1", "--gallery-count", "2",
+         "--config", str(cfg)],
+        ["enroll", *vault, "--images", str(source), str(data / "s00" / "img01.pgm")],
+        ["verify", *vault, "--image", str(data / "s00" / "img02.pgm"), "--threshold", "0.5"],
+        ["revoke", *vault, "--images", str(source)],
+    ]
+    seen = run_fresh(f"""
+sys.modules["scipy"] = None  # any import of scipy or a submodule raises ImportError
+import hashlib
+from pathlib import Path
+import dorsalhash.cli as cli
+for argv in {argvs!r}:
+    assert cli.main(argv) == 0, argv
+for path in sorted(Path({str(tmp_path / "aug")!r}).iterdir()):
+    print("digest:", json.dumps([path.name, hashlib.sha256(path.read_bytes()).hexdigest()]))
+print("scipy:", json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+""")
+    assert seen["scipy"] == [[]]
+    in_process = tmp_path / "aug_here"
+    assert cli.main([*augment_argv, "--out", str(in_process)]) == 0
+    assert seen["digest"] == [[p.name, hashlib.sha256(p.read_bytes()).hexdigest()]
+                              for p in sorted(in_process.iterdir())]
+    assert len(seen["digest"]) == 3
 
 
 def test_importing_one_submodule_loads_no_other():

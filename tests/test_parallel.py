@@ -75,3 +75,26 @@ def test_one_block_runs_here_without_multiprocessing(monkeypatch):
     monkeypatch.setitem(sys.modules, "multiprocessing", None)  # importing it raises ImportError
     assert parallel.map_blocks(lambda block: np.arange(block.start, block.stop), [range(2, 5)], str)[0].tolist() \
         == [2, 3, 4]
+
+
+def test_blas_core_names_the_kernel_the_loaded_blas_picked():
+    code = ("import json, numpy as np\n"
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            "from dorsalhash import parallel\n"
+            "blas = np.show_config(mode='dicts')['Build Dependencies']['blas']\n"
+            "print(json.dumps([parallel.blas_core(), blas['name'], blas.get('openblas configuration', ''),\n"
+            "                  bool(__cpu_features__.get('AVX2'))]))\n")
+    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_CORETYPE": "Haswell"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=False,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    core, blas, configuration, avx2 = json.loads(proc.stdout)
+    if "openblas" in blas:
+        assert core != "unknown", f"no core-name getter found in the loaded {blas}"
+        if "DYNAMIC_ARCH" in configuration and avx2:
+            assert core == "Haswell"
+
+
+def test_blas_core_is_unknown_without_a_getter(monkeypatch):
+    monkeypatch.setattr(parallel, "_blas_function", lambda names: None)
+    assert parallel.blas_core() == "unknown"
