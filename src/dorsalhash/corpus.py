@@ -1,8 +1,9 @@
 """Image ingestion, augmentation and synthetic corpus generation.
 
 On disk a dataset is ``root/<subject_id>/<sample>.pgm``: one directory per
-subject, binary 8-bit PGM (P5) samples, lexicographic order defining the
-sample sequence.  PNG files are accepted too when Pillow is installed.
+subject, binary 8-bit PGM (P5) samples, index order defining the sample
+sequence: runs of digits in a file name compare as integers, so ``img2``
+comes before ``img10``.  PNG files are accepted too when Pillow is installed.
 Pixels are handled as float64 in [0, 1] everywhere past the loaders.
 
 A synthetic sample is a pure function of (spec, subject, sample): the same
@@ -182,13 +183,22 @@ class DatasetLayout:
     subjects: dict[str, list[Path]]
 
 
+def _index_order(path: Path) -> tuple[list, str]:
+    """Sort key of a sample file: its name with each run of digits read as
+    an integer (``img2`` before ``img10``), then the plain name, which
+    breaks ties such as ``img01`` and ``img1``."""
+    parts = re.split(r"([0-9]+)", path.name)
+    return [int(part) if i % 2 else part for i, part in enumerate(parts)], path.name
+
+
 def ingest(root) -> DatasetLayout:
     """Scan root/<subject>/<sample> without decoding anything.
 
     Subjects are the immediate subdirectories, samples their image files in
-    lexicographic order.  A subject directory without a single image is a
-    DataError, and a file without an image suffix an IngestionError naming
-    it; ``load_samples`` decodes, and its errors name the file.
+    index order (see ``_index_order``).  A subject directory without a
+    single image is a DataError, and a file without an image suffix an
+    IngestionError naming it; ``load_samples`` decodes, and its errors name
+    the file.
     """
     rootp = Path(root)
     if not rootp.is_dir():
@@ -198,7 +208,7 @@ def ingest(root) -> DatasetLayout:
     if not subdirs:
         raise DataError(f"dataset root {rootp} has no subject directories")
     for sub in subdirs:
-        paths = sorted(p for p in sub.iterdir() if p.is_file())
+        paths = sorted((p for p in sub.iterdir() if p.is_file()), key=_index_order)
         for f in paths:
             if f.suffix.lower() not in IMAGE_SUFFIXES:
                 raise IngestionError(f"{f}: not a supported image file")

@@ -430,14 +430,25 @@ class TemplateVault:
             "created_at": self.clock(),
         })
 
-    def load_basis(self, user_id: str, modality: str, key_version: int) -> tuple[UserKey, ProjectionBasis]:
-        """The key and basis of one key record.  Schema 1 reads the inlined
-        basis; schema 2 rebuilds it from the seed and checks its digest."""
+    def load_basis(
+        self, user_id: str, modality: str, key_version: int, feature_dim: int
+    ) -> tuple[UserKey, ProjectionBasis]:
+        """The key and basis of one key record, for features of
+        ``feature_dim`` values.  A record made for another dimension raises
+        DataError before any basis is read or drawn, so an edited
+        ``feature_dim`` cannot size an allocation.  Schema 1 reads the
+        inlined basis; schema 2 rebuilds it from the seed and checks its
+        digest."""
         recs = [r for r in self.keys.group(user_id, modality)
                 if r["kind"] == "key" and r["key_version"] == key_version]
         if not recs:
             raise UnknownIdentityError(f"no key v{key_version} for {user_id!r}/{modality}")
         r = recs[-1]
+        if r["feature_dim"] != feature_dim:
+            raise DataError(
+                f"key v{key_version} for {user_id!r}/{modality} was made for {r['feature_dim']}-dim features, "
+                f"the query has {feature_dim}"
+            )
         key = UserKey(user_id=user_id, seed=r["seed"], bit_length=r["bit_length"], key_version=key_version)
         if r["schema"] == 1:  # _check_record vouches that basis_b64 decodes to this shape
             raw = base64.b64decode(r["basis_b64"].encode("ascii"))
@@ -573,7 +584,7 @@ class TemplateVault:
     def score_features(self, features: np.ndarray, record: dict) -> float:
         """Distance between a fresh feature vector and one stored record."""
         f = _feature_vector(record["user_id"], features)
-        _, basis = self.load_basis(record["user_id"], record["modality"], record["key_version"])
+        _, basis = self.load_basis(record["user_id"], record["modality"], record["key_version"], f.shape[0])
         stored = CancelableTemplate.from_hex(
             record["bits_hex"], record["user_id"], record["key_version"], record["bit_length"]
         )

@@ -164,7 +164,7 @@ def test_gate_revocation_kills_old_credentials(desk, tmp_path):
     for sid in sorted(corpus):
         record = vault.active_record(sid)
         assert record["key_version"] == 2
-        _, new_basis = vault.load_basis(sid, "major", 2)
+        _, new_basis = vault.load_basis(sid, "major", 2, model.feature_dim)
         for f in desk["probe_feats"][sid]:
             genuine.append(vault.score_features(f, record))
             new_bits = binarize(project(f, new_basis))

@@ -5,15 +5,14 @@ import os
 import re
 import shutil
 import struct
-import subprocess
 import sys
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_fresh
 
-import dorsalhash
 from dorsalhash import cli, corpus
 from dorsalhash.cli import main
 from dorsalhash.enrollment import TemplateVault
@@ -197,6 +196,24 @@ def test_extract_dumps_features_for_every_image(cli_env, tmp_path):
     assert blob["feature_dim"] == 128
     assert len(blob["images"]) == 12
     assert all(len(e["features"]) == 128 for e in blob["images"])
+
+
+def test_extract_lists_unpadded_samples_in_index_order(cli_env, tmp_path):
+    data = tmp_path / "corpus"
+    names = ["img1.pgm", "img2.pgm", "img10.pgm", "img11.pgm"]
+    for sid in ("s00", "s01"):
+        (data / sid).mkdir(parents=True)
+        for i, name in enumerate(names):
+            shutil.copyfile(cli_env["data"] / sid / f"img{i:02d}.pgm", data / sid / name)
+    out, padded = tmp_path / "features.json", tmp_path / "padded.json"
+    assert main(["extract", "--data", str(data), "--model", str(cli_env["model"]), "--out", str(out)]) == 0
+    assert main(["extract", "--data", str(cli_env["data"]), "--model", str(cli_env["model"]),
+                 "--out", str(padded)]) == 0
+    entries = json.loads(out.read_text(encoding="utf-8"))["images"]
+    assert [e["path"] for e in entries] == [str(data / sid / name) for sid in ("s00", "s01") for name in names]
+    # Each path carries the features of its own image.
+    copied = [e["features"] for e in json.loads(padded.read_text(encoding="utf-8"))["images"][:8]]
+    assert [e["features"] for e in entries] == copied
 
 
 # BLAKE2b-128 of what a seeded train run writes and prints, and of the
@@ -404,6 +421,28 @@ def test_verify_with_key_record_of_wrong_type_fails(cli_env, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "keys.jsonl:1" in err and "seed" in err
+
+
+# Unchecked, 2**40 would draw a 1 PiB basis, and 512 a real one whose digest
+# check then fails with a message that names neither length.
+@pytest.mark.parametrize("feature_dim", [2**40, 512])
+def test_verify_refuses_a_key_record_of_another_feature_dim(cli_env, tmp_path, capsys, feature_dim):
+    store = tmp_path / "store"
+    imgs = [str(cli_env["data"] / "s00" / f"img{i:02d}.pgm") for i in range(2)]
+    assert main(["enroll", "--model", str(cli_env["model"]), "--store", str(store),
+                 "--user", "s00", "--images", *imgs, *common(cli_env)]) == 0
+    capsys.readouterr()
+    keys = store / "keys.jsonl"
+    record = json.loads(keys.read_text(encoding="utf-8"))
+    record["feature_dim"] = feature_dim
+    keys.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    rc = main(["verify", "--model", str(cli_env["model"]), "--store", str(store),
+               "--user", "s00", "--image", imgs[0], "--threshold", "1.0", *common(cli_env)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: key v1 for 's00'/major was made for {feature_dim}-dim features, "
+                            f"the query has 128\n")
 
 
 def test_verify_with_template_bits_that_are_not_hex_fails(cli_env, tmp_path, capsys):
@@ -1036,9 +1075,7 @@ def test_model_commands_read_images_at_the_model_geometry(cli_env, tmp_path, cap
     assert "error:" not in capsys.readouterr().err
 
 
-# -- one parser per process ---------------------------------------------------------
-
-SRC = str(Path(dorsalhash.__file__).resolve().parents[1])
+# -- fresh processes -----------------------------------------------------------------
 
 
 def run_in_process(argv, capsys) -> tuple[int, str, str]:
@@ -1051,39 +1088,105 @@ def run_in_process(argv, capsys) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def run_fresh_process(argv) -> tuple[int, str, str]:
-    """The same for ``python -m dorsalhash.cli`` in a new interpreter."""
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "dorsalhash.cli", *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300, check=False)
-    return proc.returncode, proc.stdout, proc.stderr
-
-
-def test_cached_parser_keeps_no_state_between_calls(cli_env, tmp_path, capsys, monkeypatch):
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # Every command once in this process and once in a new interpreter per
+    # call, each side in a directory of its own under the same relative
+    # paths, so that printed paths and written files compare as bytes.
     assert cli._build_parser() is cli._build_parser()
     # Help wraps at the terminal width; pin it for both processes.
     monkeypatch.setenv("COLUMNS", "100")
-    store = str(tmp_path / "store")
-    cfg = tmp_path / "threshold.cfg"
-    cfg.write_text("threshold=1.0\n", encoding="utf-8")
-    imgs = [str(cli_env["data"] / "s02" / f"img{i:02d}.pgm") for i in range(2)]
-    base = ["--model", str(cli_env["model"]), "--store", store, "--user", "s02"]
-    verify = ["verify", *base, "--image", str(cli_env["data"] / "s02" / "img03.pgm")]
-    assert main(["enroll", *base, "--images", *imgs, "--bits", "64"]) == 0
-    assert main(["revoke", *base, "--images", *imgs]) == 0
-    capsys.readouterr()
-    calls = [
-        (verify + ["--config", str(cfg), "--key-version", "1"], 1),  # v1 was revoked
-        (verify + ["--config", str(cfg)], 0),  # must not inherit --key-version
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    for side in (here, fresh):
+        side.mkdir()
+        (side / "small.cfg").write_text(CFG_TEXT, encoding="utf-8")
+        (side / "threshold.cfg").write_text("threshold=1.0\n", encoding="utf-8")
+    monkeypatch.chdir(here)
+    imgs = [f"corpus/s02/img{i:02d}.pgm" for i in range(2)]
+    base = ["--model", "model.dfn", "--store", "store", "--user", "s02"]
+    verify = ["verify", *base, "--image", "corpus/s02/img03.pgm"]
+    commands = [
+        (["synth", "--subjects", "3", "--samples", "4", "--out", "corpus", "--config", "small.cfg"], 0),
+        (["synth", "--subjects", "3", "--samples", "4", "--seed", "1", "--out", "minor", "--config", "small.cfg"], 0),
+        (["augment", "--image", "corpus/s00/img00.pgm", "--out", "aug", "--count", "2"], 0),
+        (["train", "--data", "corpus", "--out", "model.dfn", "--epochs", "1", "--gallery-count", "2",
+          "--config", "small.cfg"], 0),
+        (["extract", "--data", "corpus", "--model", "model.dfn", "--out", "features.json"], 0),
+        # A version-1 model is checked against the banks its config derives.
+        (["extract", "--data", "corpus", "--model", str(V1_MODEL), "--out", "v1_features.json"], 0),
+        (["evaluate", "--data", "corpus", "--model", "model.dfn", "--out", "eval", "--gallery-count", "2"], 0),
+        (["fuse", "--data", "corpus", "minor", "--model", "model.dfn", "--out", "fused", "--gallery-count", "2"], 0),
+        (["roc", "--scores", "eval/scores_128.json", "--out", "roc.csv"], 0),
+        (["enroll", *base, "--images", *imgs, "--bits", "64"], 0),
+        (["revoke", *base, "--images", *imgs], 0),
+        (["revoke", *base, "--images", *imgs, "--bits", "32"], 2),  # revoke reads no --bits
+    ]
+    verifies = [
+        (verify + ["--config", "threshold.cfg", "--key-version", "1"], 1),  # v1 was revoked
+        (verify + ["--config", "threshold.cfg"], 0),  # must not inherit --key-version
         (verify, 1),  # must not inherit the config file's threshold
         (["verify", *base], 2),  # no --image
         (["verify", "--help"], 0),
         (["--help"], 0),
         (verify + ["--threshold", "1.0", "--key-version", "2"], 0),
     ]
+    calls = commands + verifies
     seen = [run_in_process(argv, capsys) for argv, _ in calls]
     assert [code for code, _, _ in seen] == [code for _, code in calls]
-    assert " v2: " in seen[1][1] and seen[1] == seen[-1]
-    assert "needs --threshold" in seen[2][2]
+    checked = seen[len(commands):]
+    assert " v2: " in checked[1][1] and checked[1] == checked[-1]
+    assert "needs --threshold" in checked[2][2]
     for (argv, _), in_process in zip(calls, seen):
-        assert run_fresh_process(argv) == in_process, argv
+        proc = run_fresh("-m", "dorsalhash.cli", *argv, cwd=fresh)
+        assert (proc.returncode, proc.stdout, proc.stderr) == in_process, argv
+    assert _tree_bytes(fresh) == _tree_bytes(here)
+    # synth and train took the geometry from the config file.
+    assert corpus.read_pgm(here / "corpus" / "s00" / "img00.pgm").shape == (32, 64)
+    config = FixedFilterNet.load(here / "model.dfn").config
+    assert (config.input_height, config.input_width) == (32, 64)
+
+
+# Run in a new interpreter: pins the process to the CPUs in PIN (leaves it
+# free when None) before numpy loads, counts its forks, and prints the
+# running count on stderr after each command.
+COUNTED_FORKS = """
+import json, os, sys
+if PIN is not None:
+    os.sched_setaffinity(0, PIN)
+forks = []
+real_fork = os.fork
+os.fork = lambda: forks.append(1) or real_fork()
+from dorsalhash import cli
+for argv in ARGVS:
+    assert cli.main(argv) == 0, argv
+    print(json.dumps(len(forks)), file=sys.stderr)
+"""
+
+
+def test_train_and_evaluate_split_across_cpus_bit_for_bit(tmp_path):
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("os.sched_setaffinity is missing, so no run can be pinned to one CPU")
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip(f"{len(cpus)} usable CPU: a free run would not split either")
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("input_height=32\ninput_width=64\n", encoding="utf-8")
+    data = str(tmp_path / "corpus")
+    assert main(["synth", "--subjects", "64", "--samples", "3", "--out", data, "--config", str(cfg)]) == 0
+    argvs = [
+        ["train", "--data", data, "--out", "model.dfn", "--epochs", "1", "--gallery-count", "2", "--config", str(cfg)],
+        ["evaluate", "--data", data, "--model", "model.dfn", "--out", "eval", "--gallery-count", "2"],
+    ]
+    runs = {}
+    for side, pin in (("free", None), ("pinned", cpus[:1])):
+        (tmp_path / side).mkdir()
+        code = f"PIN = {pin!r}\nARGVS = {argvs!r}\n{COUNTED_FORKS}"
+        proc = run_fresh("-c", code, env={"OPENBLAS_NUM_THREADS": "1"}, cwd=tmp_path / side)
+        assert proc.returncode == 0, proc.stderr
+        runs[side] = proc.stdout, [json.loads(line) for line in proc.stderr.splitlines()], _tree_bytes(tmp_path / side)
+    (free_out, free_forks, free_tree), (pinned_out, pinned_forks, pinned_tree) = runs["free"], runs["pinned"]
+    assert pinned_forks == [0, 0]
+    # Training forks for its batches, evaluate for its forwards and protocol.
+    assert 0 < free_forks[0] < free_forks[1]
+    assert free_out == pinned_out
+    assert sorted(free_tree) == ["eval/metrics_128.json", "eval/roc_128.csv", "eval/scores_128.json", "model.dfn"]
+    assert free_tree == pinned_tree

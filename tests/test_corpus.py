@@ -221,6 +221,17 @@ class TestIngest:
         assert sorted(layout.subjects) == ["sub0", "sub1"]
         assert [p.name for p in layout.subjects["sub0"]] == ["im0.pgm", "im1.pgm", "im2.pgm"]
 
+    def test_samples_sort_by_index_where_names_are_not_padded(self, tmp_path):
+        d = tmp_path / "sub0"
+        d.mkdir()
+        names = ["img1.pgm", "img2.pgm", "img10.pgm", "img11.pgm", "img01.pgm", "img1b.pgm", "a3x2.pgm", "a3x10.pgm"]
+        for name in names:
+            write_pgm(d / name, np.zeros((2, 2)))
+        got = [p.name for p in ingest(tmp_path).subjects["sub0"]]
+        # Equal numbers tie, and the plain name breaks the tie.
+        assert got == ["a3x2.pgm", "a3x10.pgm", "img01.pgm", "img1.pgm", "img1b.pgm", "img2.pgm", "img10.pgm",
+                       "img11.pgm"]
+
     def test_load_samples_resizes(self, tmp_path):
         self._make_corpus(tmp_path)
         layout = ingest(tmp_path)

@@ -647,7 +647,7 @@ class TestDerivedBasis:
         record = json.loads(vault.keys.path.read_text().splitlines()[-1])
         assert record["schema"] == 2
         assert record["basis_blake2b"] == PINNED_BASIS_BLAKE2B
-        loaded_key, loaded = vault.load_basis("u", "major", key.key_version)
+        loaded_key, loaded = vault.load_basis("u", "major", key.key_version, 256)
         assert loaded_key == key
         assert np.array_equal(loaded.matrix, basis.matrix)
 
@@ -669,7 +669,7 @@ class TestDerivedBasis:
         _edit_key_record(vault.keys.path, **{field: value})
         reopened = TemplateVault(vault.keys.path, vault.templates.path)
         with pytest.raises(DataError):
-            reopened.load_basis("alice", "major", 1)
+            reopened.load_basis("alice", "major", 1, tiny_net.feature_dim)
         with pytest.raises(DataError):
             reopened.verify(feats(tiny_net, image), "alice", threshold=0.2)
 

@@ -10,15 +10,13 @@ kept in this file.
 import json
 import multiprocessing
 import os
-import subprocess
-import sys
 import textwrap
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_fresh
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -643,11 +641,8 @@ class TestProtocolSplit:
             pipeline.protocol_from_features(gallery, probes, 32, master_seed=0)
             print("forks", len(forks))
         """)
-        src = str(Path(pipeline.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        env.pop("PYTHONUNBUFFERED", None)
-        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", script],
-                              capture_output=True, text=True, env=env, timeout=120, check=False)
+        proc = run_fresh("-X", "dev", "-W", "error::ResourceWarning", "-c", script,
+                         env={"OPENBLAS_NUM_THREADS": "1", "PYTHONUNBUFFERED": None})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "written before the protocol\nforks 2\n"
         assert proc.stderr == ""

@@ -1,26 +1,23 @@
 """numpy is the only runtime dependency: no command loads scipy, and each
 runs where importing scipy fails.  multiprocessing loads only for work that
 splits across processes, and importing one submodule loads only that
-submodule and what it imports.
+submodule and what it imports.  Every source file parses under the
+Python 3.10 grammar, the oldest that pyproject.toml claims.
 
-Each check runs in a new interpreter, since the test process may have
-imported scipy (the smoothing oracle in test_corpus.py does).
+Each import check runs in a new interpreter, since the test process may
+have imported scipy (the smoothing oracle in test_corpus.py does).
 """
 
+import ast
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
+from conftest import run_fresh
 
-import dorsalhash
 from dorsalhash import cli
 from dorsalhash.corpus import AugmentationSpec, augment, write_pgm
-
-SRC = str(Path(dorsalhash.__file__).resolve().parents[1])
 
 # loaded() prints the scipy modules imported so far as one "scipy:" line.
 SCIPY_PROBE = """
@@ -30,12 +27,10 @@ def loaded():
 """
 
 
-def run_fresh(code: str) -> dict[str, list]:
+def probe_fresh(code: str) -> dict[str, list]:
     """Run code in a new interpreter on this checkout; returns its "key: value"
     lines as {key: [JSON values, in order]}."""
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE + code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=300, check=False)
+    proc = run_fresh("-c", SCIPY_PROBE + code)
     assert proc.returncode == 0, proc.stderr
     lines: dict[str, list] = {}
     for line in proc.stdout.splitlines():
@@ -57,7 +52,7 @@ def test_package_cli_and_vault_commands_never_load_scipy(tiny_net, tmp_path):
         images.append(str(tmp_path / f"img{i}.pgm"))
         write_pgm(images[-1], rng.uniform(0, 1, (20, 40)))
     common = ["--model", str(model), "--store", str(tmp_path / "store"), "--config", str(cfg)]
-    seen = run_fresh(f"""
+    seen = probe_fresh(f"""
 loaded()
 import dorsalhash
 loaded()
@@ -80,7 +75,7 @@ print("multiprocessing:", json.dumps("multiprocessing" in sys.modules))
 def test_elastic_augment_loads_no_scipy(tmp_path):
     img = np.linspace(0.0, 1.0, 24 * 40).reshape(24, 40)
     synth_out = str(tmp_path / "corpus")
-    seen = run_fresh(f"""
+    seen = probe_fresh(f"""
 import hashlib
 import numpy as np
 from dorsalhash.corpus import AugmentationSpec, SyntheticSpec, augment, generate_synthetic
@@ -113,7 +108,7 @@ def test_every_command_runs_where_scipy_cannot_be_imported(tmp_path):
         ["verify", *vault, "--image", str(data / "s00" / "img02.pgm"), "--threshold", "0.5"],
         ["revoke", *vault, "--images", str(source)],
     ]
-    seen = run_fresh(f"""
+    seen = probe_fresh(f"""
 sys.modules["scipy"] = None  # any import of scipy or a submodule raises ImportError
 import hashlib
 from pathlib import Path
@@ -135,8 +130,19 @@ print("scipy:", json.dumps(sorted(m for m in sys.modules if m.startswith("scipy.
 def test_importing_one_submodule_loads_no_other():
     # The package re-exports nothing, so rand (which imports no sibling)
     # comes alone.
-    seen = run_fresh("""
+    seen = probe_fresh("""
 import dorsalhash.rand
 print("package:", json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "dorsalhash")))
 """)
     assert seen["package"] == [["dorsalhash", "dorsalhash.rand"]]
+
+
+def test_every_source_file_parses_as_python_3_10():
+    """pyproject.toml claims Python 3.10.  This checks the grammar of every
+    source file against 3.10's (``except*`` fails it), not which library
+    APIs a file calls."""
+    root = Path(__file__).resolve().parents[1]
+    files = sorted(f for d in ("src", "scripts", "tests", "perfbench") for f in (root / d).rglob("*.py"))
+    assert root / "src" / "dorsalhash" / "cli.py" in files
+    for f in files:
+        ast.parse(f.read_text(encoding="utf-8"), filename=str(f), feature_version=(3, 10))

@@ -3,16 +3,13 @@ numpy's BLAS pool leaves free, while each gets its caller's minimum work."""
 
 import json
 import os
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_fresh
 
 from dorsalhash import parallel
-
-SRC = str(Path(parallel.__file__).resolve().parents[1])
 
 
 @pytest.mark.parametrize("cpus, pool, processes", [(2, 2, 1), (2, 1, 2), (4, 2, 2), (1, 2, 1), (8, 3, 2)])
@@ -42,9 +39,7 @@ def _fresh_blas_threads(**env) -> dict:
             "from dorsalhash import parallel\n"
             "blas = np.show_config(mode='dicts')['Build Dependencies']['blas']['name']\n"
             "print(json.dumps([parallel.blas_threads(), parallel._blas_getter() is not None, blas]))\n")
-    base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=False,
-                          env={**base, "PYTHONPATH": SRC, **env})
+    proc = run_fresh("-c", code, env={"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None, **env})
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -84,9 +79,7 @@ def test_blas_core_names_the_kernel_the_loaded_blas_picked():
             "blas = np.show_config(mode='dicts')['Build Dependencies']['blas']\n"
             "print(json.dumps([parallel.blas_core(), blas['name'], blas.get('openblas configuration', ''),\n"
             "                  bool(__cpu_features__.get('AVX2'))]))\n")
-    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_CORETYPE": "Haswell"}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=False,
-                          env=env)
+    proc = run_fresh("-c", code, env={"OPENBLAS_CORETYPE": "Haswell"})
     assert proc.returncode == 0, proc.stderr
     core, blas, configuration, avx2 = json.loads(proc.stdout)
     if "openblas" in blas:
